@@ -54,6 +54,23 @@ class TestRunConfig:
         assert cfg.get_int("dataset", "patch") == 64
         assert cfg.get_int("metric", "window") == 32
 
+    def test_default_echo_is_pinned(self):
+        """run_config.ini is an artifact contract: its default text is
+        fixed byte for byte."""
+        assert RunConfig.load().text() == (
+            "[dataset]\nms_size = 512\npatch = 64\nscenes = 1\nseed = 0\n"
+            "split = test\nsplit_seed = 0\nstride = 64\n\n"
+            "[metric]\nwindow = 32\n\n"
+            "[model]\nbands = auto\nfeature_width = 64\n"
+            "gain_mode = learned_attention\nlevels = 2\n"
+            "mscb_kernels = 3,5,7\nmscb_width = 38\nratio = 4\n"
+            "upsample_mode = pixel_shuffle\nuse_mrab = true\n"
+            "use_pan_branch = true\n\n"
+            "[sensor]\nname = wv3\n\n"
+            "[train]\nbatch_size = 32\nbeta1 = 0.9\nbeta2 = 0.999\n"
+            "checkpoint_every = 0\nepochs = 300\ngamma = 0.4\n"
+            "lr_schedule = standard\nseed = 0\nweight_decay = 0.0\n")
+
     def test_file_and_set_layering(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[train]\nepochs = 5\nbatch_size = 4\n")
