@@ -36,7 +36,6 @@ from .wald import (
     DatasetManifest,
     SamplePair,
     load_sample,
-    load_split,
     make_samples,
     read_manifest,
     split,
@@ -82,7 +81,6 @@ __all__ = [
     "DatasetManifest",
     "SamplePair",
     "load_sample",
-    "load_split",
     "make_samples",
     "read_manifest",
     "split",

@@ -116,17 +116,6 @@ def percentile_stretch(band: np.ndarray, lo: float = 2.0, hi: float = 98.0) -> n
     return np.clip((band - low) / (high - low), 0.0, 1.0)
 
 
-def export_pgm(path: str | Path, gray01: np.ndarray) -> None:
-    """8-bit binary PGM (P5) from a [0, 1] grayscale array."""
-    gray01 = np.asarray(gray01, dtype=np.float64)
-    if gray01.ndim != 2:
-        raise DataError(f"export_pgm: expected 2-D data, got {gray01.shape}")
-    pixels = np.rint(np.clip(gray01, 0, 1) * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{gray01.shape[1]} {gray01.shape[0]}\n255\n".encode())
-        fh.write(pixels.tobytes())
-
-
 def export_ppm(path: str | Path, rgb01: np.ndarray) -> None:
     """8-bit binary PPM (P6) from a [0, 1] H x W x 3 array."""
     rgb01 = np.asarray(rgb01, dtype=np.float64)

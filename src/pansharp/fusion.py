@@ -23,6 +23,7 @@ from .imaging import (
     MsImage,
     PanImage,
     box_kernel,
+    check_aligned,
     decimate,
     interp23,
     lowpass,
@@ -159,18 +160,6 @@ def exp_baseline(ms: MsImage) -> np.ndarray:
     return interp23(ms.data, ms.sensor.ratio)
 
 
-def _check_pair(ms: MsImage, pan: PanImage) -> None:
-    ratio = ms.sensor.ratio
-    expect = (ms.data.shape[0] * ratio, ms.data.shape[1] * ratio)
-    if pan.data.shape != expect:
-        raise DataError(
-            f"mra_fuse: pan shape {pan.data.shape} does not match MS "
-            f"{ms.data.shape[:2]} at ratio {ratio} (expected {expect})")
-    if pan.sensor.name != ms.sensor.name:
-        raise DataError(
-            f"mra_fuse: sensor mismatch ({ms.sensor.name!r} vs {pan.sensor.name!r})")
-
-
 def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig, *,
              clamp: bool = True,
              pan_lowpass_override: np.ndarray | None = None,
@@ -181,7 +170,7 @@ def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig, *,
     float64 array, which may exceed the range. The two overrides substitute
     P_L or G directly (diagnostics and degeneracy checks).
     """
-    _check_pair(ms, pan)
+    check_aligned(ms, pan)
     ms_up = interp23(ms.data, ms.sensor.ratio)
     p_l = pan_lowpass(pan, config) if pan_lowpass_override is None \
         else np.asarray(pan_lowpass_override, dtype=np.float64)

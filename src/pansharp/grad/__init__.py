@@ -7,7 +7,6 @@ from .layers import (
     conv2d_transpose,
     maxpool2d,
     pixel_shuffle,
-    pixel_unshuffle,
 )
 from .optim import AdamState, adam_step
 from .rng import SplitMix64, derive_seed, kaiming_uniform
@@ -18,7 +17,7 @@ from .tensor import (
     add,
     backward,
     concat,
-    elementwise,
+    divide_by_constant,
     l1_loss,
     mul,
     relu,
@@ -29,9 +28,9 @@ from .tensor import (
 )
 
 __all__ = [
-    "DTYPE", "Tape", "Tensor", "add", "mul", "elementwise", "scale",
+    "DTYPE", "Tape", "Tensor", "add", "mul", "scale", "divide_by_constant",
     "tensor_sum", "relu", "sigmoid", "concat", "l1_loss", "backward",
     "zero_grads", "conv2d", "conv2d_transpose", "maxpool2d", "avgpool2d",
-    "pixel_shuffle", "pixel_unshuffle", "bilinear_upsample",
+    "pixel_shuffle", "bilinear_upsample",
     "AdamState", "adam_step", "SplitMix64", "derive_seed", "kaiming_uniform",
 ]

@@ -50,18 +50,24 @@ def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.n
     return out
 
 
-def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int) -> np.ndarray:
-    """Gradient wrt conv weights: correlate input with the output gradient."""
+def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int,
+                        stride: int = 1) -> np.ndarray:
+    """Gradient wrt conv weights: correlate input with the output gradient.
+
+    Returns (g channels, x channels, k, k); ``stride`` is the step of the
+    windows over the padded ``x``, one per position of ``g``.
+    """
     cin = x.shape[1]
     cout = g.shape[1]
-    ho, wo = g.shape[2], g.shape[3]
+    span_h = (g.shape[2] - 1) * stride + 1
+    span_w = (g.shape[3] - 1) * stride + 1
     xp = x
     if padding:
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     gw = np.empty((cout, cin, k, k), dtype=DTYPE)
     for di in range(k):
         for dj in range(k):
-            patch = xp[:, :, di:di + ho, dj:dj + wo]
+            patch = xp[:, :, di:di + span_h:stride, dj:dj + span_w:stride]
             gw[:, :, di, dj] = np.tensordot(g, patch, axes=((0, 2, 3), (0, 2, 3)))
     return gw
 
@@ -144,16 +150,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None,
         if x.requires_grad:
             x.accumulate_grad(_corr2d(g, w.data, padding, stride=stride))
         if w.requires_grad:
-            gp = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            gw = np.empty_like(w.data)
-            span_h = (h - 1) * stride + 1
-            span_w = (wid - 1) * stride + 1
-            for di in range(k):
-                for dj in range(k):
-                    patch = gp[:, :, di:di + span_h:stride, dj:dj + span_w:stride]
-                    gw[:, :, di, dj] = np.tensordot(
-                        x.data, patch, axes=((0, 2, 3), (0, 2, 3)))
-            w.accumulate_grad(gw)
+            w.accumulate_grad(_corr2d_weight_grad(g, x.data, k, padding, stride))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record(out, inputs, backward_fn)
@@ -216,23 +213,6 @@ def pixel_shuffle(x: Tensor, s: int) -> Tensor:
         gv = g.reshape(batch, c_out, h, s, w, s)
         x.accumulate_grad(
             np.ascontiguousarray(gv.transpose(0, 1, 3, 5, 2, 4)).reshape(x.shape))
-
-    return _record(out, (x,), backward_fn)
-
-
-def pixel_unshuffle(x: Tensor, s: int) -> Tensor:
-    """Exact inverse of pixel_shuffle: (B, C, H*s, W*s) -> (B, C*s^2, H, W)."""
-    batch, ch, hs, ws = x.shape
-    if hs % s or ws % s:
-        raise ValueError(f"pixel_unshuffle: spatial dims {hs}x{ws} not divisible by {s}")
-    h, w = hs // s, ws // s
-    v = x.data.reshape(batch, ch, h, s, w, s)
-    out = Tensor(v.transpose(0, 1, 3, 5, 2, 4).reshape(batch, ch * s * s, h, w))
-
-    def backward_fn(g: np.ndarray) -> None:
-        gv = g.reshape(batch, ch, s, s, h, w)
-        x.accumulate_grad(
-            np.ascontiguousarray(gv.transpose(0, 1, 4, 2, 5, 3)).reshape(x.shape))
 
     return _record(out, (x,), backward_fn)
 

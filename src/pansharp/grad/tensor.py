@@ -158,13 +158,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward_fn)
 
 
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Elementwise combination of two same-shape tensors; op is add|mul."""
-    if op == "add":
-        return add(a, b)
-    if op == "mul":
-        return mul(a, b)
-    raise ValueError(f"elementwise: unsupported op {op!r} (expected 'add' or 'mul')")
+def divide_by_constant(x: Tensor, denom: np.ndarray) -> Tensor:
+    """x / denom with denom held constant; gradient is g / denom."""
+    out = Tensor(x.data / denom)
+
+    def backward_fn(g: np.ndarray) -> None:
+        x.accumulate_grad(g / denom)
+
+    return _record(out, (x,), backward_fn)
 
 
 def scale(a: Tensor, s: float) -> Tensor:

@@ -107,10 +107,9 @@ def _uniform(seed: int, shape: tuple[int, ...], low: float,
 
 
 # -- per-op registry -------------------------------------------------------
-# Exactly one entry per differentiable operation. `elementwise` is a
-# dispatcher over add/mul and is covered by those two entries;
-# backward/adam_step are the propagation mechanism and the optimizer, not
-# differentiable ops themselves.
+# Exactly one entry per differentiable operation; backward/adam_step are
+# the propagation mechanism and the optimizer, not differentiable ops
+# themselves.
 
 
 def _check_add() -> float:
@@ -197,20 +196,14 @@ def _check_pixel_shuffle() -> float:
                         [_gauss(31, (1, 8, 3, 3))], h=FD_STEP_LINEAR)
 
 
-def _check_pixel_unshuffle() -> float:
-    return _op_fd_error(lambda t: _engine.pixel_unshuffle(t[0], 2),
-                        [_gauss(32, (1, 2, 6, 6))], h=FD_STEP_LINEAR)
-
-
 def _check_bilinear_upsample() -> float:
     return _op_fd_error(lambda t: _engine.bilinear_upsample(t[0], 2),
                         [_gauss(33, (1, 2, 4, 4))], h=FD_STEP_LINEAR)
 
 
 def _check_divide_by_constant() -> float:
-    from . import model as _model
     denom = _uniform(34, (2, 3, 4, 4), 0.5, 1.5).astype(np.float64)
-    return _op_fd_error(lambda t: _model._divide_by_constant(t[0], denom),
+    return _op_fd_error(lambda t: _engine.divide_by_constant(t[0], denom),
                         [_gauss(35, (2, 3, 4, 4))], h=FD_STEP_LINEAR)
 
 
@@ -228,7 +221,6 @@ OP_CHECKS = {
     "maxpool2d": _check_maxpool2d,
     "avgpool2d": _check_avgpool2d,
     "pixel_shuffle": _check_pixel_shuffle,
-    "pixel_unshuffle": _check_pixel_unshuffle,
     "bilinear_upsample": _check_bilinear_upsample,
     "divide_by_constant": _check_divide_by_constant,
 }

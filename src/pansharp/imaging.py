@@ -10,7 +10,7 @@ no half-pixel phase shift is introduced by upsampling or decimation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -128,6 +128,19 @@ def _check_range01(what: str, data: np.ndarray) -> None:
         raise DataError(
             f"{what}: samples outside [0, 1] (min {data.min():.4g}, "
             f"max {data.max():.4g})")
+
+
+def check_aligned(ms: MsImage, pan: PanImage) -> None:
+    """Require a PAN raster ``ratio`` times the MS grid, from the same sensor."""
+    ratio = ms.sensor.ratio
+    expected = (ms.data.shape[0] * ratio, ms.data.shape[1] * ratio)
+    if pan.data.shape != expected:
+        raise DataError(
+            f"pan shape {pan.data.shape} does not match MS shape "
+            f"{ms.data.shape[:2]} at ratio {ratio} (expected {expected})")
+    if pan.sensor.name != ms.sensor.name:
+        raise DataError(
+            f"sensor mismatch ({ms.sensor.name!r} vs {pan.sensor.name!r})")
 
 
 # -- radiometry -----------------------------------------------------------

@@ -33,6 +33,7 @@ from .grad import (
     conv2d,
     conv2d_transpose,
     derive_seed,
+    divide_by_constant,
     kaiming_uniform,
     l1_loss,
     maxpool2d,
@@ -41,7 +42,6 @@ from .grad import (
     scale,
     sigmoid,
 )
-from .grad.tensor import Tape
 
 UPSAMPLE_MODES = ("pixel_shuffle", "bilinear", "deconv")
 GAIN_MODES = ("learned_attention", "tmra_hpm")
@@ -270,19 +270,6 @@ def _upsample(x: Tensor, params: dict[str, Tensor], level: str, s: int,
     return pixel_shuffle(_conv_layer(params, f"{level}.up", x), s)
 
 
-def _divide_by_constant(x: Tensor, denom: np.ndarray) -> Tensor:
-    """x / denom with denom held constant; gradient is g / denom."""
-    out = Tensor(x.data / denom)
-    tape = Tape.active()
-    if tape is not None and x.requires_grad:
-
-        def backward_fn(g: np.ndarray) -> None:
-            x.accumulate_grad(g / denom)
-
-        tape.record(out, backward_fn)
-    return out
-
-
 def tmra_injection(ms_up: Tensor, pan_l, d: Tensor,
                    epsilon: float = 1e-4) -> Tensor:
     """Ratio-gain injection: ms_up + (ms_up / max(pan_l, epsilon)) * d.
@@ -302,7 +289,7 @@ def tmra_injection(ms_up: Tensor, pan_l, d: Tensor,
             f"ms_up shape {ms_up.shape}"
         )
     denom = np.maximum(low, DTYPE(epsilon))
-    gain = _divide_by_constant(ms_up, denom)
+    gain = divide_by_constant(ms_up, denom)
     return ms_up + gain * d
 
 

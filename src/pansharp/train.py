@@ -11,7 +11,6 @@ identical checkpoints.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import math
 import os
@@ -39,9 +38,6 @@ SCHEDULE_PRESETS = {
     "standard": ((0, 1e-3), (220, 1e-4)),
     "high-rate": ((0, 1e-2), (220, 1e-3)),
 }
-
-#: Loss-weight sweep for the half-scale supervision term.
-GAMMA_SWEEP = (0.2, 0.4, 0.5, 0.6, 0.8)
 
 
 @dataclass(frozen=True)

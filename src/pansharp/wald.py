@@ -34,6 +34,7 @@ from .imaging import (
     MsImage,
     PanImage,
     SensorSpec,
+    check_aligned,
     decimate,
     get_sensor,
     lowpass,
@@ -118,7 +119,7 @@ def make_samples(ms_full: MsImage, pan_full: PanImage,
         stride = patch
     sensor = ms_full.sensor
     ratio = sensor.ratio
-    _check_aligned(ms_full, pan_full)
+    check_aligned(ms_full, pan_full)
     height, width = ms_full.data.shape[:2]
     if patch > height or patch > width:
         raise DataError(
@@ -139,36 +140,6 @@ def make_samples(ms_full: MsImage, pan_full: PanImage,
                 gt_d=degrade(gt, sensor, 2).astype(np.float32),
             ))
     return samples
-
-
-def full_res_set(ms: MsImage, pan: PanImage, patch_pan: int = 256) -> list:
-    """Co-located original-resolution patch pairs for no-reference eval.
-
-    No degradation is applied; the pairs feed fusion directly and are
-    scored with the no-reference metrics.
-    """
-    _check_aligned(ms, pan)
-    ratio = ms.sensor.ratio
-    if patch_pan % ratio:
-        raise DataError(
-            f"pan patch {patch_pan} is not divisible by the ratio {ratio}")
-    patch_ms = patch_pan // ratio
-    height, width = ms.data.shape[:2]
-    if patch_ms > height or patch_ms > width:
-        raise DataError(
-            f"pan patch {patch_pan} exceeds image bounds "
-            f"{height * ratio}x{width * ratio}")
-    pairs = []
-    for i in range(0, height - patch_ms + 1, patch_ms):
-        for j in range(0, width - patch_ms + 1, patch_ms):
-            ms_patch = MsImage(ms.data[i:i + patch_ms, j:j + patch_ms],
-                               ms.sensor, "full")
-            pan_patch = PanImage(
-                pan.data[i * ratio:(i + patch_ms) * ratio,
-                         j * ratio:(j + patch_ms) * ratio],
-                pan.sensor, "full")
-            pairs.append((ms_patch, pan_patch))
-    return pairs
 
 
 def split(ids, ratios=DEFAULT_RATIOS, seed: int = 0) -> dict:
@@ -284,28 +255,8 @@ def load_sample(directory, sample_id: int) -> SamplePair:
                       gt=arrays["gt"], gt_d=arrays["gtd"])
 
 
-def load_split(directory, split_name: str, limit: int | None = None) -> list:
-    manifest = read_manifest(directory)
-    if split_name not in manifest.splits:
-        raise DataError(f"unknown split '{split_name}'")
-    ids = manifest.splits[split_name][:limit]
-    return [load_sample(directory, sample_id) for sample_id in ids]
-
-
 def _raster_path(directory, sample_id: int, role: str) -> str:
     return os.path.join(directory, f"{sample_id}_{role}.psr1")
-
-
-def _check_aligned(ms: MsImage, pan: PanImage) -> None:
-    ratio = ms.sensor.ratio
-    expected = (ms.data.shape[0] * ratio, ms.data.shape[1] * ratio)
-    if pan.data.shape != expected:
-        raise DataError(
-            f"pan shape {pan.data.shape} does not match MS shape "
-            f"{ms.data.shape[:2]} at ratio {ratio}")
-    if pan.sensor.name != ms.sensor.name:
-        raise DataError(
-            f"sensor mismatch: {ms.sensor.name} vs {pan.sensor.name}")
 
 
 #: (MTF gain, ratio, amplitude) triples for the octaves of the synthetic

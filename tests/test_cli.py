@@ -386,9 +386,9 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
-        assert lines[-1] == "gradient sweep: 17 checks, 0 failures"
+        assert lines[-1] == "gradient sweep: 16 checks, 0 failures"
         names = [line.split()[0] for line in lines[:-1]]
-        assert len(names) == len(set(names)) == 17
+        assert len(names) == len(set(names)) == 16
         assert "tdnet_forward" in names
         assert all(line.split()[-1] == "PASS" for line in lines[:-1])
 

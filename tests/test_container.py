@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pansharp.container import (
-    export_pgm,
     export_ppm,
     load_ms,
     load_pan,
@@ -94,9 +93,6 @@ class TestPreviews:
         assert np.all((out >= 0) & (out <= 1))
 
     def test_pgm_ppm_headers(self, tmp_path):
-        export_pgm(tmp_path / "g.pgm", np.linspace(0, 1, 12).reshape(3, 4))
-        blob = (tmp_path / "g.pgm").read_bytes()
-        assert blob.startswith(b"P5\n4 3\n255\n") and len(blob) == 11 + 12
         export_ppm(tmp_path / "c.ppm", np.zeros((2, 2, 3)))
         blob = (tmp_path / "c.ppm").read_bytes()
         assert blob.startswith(b"P6\n2 2\n255\n") and len(blob) == 11 + 12

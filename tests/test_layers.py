@@ -12,7 +12,6 @@ from pansharp.grad import (
     conv2d_transpose,
     maxpool2d,
     pixel_shuffle,
-    pixel_unshuffle,
 )
 from helpers import (
     check_op_gradient,
@@ -154,13 +153,6 @@ class TestPixelShuffle:
                                 assert (y[b, c, s * yy + dy, s * xx + dx]
                                         == x[b, c * s * s + dy * s + dx, yy, xx])
 
-    def test_unshuffle_inverts(self):
-        rng = np.random.default_rng(28)
-        for s in (2, 4):
-            x = rng.normal(size=(1, 3 * s * s, 5, 5)).astype(np.float32)
-            back = pixel_unshuffle(pixel_shuffle(Tensor(x), s), s).data
-            np.testing.assert_array_equal(back, x)
-
     def test_channel_divisibility_error(self):
         with pytest.raises(ValueError, match="divisible"):
             pixel_shuffle(Tensor(np.zeros((1, 6, 2, 2))), 2)
@@ -169,8 +161,6 @@ class TestPixelShuffle:
         rng = np.random.default_rng(29)
         x = rng.normal(size=(1, 8, 3, 3)).astype(np.float32)
         assert check_op_gradient(lambda t: pixel_shuffle(t[0], 2), [x], wrt=0) < 1e-2
-        y = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
-        assert check_op_gradient(lambda t: pixel_unshuffle(t[0], 2), [y], wrt=0) < 1e-2
 
 
 class TestBilinearUpsample:

@@ -13,7 +13,6 @@ from pansharp.grad import (
     backward,
     concat,
     derive_seed,
-    elementwise,
     kaiming_uniform,
     l1_loss,
     mul,
@@ -77,10 +76,8 @@ class TestPointwiseOps:
     def test_add_mul_values(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([3.0, 4.0])
-        np.testing.assert_array_equal(elementwise(a, b, "add").data, [4.0, 6.0])
-        np.testing.assert_array_equal(elementwise(a, b, "mul").data, [3.0, 8.0])
-        with pytest.raises(ValueError, match="unsupported op"):
-            elementwise(a, b, "sub")
+        np.testing.assert_array_equal(add(a, b).data, [4.0, 6.0])
+        np.testing.assert_array_equal(mul(a, b).data, [3.0, 8.0])
 
     def test_shape_mismatch_names_axis(self):
         a = Tensor(np.zeros((2, 3)))

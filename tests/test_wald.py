@@ -6,8 +6,6 @@ import pytest
 from pansharp.errors import DataError
 from pansharp.imaging import (
     SENSORS,
-    MsImage,
-    PanImage,
     decimate,
     lowpass,
     mtf_gaussian_kernel,
@@ -16,9 +14,7 @@ from pansharp.wald import (
     DatasetManifest,
     SamplePair,
     degrade,
-    full_res_set,
     load_sample,
-    load_split,
     make_samples,
     read_manifest,
     split,
@@ -152,34 +148,6 @@ class TestSplit:
             split(range(10), ratios=(0.5, 0.2, 0.2), seed=1)
 
 
-class TestFullResSet:
-    def test_single_pair(self):
-        ms, pan = synthetic_scene(12, SENSORS["gf2"], ms_size=64)
-        pairs = full_res_set(ms, pan, patch_pan=256)
-        assert len(pairs) == 1
-        ms_patch, pan_patch = pairs[0]
-        assert ms_patch.data.shape == (64, 64, 4)
-        assert pan_patch.data.shape == (256, 256)
-        assert decimate(pan_patch.data, 4).shape == ms_patch.data.shape[:2]
-
-    def test_tiling(self):
-        ms, pan = synthetic_scene(13, SENSORS["gf2"], ms_size=128)
-        assert len(full_res_set(ms, pan, patch_pan=256)) == 4
-
-    def test_no_degradation_applied(self):
-        ms, pan = synthetic_scene(14, SENSORS["gf2"], ms_size=64)
-        ms_patch, pan_patch = full_res_set(ms, pan, patch_pan=256)[0]
-        np.testing.assert_array_equal(ms_patch.data, ms.data)
-        np.testing.assert_array_equal(pan_patch.data, pan.data)
-
-    def test_bounds_error(self):
-        ms, pan = synthetic_scene(15, SENSORS["gf2"], ms_size=64)
-        with pytest.raises(DataError, match="exceeds image bounds"):
-            full_res_set(ms, pan, patch_pan=512)
-        with pytest.raises(DataError, match="not divisible"):
-            full_res_set(ms, pan, patch_pan=255)
-
-
 class TestManifest:
     def _manifest(self, n=8, seed=21):
         return DatasetManifest(seed=seed, sensor="gf2", bands=4, ratio=4,
@@ -236,13 +204,6 @@ class TestDatasetDirectory:
         first = (tmp_path / "a" / "data" / "manifest.json").read_bytes()
         second = (tmp_path / "b" / "data" / "manifest.json").read_bytes()
         assert first == second
-
-    def test_load_split(self, tmp_path):
-        samples, manifest = self._build(tmp_path)
-        val = load_split(tmp_path / "data", "val")
-        assert [sample.id for sample in val] == manifest.splits["val"]
-        with pytest.raises(DataError, match="unknown split"):
-            load_split(tmp_path / "data", "holdout")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="cannot read manifest"):
