@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 
@@ -41,9 +42,32 @@ from .wald import (
     write_dataset,
 )
 
+
+def _config_defaults(cls) -> dict:
+    """Config-file keys and default texts for a config dataclass's fields."""
+    section = {}
+    for field in dataclasses.fields(cls):
+        name, default = field.name, field.default
+        if name == "betas":
+            section["beta1"], section["beta2"] = map(str, default)
+        elif name == "bands":
+            section[name] = "auto"
+        elif name == "lr_schedule":
+            section[name] = next(preset for preset, schedule
+                                 in SCHEDULE_PRESETS.items() if schedule == default)
+        elif isinstance(default, bool):
+            section[name] = str(default).lower()
+        elif isinstance(default, tuple):
+            section[name] = ",".join(map(str, default))
+        else:
+            section[name] = str(default)
+    return section
+
+
 #: Every recognized configuration key with its default (as written in a
-#: config file).  ``model.bands = auto`` means "take the band count from
-#: the sensor or dataset".
+#: config file).  ``model`` and ``train`` are the TdnetConfig and
+#: TrainConfig fields (``betas`` as ``beta1``/``beta2``); ``model.bands =
+#: auto`` means "take the band count from the sensor or dataset".
 CONFIG_SCHEMA: dict = {
     "sensor": {
         "name": "wv3",
@@ -57,29 +81,8 @@ CONFIG_SCHEMA: dict = {
         "split_seed": "0",
         "split": "test",
     },
-    "model": {
-        "bands": "auto",
-        "ratio": "4",
-        "feature_width": "64",
-        "mscb_kernels": "3,5,7",
-        "mscb_width": "38",
-        "upsample_mode": "pixel_shuffle",
-        "use_mrab": "true",
-        "use_pan_branch": "true",
-        "levels": "2",
-        "gain_mode": "learned_attention",
-    },
-    "train": {
-        "epochs": "300",
-        "batch_size": "32",
-        "lr_schedule": "standard",
-        "gamma": "0.4",
-        "beta1": "0.9",
-        "beta2": "0.999",
-        "weight_decay": "0.0",
-        "seed": "0",
-        "checkpoint_every": "0",
-    },
+    "model": _config_defaults(TdnetConfig),
+    "train": _config_defaults(TrainConfig),
     "metric": {
         "window": "32",
     },
@@ -179,6 +182,15 @@ class RunConfig:
             return False
         raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
 
+    def _fields(self, section: str, cls, **parsed) -> dict:
+        """Arguments for a config dataclass: each field is read with the
+        getter its default's type picks, unless ``parsed`` supplies it."""
+        getters = {bool: self.get_bool, int: self.get_int,
+                   float: self.get_float, str: self.get}
+        return {f.name: parsed[f.name] if f.name in parsed
+                else getters[type(f.default)](section, f.name)
+                for f in dataclasses.fields(cls)}
+
     # -- derived objects --------------------------------------------------
 
     def sensor_spec(self):
@@ -204,19 +216,10 @@ class RunConfig:
             raise ConfigError(
                 f"model.mscb_kernels: expected comma-separated integers, "
                 f"got {self.get('model', 'mscb_kernels')!r}") from None
+        values = self._fields("model", TdnetConfig, bands=bands,
+                              mscb_kernels=kernels)
         try:
-            return TdnetConfig(
-                bands=bands,
-                ratio=self.get_int("model", "ratio"),
-                feature_width=self.get_int("model", "feature_width"),
-                mscb_kernels=kernels,
-                mscb_width=self.get_int("model", "mscb_width"),
-                upsample_mode=self.get("model", "upsample_mode"),
-                use_mrab=self.get_bool("model", "use_mrab"),
-                use_pan_branch=self.get_bool("model", "use_pan_branch"),
-                levels=self.get_int("model", "levels"),
-                gain_mode=self.get("model", "gain_mode"),
-            )
+            return TdnetConfig(**values)
         except ValueError as exc:
             raise ConfigError(f"invalid model config: {exc}") from exc
 
@@ -237,18 +240,12 @@ class RunConfig:
         return tuple(entries)
 
     def train_config(self) -> TrainConfig:
+        betas = (self.get_float("train", "beta1"),
+                 self.get_float("train", "beta2"))
+        values = self._fields("train", TrainConfig,
+                              lr_schedule=self.lr_schedule(), betas=betas)
         try:
-            return TrainConfig(
-                epochs=self.get_int("train", "epochs"),
-                batch_size=self.get_int("train", "batch_size"),
-                lr_schedule=self.lr_schedule(),
-                gamma=self.get_float("train", "gamma"),
-                betas=(self.get_float("train", "beta1"),
-                       self.get_float("train", "beta2")),
-                weight_decay=self.get_float("train", "weight_decay"),
-                seed=self.get_int("train", "seed"),
-                checkpoint_every=self.get_int("train", "checkpoint_every"),
-            )
+            return TrainConfig(**values)
         except ValueError as exc:
             raise ConfigError(f"invalid train config: {exc}") from exc
 
