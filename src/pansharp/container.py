@@ -61,7 +61,10 @@ def read_psr1(path: str | Path) -> tuple[np.ndarray, str, int]:
     offset = _HEADER.size + _DIMS.size
     if len(blob) < offset + name_len:
         raise DataError(f"{path}: truncated sensor name")
-    name = blob[offset:offset + name_len].decode("utf-8", errors="strict")
+    try:
+        name = blob[offset:offset + name_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: sensor name is not UTF-8: {exc}") from exc
     offset += name_len
     expected = h * w * c * 4
     if len(blob) != offset + expected:

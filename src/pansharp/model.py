@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -473,11 +475,15 @@ def save_checkpoint(path, params: dict[str, Tensor], config: TdnetConfig) -> Non
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
-    chunk = fh.read(n)
-    if len(chunk) != n:
+    """Read n bytes, refusing a declared size the rest of the file lacks."""
+    if n > _bytes_left(fh):
         raise DataError(f"checkpoint truncated while reading {what}")
-    return chunk
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], TdnetConfig]:
@@ -496,15 +502,23 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], TdnetConfig]:
         except (ValueError, TypeError) as exc:
             raise DataError(f"malformed checkpoint config: {exc}") from exc
         (n_params,) = _U32.unpack(_read_exact(fh, 4, "parameter count"))
+        # A parameter record holds at least a name length, a rank and a value.
+        if 12 * n_params > _bytes_left(fh):
+            raise DataError(
+                f"checkpoint truncated: it declares {n_params} parameters")
         params: dict[str, Tensor] = {}
         for _ in range(n_params):
             (name_len,) = _U32.unpack(_read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(
+                    f"checkpoint parameter name is not UTF-8: {exc}") from exc
             (ndim,) = _U32.unpack(_read_exact(fh, 4, "rank"))
-            shape = tuple(_U32.unpack(_read_exact(fh, 4, "dim"))[0]
-                          for _ in range(ndim))
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, 4 * count, f"data for {name}")
+            if ndim > 4:  # no layer of the network has more axes
+                raise DataError(f"checkpoint parameter {name} has rank {ndim}")
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
+            raw = _read_exact(fh, 4 * math.prod(shape), f"data for {name}")
             data = np.frombuffer(raw, dtype="<f4").reshape(shape)
             params[name] = Tensor(data.astype(DTYPE), requires_grad=True)
         if fh.read(1):

@@ -3,6 +3,7 @@ artifacts, CLI/library parity, and the exit-code contract."""
 
 import configparser
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,12 @@ from pansharp.errors import ConfigError
 from pansharp.fusion import fuse
 from pansharp.imaging import MsImage, PanImage, get_sensor
 from pansharp.metrics import EvalReport
-from pansharp.model import load_checkpoint
+from pansharp.model import (
+    TdnetConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from pansharp.wald import load_sample, read_manifest, synthetic_scene
 
 
@@ -393,6 +399,21 @@ class TestGradcheckCommand:
         assert all(line.split()[-1] == "PASS" for line in lines[:-1])
 
 
+def _crafted_checkpoint(path, patch) -> str:
+    """A small valid checkpoint whose first parameter record is then
+    rewritten by ``patch(blob, name_at, name_len)``."""
+    config = TdnetConfig(bands=8, feature_width=2, mscb_width=1,
+                         mscb_kernels=(3,))
+    save_checkpoint(path, init_params(config), config)
+    blob = bytearray(path.read_bytes())
+    (config_len,) = struct.unpack_from("<I", blob, 16)
+    name_at = 16 + 4 + config_len + 4 + 4
+    (name_len,) = struct.unpack_from("<I", blob, name_at - 4)
+    patch(blob, name_at, name_len)
+    path.write_bytes(bytes(blob))
+    return f"tdnet:{path}"
+
+
 class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, dataset_dir, tmp_path):
@@ -410,3 +431,35 @@ class TestExitCodes:
     def test_data_error_exit_code(self, tmp_path):
         assert main(["train", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "o")]) == 3
+
+    def _fuse_exit(self, capsys, tmp_path, ms_path, pan_path, method):
+        """Exit code of a fuse run; a corrupt input must end it with a
+        one-line error, not a traceback."""
+        rc = main(["fuse", str(ms_path), str(pan_path), "--method", method,
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return rc
+
+    def test_checkpoint_dim_beyond_file_size(self, pair_paths, tmp_path,
+                                             capsys):
+        def huge_dim(blob, name_at, name_len):
+            struct.pack_into("<I", blob, name_at + name_len + 4, 2**32 - 1)
+
+        method = _crafted_checkpoint(tmp_path / "dim.ckpt", huge_dim)
+        assert self._fuse_exit(capsys, tmp_path, *pair_paths, method) == 3
+
+    def test_checkpoint_name_not_utf8(self, pair_paths, tmp_path, capsys):
+        def bad_name(blob, name_at, name_len):
+            blob[name_at:name_at + name_len] = b"\xff" * name_len
+
+        method = _crafted_checkpoint(tmp_path / "name.ckpt", bad_name)
+        assert self._fuse_exit(capsys, tmp_path, *pair_paths, method) == 3
+
+    def test_psr1_sensor_name_not_utf8(self, pair_paths, tmp_path, capsys):
+        ms_path, pan_path = pair_paths
+        blob = bytearray(ms_path.read_bytes())
+        blob[36:39] = b"\xff\xfe\xfd"  # the 3-byte name after the header
+        bad = tmp_path / "ms.psr1"
+        bad.write_bytes(bytes(blob))
+        assert self._fuse_exit(capsys, tmp_path, bad, pan_path, "exp") == 3
