@@ -1,8 +1,12 @@
 """Spatial layers vs. loop-based oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+import pansharp.grad.layers as layers
 from pansharp.grad import (
     Tape,
     Tensor,
@@ -62,6 +66,77 @@ class TestConv2d:
         with pytest.raises(ValueError, match="too small"):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
                    None, padding=0)
+
+
+def _corr2d_reference(x, w, padding, stride):
+    """float64 einsum over every window of the padded input."""
+    k = w.shape[-1]
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.astype(np.float64), pad)
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.einsum("bchwij,ocij->bohw", win, w.astype(np.float64))
+
+
+class TestCorr2dTiling:
+    """The column buffer is cut into chunks of whole images or bands of
+    output rows; every cut must give the untiled result."""
+
+    @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (5, 0),
+                                           (5, 2), (7, 0), (7, 3), (4, 1)])
+    def test_chunks_match_reference(self, monkeypatch, mode, stride, k, padding):
+        rng = np.random.default_rng(31)
+        batch, cin, cout = 3, 2, 4
+        x = rng.normal(size=(batch, cin, 15, 11)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        ho = (15 + 2 * padding - k) // stride + 1
+        wo = (11 + 2 * padding - k) // stride + 1
+        per_row = cin * k * k * wo
+        rows = {"images": ho, "bands": ho // 2 + 1, "sub_row": 1}[mode]
+        budget = {"images": 2 * per_row * ho, "bands": rows * per_row,
+                  "sub_row": per_row - 1}[mode]
+        monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+        bands = []
+
+        def recording_view(band, *args, **kwargs):
+            bands.append(band.shape)
+            return sliding_window_view(band, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "sliding_window_view", recording_view)
+        got = layers._corr2d(x, w, padding, stride)
+
+        np.testing.assert_allclose(got, _corr2d_reference(x, w, padding, stride),
+                                   rtol=1e-5, atol=1e-5)
+        out_rows = [(shape[2] - k) // stride + 1 for shape in bands]
+        if mode == "images":
+            assert [shape[0] for shape in bands] == [2, 1]
+            assert out_rows == [ho, ho]
+        else:
+            assert all(shape[0] == 1 for shape in bands)
+            per_image = [rows] * (ho // rows) + ([ho % rows] if ho % rows else [])
+            assert out_rows == per_image * batch
+            if mode == "bands":
+                assert ho % rows, "the band case must leave a remainder band"
+
+    def test_column_scratch_is_bounded(self, monkeypatch):
+        """One 7x7 layer on a 192^2 image allocates at most two column
+        budgets beyond its padded input and output; its untiled columns
+        would take 115 MB."""
+        monkeypatch.setattr(layers, "_COL_BUDGET", 1 << 20)
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
+        w = rng.normal(size=(16, 16, 7, 7)).astype(np.float32)
+        padded_bytes = 16 * 198 * 198 * 4
+        tracemalloc.start()
+        try:
+            out = layers._corr2d(x, w, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 16, 192, 192)
+        scratch = peak - padded_bytes - out.nbytes
+        assert scratch < 2 * layers._COL_BUDGET * 4, scratch
 
 
 class TestConv2dTranspose:
