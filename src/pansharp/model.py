@@ -488,7 +488,11 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], TdnetConfig]:
     """Read a checkpoint back into (params, config); validates the layout."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    with fh:
         magic, version = _CKPT_HEADER.unpack(_read_exact(fh, _CKPT_HEADER.size,
                                                          "header"))
         if magic != _CKPT_MAGIC:

@@ -456,6 +456,18 @@ class TestExitCodes:
         method = _crafted_checkpoint(tmp_path / "name.ckpt", bad_name)
         assert self._fuse_exit(capsys, tmp_path, *pair_paths, method) == 3
 
+    def test_missing_checkpoint(self, pair_paths, tmp_path, capsys):
+        method = f"tdnet:{tmp_path / 'no_such.ckpt'}"
+        assert self._fuse_exit(capsys, tmp_path, *pair_paths, method) == 3
+
+    def test_psr1_bit_depth_out_of_range(self, pair_paths, tmp_path, capsys):
+        ms_path, pan_path = pair_paths
+        blob = bytearray(ms_path.read_bytes())
+        struct.pack_into("<I", blob, 28, 40)  # height, width, channels, bit depth
+        bad = tmp_path / "ms.psr1"
+        bad.write_bytes(bytes(blob))
+        assert self._fuse_exit(capsys, tmp_path, bad, pan_path, "glp-hpm") == 3
+
     def test_psr1_sensor_name_not_utf8(self, pair_paths, tmp_path, capsys):
         ms_path, pan_path = pair_paths
         blob = bytearray(ms_path.read_bytes())
