@@ -22,12 +22,11 @@ from .errors import DataError
 from .imaging import (
     MsImage,
     PanImage,
-    box_kernel,
+    box_taps,
     check_aligned,
-    decimate,
     interp23,
     lowpass,
-    mtf_gaussian_kernel,
+    mtf_gaussian_taps,
 )
 
 PAN_LOWPASS_MODES = ("mtf_glp", "box")
@@ -51,9 +50,7 @@ class MraConfig:
     pan_lowpass_mode: str = "mtf_glp"
     gain_mode: str = "unit"
     equalize: bool = False
-    box_half_width: int | None = None  # defaults to the sensor ratio
     hpm_epsilon: float = 1e-4
-    mtf_support: int = 41
 
     def __post_init__(self):
         if self.pan_lowpass_mode not in PAN_LOWPASS_MODES:
@@ -86,12 +83,9 @@ def pan_lowpass(pan: PanImage, config: MraConfig) -> np.ndarray:
     """
     ratio = pan.sensor.ratio
     if config.pan_lowpass_mode == "box":
-        half = config.box_half_width or ratio
-        return lowpass(pan.data, box_kernel(half))
-    kernel = mtf_gaussian_kernel(pan.sensor.pan_nyquist_gain, ratio,
-                                 config.mtf_support)
-    blurred = lowpass(pan.data, kernel)
-    return interp23(decimate(blurred, ratio), ratio)
+        return lowpass(pan.data, box_taps(ratio))
+    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, ratio)
+    return interp23(lowpass(pan.data, taps, ratio), ratio)
 
 
 def band_match(pan_data: np.ndarray, pan_l: np.ndarray,

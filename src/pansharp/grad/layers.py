@@ -23,6 +23,20 @@ from .tensor import DTYPE, Tensor, _record
 _COL_BUDGET = 2 << 20
 
 
+def _zero_pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """x (B,C,H,W) with ``padding`` zeros around both spatial axes.
+
+    One zero-filled buffer and one slice copy: the same values as
+    ``np.pad``, without its per-axis passes.
+    """
+    if not padding:
+        return x
+    batch, chans, h, wid = x.shape
+    xp = np.zeros((batch, chans, h + 2 * padding, wid + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + wid] = x
+    return xp
+
+
 def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.ndarray:
     """Raw cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k).
 
@@ -39,9 +53,7 @@ def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.n
             f"conv2d: spatial input {h}x{wid} too small for kernel {k} "
             f"with padding {padding}"
         )
-    xp = x
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = _zero_pad(x, padding)
     wmat = w.reshape(cout, cin * k * k)
     out = np.empty((batch, cout, ho, wo), dtype=DTYPE)
     rows = max(1, min(ho, _COL_BUDGET // (cin * k * k * wo)))
@@ -72,9 +84,7 @@ def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int,
     cout = g.shape[1]
     span_h = (g.shape[2] - 1) * stride + 1
     span_w = (g.shape[3] - 1) * stride + 1
-    xp = x
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = _zero_pad(x, padding)
     gw = np.empty((cout, cin, k, k), dtype=DTYPE)
     for di in range(k):
         for dj in range(k):

@@ -187,11 +187,11 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # gradient is zero at exactly 0
-    out = Tensor(np.where(mask, a.data, 0))
+    # fmax maps NaN and -0.0 to +0.0, as a masked select would.
+    out = Tensor(np.fmax(a.data, 0))
 
     def backward_fn(g: np.ndarray) -> None:
-        a.accumulate_grad(g * mask)
+        a.accumulate_grad(g * (a.data > 0))  # gradient is zero at exactly 0
 
     return _record(out, (a,), backward_fn)
 

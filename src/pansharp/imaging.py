@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d
-from scipy.signal import fftconvolve
 
 from .errors import DataError
 
@@ -176,55 +176,60 @@ def mtf_sigma(nyquist_gain: float, ratio: int) -> float:
     return math.sqrt(-2.0 * math.log(nyquist_gain) * (ratio / math.pi) ** 2) / 2.0
 
 
-def mtf_gaussian_kernel(nyquist_gain: float, ratio: int, support: int = 41) -> np.ndarray:
-    """Separable Gaussian low-pass matched to a sensor MTF gain.
+def mtf_gaussian_taps(nyquist_gain: float, ratio: int, support: int = 41) -> np.ndarray:
+    """1-D Gaussian low-pass taps matched to a sensor MTF gain.
 
-    Returns a support x support unit-sum kernel. Smaller gains give wider
-    kernels (stronger blur).
+    Returns ``support`` unit-sum taps; the 2-D filter is their outer
+    product, which :func:`lowpass` applies one axis at a time. Smaller
+    gains give wider kernels (stronger blur).
     """
     if support < 3 or support % 2 == 0:
         raise ValueError(f"kernel support must be odd and >= 3, got {support}")
     sigma = mtf_sigma(nyquist_gain, ratio)
     n = np.arange(support) - support // 2
-    g1 = np.exp(-0.5 * (n / sigma) ** 2)
-    kernel = np.outer(g1, g1)
-    return kernel / kernel.sum()
+    taps = np.exp(-0.5 * (n / sigma) ** 2)
+    return taps / taps.sum()
 
 
-def lowpass(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Per-band 2-D convolution with symmetric (edge-repeating) mirror
-    boundary; output matches the input size."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
-        raise ValueError(f"lowpass: kernel must be 2-D with odd sides, got {kernel.shape}")
-    image = np.asarray(image, dtype=np.float64)
-    ph, pw = kernel.shape[0] // 2, kernel.shape[1] // 2
-    if image.ndim == 2:
-        padded = np.pad(image, ((ph, ph), (pw, pw)), mode="symmetric")
-        return fftconvolve(padded, kernel, mode="valid")
-    if image.ndim == 3:
-        padded = np.pad(image, ((ph, ph), (pw, pw), (0, 0)), mode="symmetric")
-        return fftconvolve(padded, kernel[:, :, None], mode="valid", axes=(0, 1))
-    raise ValueError(f"lowpass: expected 2-D or 3-D image, got shape {image.shape}")
-
-
-def box_kernel(half_width: int) -> np.ndarray:
-    """(2h+1) x (2h+1) uniform smoothing kernel."""
+def box_taps(half_width: int) -> np.ndarray:
+    """2h+1 uniform smoothing taps."""
     if half_width < 1:
         raise ValueError(f"box half-width must be >= 1, got {half_width}")
     side = 2 * half_width + 1
-    return np.full((side, side), 1.0 / (side * side))
+    return np.full(side, 1.0 / side)
 
 
-def decimate(image: np.ndarray, factor: int) -> np.ndarray:
-    """Keep every factor-th sample starting at the top-left (offset 0)."""
-    if factor < 1:
-        raise ValueError(f"decimate: factor must be >= 1, got {factor}")
-    image = np.asarray(image)
-    if image.shape[0] % factor or image.shape[1] % factor:
-        raise ValueError(
-            f"decimate: spatial dims {image.shape[:2]} not divisible by {factor}")
-    return image[::factor, ::factor]
+def lowpass(image: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
+    """Per-band separable convolution with ``outer(taps, taps)`` under a
+    symmetric (edge-repeating) mirror boundary, keeping every ``step``-th
+    sample along both spatial axes from offset 0.
+
+    The result equals the full-size filtered image sliced
+    ``[::step, ::step]``, but only the kept samples are computed, so a
+    blur-and-decimate costs about ``1/step`` of a full-size blur.
+    """
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.ndim != 1 or taps.size % 2 == 0:
+        raise ValueError(f"lowpass: taps must be 1-D with odd length, got {taps.shape}")
+    if step < 1:
+        raise ValueError(f"lowpass: step must be >= 1, got {step}")
+    out = np.asarray(image, dtype=np.float64)
+    if out.ndim not in (2, 3):
+        raise ValueError(f"lowpass: expected 2-D or 3-D image, got shape {out.shape}")
+    for axis in (0, 1):
+        out = _lowpass_axis(out, taps, axis, step)
+    return out
+
+
+def _lowpass_axis(data: np.ndarray, taps: np.ndarray, axis: int, step: int) -> np.ndarray:
+    half = taps.size // 2
+    pad = [(0, 0)] * data.ndim
+    pad[axis] = (half, half)
+    padded = np.pad(data, pad, mode="symmetric")
+    windows = sliding_window_view(padded, taps.size, axis=axis)
+    kept = windows[(slice(None),) * axis + (slice(None, None, step),)]
+    # Convolution flips the taps; the window index is the last axis.
+    return np.einsum("...k,k->...", kept, taps[::-1])
 
 
 # -- 23-tap interpolation --------------------------------------------------

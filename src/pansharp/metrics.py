@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DataError
-from .imaging import decimate, lowpass, mtf_gaussian_kernel
+from .imaging import lowpass, mtf_gaussian_taps
 
 METRIC_NAMES = ("sam", "ergas", "scc", "q2n", "d_lambda", "d_s", "qnr")
 
@@ -307,8 +307,8 @@ def d_s(fused, lrms, pan, window: int = 32, q: float = 1.0) -> float:
     if pan_data.shape != f.shape[:2]:
         raise DataError(
             f"pan shape {pan_data.shape} does not match fused {f.shape[:2]}")
-    kernel = mtf_gaussian_kernel(pan.sensor.pan_nyquist_gain, ratio)
-    pan_low = decimate(lowpass(pan_data, kernel), ratio)
+    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, ratio)
+    pan_low = lowpass(pan_data, taps, ratio)
     total = 0.0
     for k in range(f.shape[2]):
         q_f = uiqi(f[:, :, k], pan_data, window)

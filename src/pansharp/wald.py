@@ -35,10 +35,9 @@ from .imaging import (
     PanImage,
     SensorSpec,
     check_aligned,
-    decimate,
     get_sensor,
     lowpass,
-    mtf_gaussian_kernel,
+    mtf_gaussian_taps,
 )
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -61,16 +60,16 @@ def degrade(image, sensor: SensorSpec, factor: int) -> np.ndarray:
         raise DataError(
             f"raster dims {data.shape[:2]} are not divisible by {factor}")
     if data.ndim == 2:
-        kernel = mtf_gaussian_kernel(sensor.pan_nyquist_gain, factor)
-        return decimate(lowpass(data, kernel), factor)
+        taps = mtf_gaussian_taps(sensor.pan_nyquist_gain, factor)
+        return lowpass(data, taps, factor)
     if data.shape[2] != sensor.bands:
         raise DataError(
             f"raster has {data.shape[2]} bands but sensor "
             f"'{sensor.name}' expects {sensor.bands}")
     low = np.empty_like(data[::factor, ::factor])
     for k in range(sensor.bands):
-        kernel = mtf_gaussian_kernel(sensor.ms_nyquist_gains[k], factor)
-        low[:, :, k] = decimate(lowpass(data[:, :, k], kernel), factor)
+        taps = mtf_gaussian_taps(sensor.ms_nyquist_gains[k], factor)
+        low[:, :, k] = lowpass(data[:, :, k], taps, factor)
     return low
 
 
@@ -283,7 +282,7 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     structure = np.zeros((pan_size, pan_size))
     for gain, octave_ratio, amplitude in SCENE_OCTAVES:
         noise = rng.uniform_array((pan_size, pan_size)).astype(np.float64)
-        layer = lowpass(noise, mtf_gaussian_kernel(gain, octave_ratio))
+        layer = lowpass(noise, mtf_gaussian_taps(gain, octave_ratio))
         layer -= layer.mean()
         scale = np.abs(layer).max()
         if scale > 0:
@@ -293,13 +292,13 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     structure /= structure.max()
 
     world = np.empty((pan_size, pan_size, sensor.bands))
-    texture_kernel = mtf_gaussian_kernel(0.4, 2)
+    texture_taps = mtf_gaussian_taps(0.4, 2)
     for k in range(sensor.bands):
         offset = rng.uniform(0.05, 0.15)
         slope = rng.uniform(0.5, 0.8)
         curve = rng.uniform(-0.25, 0.25)
         texture = rng.uniform_array((pan_size, pan_size)).astype(np.float64)
-        texture = lowpass(texture, texture_kernel)
+        texture = lowpass(texture, texture_taps)
         texture -= texture.mean()
         band = offset + slope * structure + curve * structure * (1.0 - structure)
         world[:, :, k] = np.clip(band + 0.02 * texture, 0.0, 1.0)

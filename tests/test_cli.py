@@ -4,10 +4,13 @@ artifacts, CLI/library parity, and the exit-code contract."""
 import configparser
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pansharp
 from pansharp.cli import (
     CONFIG_ECHO_NAME,
     RunConfig,
@@ -475,3 +478,16 @@ class TestExitCodes:
         bad = tmp_path / "ms.psr1"
         bad.write_bytes(bytes(blob))
         assert self._fuse_exit(capsys, tmp_path, bad, pan_path, "exp") == 3
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    """scipy.signal costs ~48 MiB of resident memory and ~0.7 s to import,
+    and nothing in the program needs it; every command starts with this
+    import."""
+    src = os.path.dirname(os.path.dirname(pansharp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, pansharp.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -22,7 +22,7 @@ from pansharp.imaging import (
     PanImage,
     interp23,
     lowpass,
-    mtf_gaussian_kernel,
+    mtf_gaussian_taps,
 )
 
 
@@ -30,7 +30,7 @@ def _smooth_pair(seed=50, h=16, w=16, sensor=SENSORS["gf2"]):
     """Reduced-resolution MS (h x w x c) plus a correlated PAN at 4x."""
     rng = np.random.default_rng(seed)
     base = rng.uniform(0, 1, (4 * h, 4 * w))
-    base = lowpass(base, mtf_gaussian_kernel(0.2, 8))
+    base = lowpass(base, mtf_gaussian_taps(0.2, 8))
     base = 0.1 + 0.8 * (base - base.min()) / (base.max() - base.min())
     bands = np.stack([np.clip(base * s, 0, 1) for s in (0.9, 1.0, 0.8, 0.7)], axis=2)
     ms = MsImage(bands[::4, ::4], sensor, "reduced")

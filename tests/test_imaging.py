@@ -1,4 +1,4 @@
-"""Sensor model, MTF kernels, decimation, and the 23-tap interpolator."""
+"""Sensor model, MTF taps, the decimating low-pass, and the 23-tap interpolator."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,13 @@ from pansharp.imaging import (
     PanImage,
     SENSORS,
     SensorSpec,
-    box_kernel,
-    decimate,
+    box_taps,
     denormalize,
     get_sensor,
     interp23,
     interp23_taps,
     lowpass,
-    mtf_gaussian_kernel,
+    mtf_gaussian_taps,
     mtf_sigma,
     normalize,
 )
@@ -89,16 +88,16 @@ class TestNormalize:
 
 class TestMtfKernel:
     def test_unit_sum(self):
-        k = mtf_gaussian_kernel(0.3, 4)
-        assert k.shape == (41, 41)
-        assert abs(k.sum() - 1.0) < 1e-12
+        taps = mtf_gaussian_taps(0.3, 4)
+        assert taps.shape == (41,)
+        assert abs(taps.sum() - 1.0) < 1e-12
 
     def test_dft_hits_gain_at_cutoff(self):
-        """The 1-D profile's DFT at normalized frequency 1/ratio equals the
+        """The taps' DFT at normalized frequency 1/ratio equals the
         requested Nyquist gain (within 2%; measured 0.30002 for 0.3)."""
-        k1 = mtf_gaussian_kernel(0.3, 4).sum(axis=0)
+        taps = mtf_gaussian_taps(0.3, 4)
         n = np.arange(41) - 20
-        response = abs(np.sum(k1 * np.exp(-2j * np.pi * (1 / 4) * n)))
+        response = abs(np.sum(taps * np.exp(-2j * np.pi * (1 / 4) * n)))
         assert response == pytest.approx(0.3, rel=0.02)
 
     def test_smaller_gain_blurs_more(self):
@@ -107,43 +106,53 @@ class TestMtfKernel:
 
     def test_invalid_gain(self):
         with pytest.raises(ValueError, match="gain"):
-            mtf_gaussian_kernel(0.0, 4)
+            mtf_gaussian_taps(0.0, 4)
 
 
 class TestLowpass:
     def test_matches_naive_oracle(self):
+        """Separable filtering equals the 2-D loop on outer(taps, taps)."""
         rng = np.random.default_rng(32)
         img = rng.uniform(0, 1, (9, 9))
-        kernel = rng.uniform(0, 1, (5, 3))
-        kernel /= kernel.sum()
-        got = lowpass(img, kernel)
-        want = lowpass_naive(img, kernel)
+        taps = rng.uniform(0, 1, 5)
+        taps /= taps.sum()
+        got = lowpass(img, taps)
+        want = lowpass_naive(img, np.outer(taps, taps))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_step_keeps_every_step_th_sample(self):
+        rng = np.random.default_rng(35)
+        taps = mtf_gaussian_taps(0.3, 4)
+        for shape in ((64, 48), (32, 32, 3)):
+            img = rng.uniform(0, 1, shape)
+            for step in (2, 4):
+                np.testing.assert_array_equal(
+                    lowpass(img, taps, step), lowpass(img, taps)[::step, ::step])
+
+    def test_image_smaller_than_halo(self):
+        """The 20-sample halo of 41 taps mirrors repeatedly over 8x8 and 5x7."""
+        rng = np.random.default_rng(36)
+        taps = mtf_gaussian_taps(0.15, 4)
+        kernel = np.outer(taps, taps)
+        for shape in ((8, 8), (5, 7)):
+            img = rng.uniform(0, 1, shape)
+            want = lowpass_naive(img, kernel)
+            np.testing.assert_allclose(lowpass(img, taps), want, atol=1e-12)
+            np.testing.assert_allclose(lowpass(img, taps, 4), want[::4, ::4],
+                                       atol=1e-12)
+
     def test_constant_field_preserved(self):
-        k = mtf_gaussian_kernel(0.35, 4)
-        out = lowpass(np.full((16, 16, 2), 0.5), k)
+        taps = mtf_gaussian_taps(0.35, 4)
+        out = lowpass(np.full((16, 16, 2), 0.5), taps)
         np.testing.assert_allclose(out, 0.5, atol=1e-12)
 
     def test_box_kernel_is_mean(self):
-        k = box_kernel(2)
-        assert k.shape == (5, 5)
-        assert abs(k.sum() - 1.0) < 1e-12
+        taps = box_taps(2)
+        assert taps.shape == (5,)
+        assert abs(taps.sum() - 1.0) < 1e-12
         img = np.arange(49, dtype=np.float64).reshape(7, 7)
-        got = lowpass(img, k)
+        got = lowpass(img, taps)
         assert got[3, 3] == pytest.approx(img[1:6, 1:6].mean())
-
-
-class TestDecimate:
-    def test_topleft_alignment(self):
-        img = np.arange(64, dtype=float).reshape(8, 8)
-        out = decimate(img, 4)
-        np.testing.assert_array_equal(out, img[::4, ::4])
-        assert out[0, 0] == img[0, 0]
-
-    def test_divisibility_error(self):
-        with pytest.raises(ValueError, match="divisible"):
-            decimate(np.zeros((9, 8)), 4)
 
 
 class TestInterp23:
@@ -159,21 +168,21 @@ class TestInterp23:
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
     def test_roundtrip_exact_on_grid(self):
-        """decimate(interp23(x, f), f) reproduces x bit for bit."""
+        """interp23(x, f)[::f, ::f] reproduces x bit for bit."""
         rng = np.random.default_rng(33)
         x = rng.uniform(0, 1, (16, 16, 3))
         for factor in (2, 4):
             up = interp23(x, factor)
             assert up.shape == (16 * factor, 16 * factor, 3)
-            np.testing.assert_array_equal(decimate(up, factor), x)
+            np.testing.assert_array_equal(up[::factor, ::factor], x)
 
     def test_smooth_field_roundtrip_under_one_percent(self):
         """Band-limited field: decimate then interp back, rel RMS < 1%."""
         rng = np.random.default_rng(34)
         field = rng.uniform(0, 1, (128, 128))
-        smooth = lowpass(field, mtf_gaussian_kernel(0.05, 16, support=81))
+        smooth = lowpass(field, mtf_gaussian_taps(0.05, 16, support=81))
         smooth = (smooth - smooth.min()) / (smooth.max() - smooth.min())
-        rec = interp23(decimate(smooth, 4), 4)
+        rec = interp23(smooth[::4, ::4], 4)
         rel_rms = np.sqrt(np.mean((rec - smooth) ** 2) / np.mean(smooth ** 2))
         assert rel_rms < 0.01
 

@@ -92,6 +92,16 @@ class TestPointwiseOps:
         y.backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
+    def test_relu_forward_on_edge_values(self):
+        """NaN and -0.0 map to +0.0 and the infinities pass as a masked
+        select would map them, bit for bit."""
+        x = np.array([np.nan, -0.0, 0.0, -np.inf, np.inf, -1.5, 2.5],
+                     dtype=np.float32)
+        want = np.where(x > 0, x, 0)
+        got = relu(Tensor(x)).data
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
     def test_sigmoid_matches_closed_form(self):
         x = Tensor([-2.0, 0.0, 3.0])
         expect = 1.0 / (1.0 + np.exp([2.0, 0.0, -3.0]))

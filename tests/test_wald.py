@@ -6,9 +6,8 @@ import pytest
 from pansharp.errors import DataError
 from pansharp.imaging import (
     SENSORS,
-    decimate,
     lowpass,
-    mtf_gaussian_kernel,
+    mtf_gaussian_taps,
 )
 from pansharp.wald import (
     DatasetManifest,
@@ -37,15 +36,14 @@ class TestDegrade:
         sensor = SENSORS["gf2"]
         rng = np.random.default_rng(100)
         pan = rng.uniform(0, 1, (64, 64))
-        want = decimate(
-            lowpass(pan, mtf_gaussian_kernel(sensor.pan_nyquist_gain, 4)), 4)
+        want = lowpass(pan, mtf_gaussian_taps(sensor.pan_nyquist_gain, 4))[::4, ::4]
         np.testing.assert_array_equal(degrade(pan, sensor, 4), want)
         ms = rng.uniform(0, 1, (64, 64, 4))
         got = degrade(ms, sensor, 4)
         for k in range(4):
-            want = decimate(lowpass(
+            want = lowpass(
                 ms[:, :, k],
-                mtf_gaussian_kernel(sensor.ms_nyquist_gains[k], 4)), 4)
+                mtf_gaussian_taps(sensor.ms_nyquist_gains[k], 4))[::4, ::4]
             np.testing.assert_array_equal(got[:, :, k], want)
 
     def test_factor_scales_blur(self):
@@ -54,7 +52,7 @@ class TestDegrade:
         sensor = SENSORS["gf2"]
         rng = np.random.default_rng(101)
         field = lowpass(rng.uniform(0, 1, (128, 128)),
-                        mtf_gaussian_kernel(0.4, 2))
+                        mtf_gaussian_taps(0.4, 2))
         by2 = degrade(field, sensor, 2)
         by4 = degrade(field, sensor, 4)
         assert by2.shape == (64, 64) and by4.shape == (32, 32)
@@ -232,7 +230,7 @@ class TestSyntheticScene:
         from scipy import ndimage
         ms, pan = synthetic_scene(33, SENSORS["gf2"], ms_size=64)
         hp_pan = ndimage.correlate(pan.data, LAPLACIAN_KERNEL)[1:-1, 1:-1]
-        smooth = interp23(decimate(pan.data, 4), 4)
+        smooth = interp23(pan.data[::4, ::4], 4)
         hp_smooth = ndimage.correlate(smooth, LAPLACIAN_KERNEL)[1:-1, 1:-1]
         assert hp_pan.std() > 2.0 * hp_smooth.std()
 
