@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, NumericError
 from .fusion import METHODS, fuse
 from .grad import Tensor
 from .gradcheck import run_gradcheck
-from .imaging import MsImage, PanImage, get_sensor
+from .imaging import MsImage, PanImage, check_aligned, get_sensor
 from .metrics import EvalReport, no_reference_metrics, reference_metrics
 from .model import TdnetConfig, load_checkpoint, tdnet_forward
 from .train import SCHEDULE_PRESETS, TrainConfig, manifest_hash, train
@@ -198,6 +198,12 @@ class RunConfig:
             return get_sensor(self.get("sensor", "name"))
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def metric_window(self) -> int:
+        window = self.get_int("metric", "window")
+        if window < 1:
+            raise ConfigError(f"metric.window must be >= 1, got {window}")
+        return window
 
     def model_config(self, default_bands: int | None = None) -> TdnetConfig:
         raw_bands = self.get("model", "bands")
@@ -401,6 +407,11 @@ def _parse_method(raw: str) -> tuple:
 def _tdnet_fuse(ms: MsImage, pan: PanImage, params,
                 model_config: TdnetConfig) -> MsImage:
     """Network fusion of one pair; output clamped to the radiometric range."""
+    check_aligned(ms, pan)
+    if model_config.ratio != ms.sensor.ratio:
+        raise DataError(
+            f"checkpoint has ratio {model_config.ratio} but sensor "
+            f"{ms.sensor.name!r} has ratio {ms.sensor.ratio}")
     if ms.data.shape[2] != model_config.bands:
         raise DataError(
             f"checkpoint expects {model_config.bands} bands but the input "
@@ -499,13 +510,13 @@ def _score_set(dataset_dir, fused_dir, mode: str, window: int,
 def cmd_eval(args, config: RunConfig) -> int:
     out = _require_out(args)
     method = args.method or os.path.basename(os.path.normpath(args.fused))
+    window = config.metric_window()
     report = EvalReport(provenance={
         "dataset_hash": manifest_hash(read_manifest(args.dataset)),
         "mode": args.mode,
         "window": config.get("metric", "window"),
     })
-    _score_set(args.dataset, args.fused, args.mode,
-               config.get_int("metric", "window"), method, report)
+    _score_set(args.dataset, args.fused, args.mode, window, method, report)
     report.add_aggregates()
     report.write_csv(out)
     _echo_beside_file(config, out)
@@ -540,11 +551,11 @@ def _comparison_table(report: EvalReport, mode: str) -> str:
 
 
 def cmd_compare(args, config: RunConfig) -> int:
+    window = config.metric_window()
     report = EvalReport(provenance={
         "dataset_hash": manifest_hash(read_manifest(args.dataset)),
         "mode": args.mode,
     })
-    window = config.get_int("metric", "window")
     for fused_dir in args.fused:
         method = os.path.basename(os.path.normpath(fused_dir))
         _score_set(args.dataset, fused_dir, args.mode, window, method, report)

@@ -32,6 +32,10 @@ from .imaging import (
 PAN_LOWPASS_MODES = ("mtf_glp", "box")
 GAIN_MODES = ("unit", "hpm", "regression")
 
+#: Floor on the low-pass plane in the high-pass-modulation gain
+#: ``ms_up / max(P_L, HPM_EPSILON)``, shared with the network's ratio gain.
+HPM_EPSILON = 1e-4
+
 
 @dataclass(frozen=True)
 class MraConfig:
@@ -50,7 +54,6 @@ class MraConfig:
     pan_lowpass_mode: str = "mtf_glp"
     gain_mode: str = "unit"
     equalize: bool = False
-    hpm_epsilon: float = 1e-4
 
     def __post_init__(self):
         if self.pan_lowpass_mode not in PAN_LOWPASS_MODES:
@@ -60,8 +63,6 @@ class MraConfig:
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(
                 f"gain_mode must be one of {GAIN_MODES}, got {self.gain_mode!r}")
-        if self.hpm_epsilon <= 0:
-            raise ValueError("hpm_epsilon must be positive")
 
 
 # Named method presets selectable from the CLI.
@@ -130,7 +131,7 @@ def injection_gain(ms_up: np.ndarray, pan_l: np.ndarray,
     if config.gain_mode == "hpm":
         # High-pass modulation: gain proportional to local band intensity.
         low = pan_l if pan_l.ndim == 3 else pan_l[:, :, None]
-        return ms_up / np.maximum(low, config.hpm_epsilon)
+        return ms_up / np.maximum(low, HPM_EPSILON)
     # Global per-band least-squares slope of ms_up on pan_l.
     gains = np.empty((h, w, c))
     p = pan_l.ravel()

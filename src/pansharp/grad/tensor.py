@@ -5,7 +5,8 @@ operations run eagerly and, while a Tape is active, append a backward
 closure to it. The tape's record order is execution order, which is a
 topological order of the graph by construction; ``backward(loss)`` walks it
 once in reverse, accumulating gradients into ``.grad`` (grads add up across
-calls until explicitly reset).
+calls until explicitly reset), and then empties it: a tape serves one
+backward pass.
 
 Each worker owns at most one active tape; nothing here is thread-safe.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 DTYPE = np.float32
 
@@ -55,6 +55,10 @@ class Tape:
         for out, backward_fn in reversed(self._nodes):
             if out.grad is not None:
                 backward_fn(out.grad)
+        # Dropping the nodes breaks the cycle tape -> node -> tensor.tape,
+        # so the step's activations and closures are freed now rather than
+        # by the cyclic collector.
+        self._nodes.clear()
 
 
 class Tensor:
@@ -197,7 +201,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = expit(a.data).astype(DTYPE)
+    # exp of a non-positive argument cannot overflow, so no warning is
+    # raised at any input, the infinities included, and NaN stays NaN.
+    e = np.exp(-np.abs(a.data))
+    s = np.where(a.data >= 0, DTYPE(1), e) / (1 + e)
     out = Tensor(s)
 
     def backward_fn(g: np.ndarray) -> None:

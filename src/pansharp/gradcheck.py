@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import grad as _engine
 from .errors import NumericError
+from .fusion import HPM_EPSILON
 from .grad import Tape, Tensor
 
 THRESHOLD = 1e-2
@@ -301,6 +301,7 @@ def reference_forward(lrms: np.ndarray, pan: np.ndarray, params,
     pan = np.asarray(pan, dtype=np.float64)
     c = config.bands
     relu = lambda v: np.maximum(v, 0.0)
+    sigmoid = lambda v: 0.5 * (1.0 + np.tanh(v / 2.0))
 
     def cv(name: str, x: np.ndarray) -> np.ndarray:
         w = vals[f"{name}.w"]
@@ -348,9 +349,9 @@ def reference_forward(lrms: np.ndarray, pan: np.ndarray, params,
             low = pan_lows[level]
             if low.shape[1] == 1:
                 low = np.repeat(low, c, axis=1)
-            return up + (up / np.maximum(low, 1e-4)) * d
-        gate = expit(cv(f"{level}.gate2",
-                        relu(cv(f"{level}.gate1", np.concatenate([up, d], axis=1)))))
+            return up + (up / np.maximum(low, HPM_EPSILON)) * d
+        gate = sigmoid(cv(f"{level}.gate2",
+                          relu(cv(f"{level}.gate1", np.concatenate([up, d], axis=1)))))
         return up + gate * d
 
     def refine(x: np.ndarray, d: np.ndarray, level: str) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import correlate1d
 
 from .errors import DataError
 
@@ -257,20 +256,26 @@ def _upsample2_axis(arr: np.ndarray, axis: int, taps: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"interp23: axis {axis} has {shape[axis]} samples; need >= 6")
     shape[axis] *= 2
-    up = np.zeros(shape, dtype=np.float64)
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(0, None, 2)
-    up[tuple(index)] = arr
-    # 'mirror' reflects about the edge sample, preserving the zero phase,
-    # which keeps original samples bit-exact through the filter.
-    return correlate1d(up, taps, axis=axis, mode="mirror")
+    out = np.empty(shape, dtype=np.float64)
+    x = np.moveaxis(arr, axis, -1)
+    y = np.moveaxis(out, axis, -1)
+    # Polyphase form of zero-interleaving then filtering with the taps:
+    # the even outputs are the input samples (the only nonzero even tap is
+    # the unit center) and the odd outputs are the odd taps applied on the
+    # input grid. Mirroring the interleaved signal about its edge samples
+    # reflects the input about its first sample and repeats its last one.
+    y[..., ::2] = x
+    padded = np.concatenate((x[..., 5:0:-1], x, x[..., :-7:-1]), axis=-1)
+    y[..., 1::2] = sliding_window_view(padded, 12, axis=-1) @ taps[::2]
+    return out
 
 
 def interp23(image: np.ndarray, factor: int) -> np.ndarray:
     """Upsample by a power-of-two factor as repeated x2 stages.
 
     Each stage zero-interleaves (samples at even offsets) then applies the
-    separable 23-tap half-band filter along both spatial axes.
+    separable 23-tap half-band filter along both spatial axes, computed
+    as its two polyphase branches.
     """
     if factor < 2 or factor & (factor - 1):
         raise ValueError(f"interp23: factor must be a power of two >= 2, got {factor}")

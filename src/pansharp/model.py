@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .fusion import HPM_EPSILON
 from .grad import (
     DTYPE,
     SplitMix64,
@@ -272,9 +273,8 @@ def _upsample(x: Tensor, params: dict[str, Tensor], level: str, s: int,
     return pixel_shuffle(_conv_layer(params, f"{level}.up", x), s)
 
 
-def tmra_injection(ms_up: Tensor, pan_l, d: Tensor,
-                   epsilon: float = 1e-4) -> Tensor:
-    """Ratio-gain injection: ms_up + (ms_up / max(pan_l, epsilon)) * d.
+def tmra_injection(ms_up: Tensor, pan_l, d: Tensor) -> Tensor:
+    """Ratio-gain injection: ms_up + (ms_up / max(pan_l, HPM_EPSILON)) * d.
 
     ``pan_l`` is a smoothed PAN raster treated as a constant — it may be a
     Tensor or plain array, single-channel (broadcast across bands) or
@@ -290,7 +290,7 @@ def tmra_injection(ms_up: Tensor, pan_l, d: Tensor,
             f"tmra_injection: pan_l shape {low.shape} does not match "
             f"ms_up shape {ms_up.shape}"
         )
-    denom = np.maximum(low, DTYPE(epsilon))
+    denom = np.maximum(low, DTYPE(HPM_EPSILON))
     gain = divide_by_constant(ms_up, denom)
     return ms_up + gain * d
 

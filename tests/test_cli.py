@@ -356,6 +356,19 @@ class TestEval:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("window", ["0", "-4"])
+    def test_window_below_one_is_config_error(self, dataset_dir,
+                                              exp_fused_dir, tmp_path,
+                                              capsys, window):
+        for command in (["eval", "--out", str(tmp_path / "report.csv")],
+                        ["compare"]):
+            rc = main([command[0], str(dataset_dir), str(exp_fused_dir),
+                       *command[1:], "--mode", "full",
+                       "--set", f"metric.window={window}"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err == f"error: metric.window must be >= 1, got {window}\n"
+
 
 class TestCompare:
     def test_single_method_table(self, dataset_dir, exp_fused_dir, capsys):
@@ -471,6 +484,28 @@ class TestExitCodes:
         bad.write_bytes(bytes(blob))
         assert self._fuse_exit(capsys, tmp_path, bad, pan_path, "glp-hpm") == 3
 
+    def _tdnet_exit(self, capsys, tmp_path, ms_path, pan_path, **config):
+        config = TdnetConfig(bands=8, feature_width=2, mscb_width=1,
+                             mscb_kernels=(3,), **config)
+        path = tmp_path / "small.ckpt"
+        save_checkpoint(path, init_params(config), config)
+        return self._fuse_exit(capsys, tmp_path, ms_path, pan_path,
+                               f"tdnet:{path}")
+
+    def test_tdnet_pan_not_ratio_times_ms(self, tmp_path, capsys):
+        """A 48x48 PAN beside a 16x16 MS is a data error for the network,
+        as it is for the classic methods."""
+        rng = np.random.default_rng(9)
+        ms_path, pan_path = tmp_path / "ms.psr1", tmp_path / "pan.psr1"
+        write_psr1(ms_path, rng.random((16, 16, 8)), "wv3", 11)
+        write_psr1(pan_path, rng.random((48, 48)), "wv3", 11)
+        assert self._tdnet_exit(capsys, tmp_path, ms_path, pan_path) == 3
+
+    def test_tdnet_checkpoint_ratio_not_sensor_ratio(self, pair_paths,
+                                                     tmp_path, capsys):
+        assert self._tdnet_exit(capsys, tmp_path, *pair_paths,
+                                levels=1, ratio=2) == 3
+
     def test_psr1_sensor_name_not_utf8(self, pair_paths, tmp_path, capsys):
         ms_path, pan_path = pair_paths
         blob = bytearray(ms_path.read_bytes())
@@ -480,14 +515,17 @@ class TestExitCodes:
         assert self._fuse_exit(capsys, tmp_path, bad, pan_path, "exp") == 3
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    """scipy.signal costs ~48 MiB of resident memory and ~0.7 s to import,
-    and nothing in the program needs it; every command starts with this
-    import."""
+def test_import_leaves_out_scipy():
+    """The program needs only numpy; scipy (~30 MiB of resident memory and
+    ~0.5 s to import) is a test-time oracle. Every command starts with
+    these imports."""
     src = os.path.dirname(os.path.dirname(pansharp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, pansharp.cli; print('scipy.signal' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    for module in ("pansharp", "pansharp.cli"):
+        probe = (f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", (module, result.stdout)

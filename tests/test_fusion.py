@@ -7,6 +7,7 @@ import pytest
 
 from pansharp.errors import DataError
 from pansharp.fusion import (
+    HPM_EPSILON,
     METHODS,
     band_match,
     MraConfig,
@@ -191,7 +192,7 @@ class TestMraFuse:
         config = METHODS["sfim"]
         got = mra_fuse(ms, pan, config, clamp=False)
         p_box = pan_lowpass(pan, config)
-        assert p_box.min() > config.hpm_epsilon
+        assert p_box.min() > HPM_EPSILON
         want = interp23(ms.data, 4) * (pan.data / p_box)[:, :, None]
         np.testing.assert_allclose(got, want, atol=1e-12)
 

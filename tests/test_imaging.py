@@ -189,3 +189,26 @@ class TestInterp23:
     def test_bad_factor_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             interp23(np.zeros((8, 8)), 3)
+
+    def test_short_axis_rejected(self):
+        with pytest.raises(ValueError, match="need >= 6"):
+            interp23(np.zeros((8, 5)), 2)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 9, 4), (16, 16, 8), (64, 64)])
+    def test_matches_zero_stuffed_mirror_filter(self, shape):
+        """Each x2 stage equals zero-interleaving followed by the 23-tap
+        correlation with mirrored edges (scipy as the oracle)."""
+        from scipy.ndimage import correlate1d
+
+        x = np.random.default_rng(35).uniform(0, 1, shape)
+        want = x
+        for _ in range(2):
+            for axis in (0, 1):
+                index = [slice(None)] * want.ndim
+                index[axis] = slice(0, None, 2)
+                up_shape = list(want.shape)
+                up_shape[axis] *= 2
+                up = np.zeros(up_shape)
+                up[tuple(index)] = want
+                want = correlate1d(up, interp23_taps(), axis=axis, mode="mirror")
+        np.testing.assert_allclose(interp23(x, 4), want, rtol=0, atol=1e-14)

@@ -11,6 +11,7 @@ from pansharp.metrics import (
     LAPLACIAN_KERNEL,
     METRIC_NAMES,
     EvalReport,
+    _highpass,
     cd_conjugate,
     cd_multiply,
     d_lambda,
@@ -140,6 +141,16 @@ class TestScc:
     def test_identical_is_exactly_one(self):
         x = _fixture(71, (16, 16, 4))
         assert scc(x, x) == 1.0
+
+    def test_highpass_matches_ndimage_bit_for_bit(self):
+        """scipy as the oracle: the interior of ndimage's 3x3 correlation."""
+        from scipy import ndimage
+
+        z = _fixture(72, (19, 23, 3))
+        want = np.stack([ndimage.correlate(z[:, :, k], LAPLACIAN_KERNEL)[1:-1, 1:-1]
+                         for k in range(3)], axis=2)
+        got = _highpass(z)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_degenerate_detail_planes(self):
         # Two different constants both have identically-zero detail, so

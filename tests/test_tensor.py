@@ -1,5 +1,9 @@
 """Core autodiff behavior: tape recording, pointwise ops, losses, Adam."""
 
+import gc
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from pansharp.grad import (
     add,
     backward,
     concat,
+    conv2d,
     derive_seed,
     kaiming_uniform,
     l1_loss,
@@ -53,6 +58,29 @@ class TestTapeMechanics:
         assert len(tape) == 4
         backward(loss)
         np.testing.assert_allclose(a.grad, np.full(3, 8.0), rtol=1e-6)
+
+    def test_backward_frees_the_step(self):
+        """Backward empties the tape, so with the cyclic collector off a
+        step's activations, closures and gradients are still freed."""
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(4, 8, 32, 32)))
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        current = []
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                zero_grads([w, b])
+                with Tape():
+                    loss = relu(conv2d(x, w, b, padding=1)).sum()
+                loss.backward()
+                current.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        activation = x.data.nbytes
+        assert current[-1] - current[0] < activation / 4, current
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
@@ -106,6 +134,23 @@ class TestPointwiseOps:
         x = Tensor([-2.0, 0.0, 3.0])
         expect = 1.0 / (1.0 + np.exp([2.0, 0.0, -3.0]))
         np.testing.assert_allclose(sigmoid(x).data, expect, rtol=1e-6)
+
+    def test_sigmoid_matches_expit_without_warnings(self):
+        """scipy as the oracle on [-100, 100] and at +-inf: no overflow
+        warning is raised, and NaN stays NaN."""
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-100, 100, 20001, dtype=np.float32),
+                            np.array([-np.inf, np.inf, np.nan], np.float32)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(Tensor(x)).data
+        assert got.dtype == np.float32
+        # Below about -87 the values are subnormal, where float32 holds no
+        # relative precision (and float32 expit flushes to zero).
+        np.testing.assert_allclose(got, expit(x), rtol=1e-6,
+                                   atol=np.finfo(np.float32).tiny)
+        assert np.isnan(got[-1])
 
     def test_pointwise_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
