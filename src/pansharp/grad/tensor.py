@@ -6,7 +6,7 @@ closure to it. The tape's record order is execution order, which is a
 topological order of the graph by construction; ``backward(loss)`` walks it
 once in reverse, accumulating gradients into ``.grad`` (grads add up across
 calls until explicitly reset), and then empties it: a tape serves one
-backward pass.
+backward pass, and a second one on it raises.
 
 Each worker owns at most one active tape; nothing here is thread-safe.
 """
@@ -27,6 +27,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -48,6 +49,11 @@ class Tape:
         out.tape = self
 
     def run_backward(self, loss: "Tensor") -> None:
+        if self._consumed:
+            raise ValueError(
+                "backward: the tape was consumed by an earlier backward "
+                "(run the forward pass again inside a new `with Tape():`)"
+            )
         if loss.size != 1:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
         loss.accumulate_grad(np.ones_like(loss.data))
@@ -59,6 +65,7 @@ class Tape:
         # so the step's activations and closures are freed now rather than
         # by the cyclic collector.
         self._nodes.clear()
+        self._consumed = True
 
 
 class Tensor:

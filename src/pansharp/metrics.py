@@ -24,6 +24,7 @@ without floating-point residue.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,18 +90,6 @@ def ergas(reference, estimate, ratio: int) -> float:
     return float(100.0 / ratio * np.sqrt(np.mean(mse / means ** 2)))
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Population correlation; degenerate planes score 1.0 iff identical."""
-    ac = a - a.mean()
-    bc = b - b.mean()
-    cov = np.mean(ac * bc)
-    var_a = np.mean(ac * ac)
-    var_b = np.mean(bc * bc)
-    if var_a == 0.0 or var_b == 0.0:
-        return 1.0 if np.array_equal(a, b) else 0.0
-    return float(cov / np.sqrt(var_a * var_b))
-
-
 def scc(reference, estimate) -> float:
     """Mean per-band correlation of high-pass filtered detail planes.
 
@@ -113,9 +102,20 @@ def scc(reference, estimate) -> float:
     _check_same_shape(x, y)
     if x.shape[0] < 3 or x.shape[1] < 3:
         raise DataError(f"image {x.shape[:2]} too small for the 3x3 high-pass")
-    hx = _highpass(x)
-    hy = _highpass(y)
-    values = [_pearson(hx[:, :, k], hy[:, :, k]) for k in range(x.shape[2])]
+    # One contiguous row of detail per band, so every reduction runs along
+    # the last axis.
+    hx = np.ascontiguousarray(_highpass(x).reshape(-1, x.shape[2]).T)
+    hy = np.ascontiguousarray(_highpass(y).reshape(-1, y.shape[2]).T)
+    xc = hx - hx.mean(axis=1, keepdims=True)
+    yc = hy - hy.mean(axis=1, keepdims=True)
+    cov = np.mean(xc * yc, axis=1)
+    var_x = np.mean(xc * xc, axis=1)
+    var_y = np.mean(yc * yc, axis=1)
+    # A band whose detail plane is flat scores 1.0 iff the planes match.
+    flat = (var_x == 0.0) | (var_y == 0.0)
+    values = np.empty_like(cov)
+    np.divide(cov, np.sqrt(var_x * var_y), out=values, where=~flat)
+    values[flat] = np.all(hx[flat] == hy[flat], axis=1)
     return float(np.mean(values))
 
 
@@ -129,26 +129,58 @@ def _highpass(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iter_windows(height: int, width: int, window: int):
-    """Top-left corners of the non-overlapping full windows."""
-    for i in range(0, height - window + 1, window):
-        for j in range(0, width - window + 1, window):
-            yield i, j
+def _windows(z: np.ndarray, window: int) -> np.ndarray:
+    """The non-overlapping full windows of an ``(H, W, C)`` stack, shaped
+    ``(n_windows, C, window * window)`` in row-major window order.
+
+    Windows are tiled with stride equal to the window size; partial windows
+    at the right/bottom edges are dropped.
+    """
+    if window < 1:
+        raise DataError(f"window must be at least 1, got {window}")
+    height, width, bands = z.shape
+    if height < window or width < window:
+        raise DataError(
+            f"image {z.shape[:2]} has no complete {window}x{window} window")
+    rows, cols = height // window, width // window
+    tiles = z[:rows * window, :cols * window].reshape(
+        rows, window, cols, window, bands)
+    return tiles.transpose(0, 2, 4, 1, 3).reshape(
+        rows * cols, bands, window * window)
 
 
-def _uiqi_window(a: np.ndarray, b: np.ndarray) -> float:
-    mu_a = a.mean()
-    mu_b = b.mean()
-    ac = a - mu_a
-    bc = b - mu_b
-    cov = np.mean(ac * bc)
-    var_a = np.mean(ac * ac)
-    var_b = np.mean(bc * bc)
-    mu_prod = mu_a * mu_b
-    denominator = (var_a + var_b) * (mu_a * mu_a + mu_b * mu_b)
-    if denominator == 0.0:
-        return 1.0 if np.array_equal(a, b) else 0.0
-    return float(4.0 * cov * mu_prod / denominator)
+def _centred(windows: np.ndarray):
+    """Per-window band means ``(n, C)`` and the windows minus them."""
+    mu = windows.mean(axis=2)
+    return mu, windows - mu[:, :, None]
+
+
+def _cross_moments(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """Window mean of ``xc[:, i] * yc[:, j]`` for every band pair:
+    ``(n, C, C)`` from two ``(n, C, pixels)`` stacks."""
+    return np.einsum("nip,njp->nij", xc, yc) / xc.shape[2]
+
+
+def _band_pair_uiqi(z: np.ndarray, window: int) -> np.ndarray:
+    """Per-window UIQI of every ordered band pair of ``z``: ``(n, C, C)``.
+
+    A window pair with zero denominator scores 1.0 when the two windows
+    are bitwise identical and 0.0 otherwise.
+    """
+    windows = _windows(z, window)
+    mu, centred = _centred(windows)
+    cov = _cross_moments(centred, centred)
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    msq = mu * mu
+    mu_prod = mu[:, :, None] * mu[:, None, :]
+    denominator = ((var[:, :, None] + var[:, None, :])
+                   * (msq[:, :, None] + msq[:, None, :]))
+    quality = np.empty_like(cov)
+    zero = denominator == 0.0
+    np.divide(4.0 * cov * mu_prod, denominator, out=quality, where=~zero)
+    n, i, j = np.nonzero(zero)
+    quality[n, i, j] = np.all(windows[n, i] == windows[n, j], axis=1)
+    return quality
 
 
 def uiqi(reference, estimate, window: int = 32) -> float:
@@ -165,15 +197,8 @@ def uiqi(reference, estimate, window: int = 32) -> float:
     if a.ndim != 2 or b.ndim != 2:
         raise DataError("uiqi expects single-band 2-D arrays")
     _check_same_shape(a, b)
-    if a.shape[0] < window or a.shape[1] < window:
-        raise DataError(
-            f"image {a.shape} has no complete {window}x{window} window")
-    values = [
-        _uiqi_window(a[i:i + window, j:j + window],
-                     b[i:i + window, j:j + window])
-        for i, j in _iter_windows(a.shape[0], a.shape[1], window)
-    ]
-    return float(np.mean(values))
+    quality = _band_pair_uiqi(np.stack([a, b], axis=2), window)
+    return float(np.mean(quality[:, 0, 1]))
 
 
 def cd_conjugate(x: np.ndarray) -> np.ndarray:
@@ -206,27 +231,14 @@ def cd_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([real, imag], axis=-1)
 
 
-def _cd_covariance(x: np.ndarray, y: np.ndarray,
-                   mu_x: np.ndarray, mu_y: np.ndarray) -> np.ndarray:
-    """mean(x * conj(y)) - mu_x * conj(mu_y) over the pixel axis."""
-    prod = cd_multiply(x, cd_conjugate(y))
-    return prod.mean(axis=0) - cd_multiply(mu_x, cd_conjugate(mu_y))
-
-
-def _q2n_window(x: np.ndarray, y: np.ndarray) -> float:
-    """Quality of one window of pixel spectra shaped ``(n_pixels, comps)``."""
-    mu_x = x.mean(axis=0)
-    mu_y = y.mean(axis=0)
-    sigma_xy = _cd_covariance(x, y, mu_x, mu_y)
-    var_x = _cd_covariance(x, x, mu_x, mu_x)[0]
-    var_y = _cd_covariance(y, y, mu_y, mu_y)[0]
-    msq_x = float(np.sum(mu_x * mu_x))
-    msq_y = float(np.sum(mu_y * mu_y))
-    denominator = (var_x + var_y) * (msq_x + msq_y)
-    if denominator == 0.0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    modulus = np.sqrt(np.sum(sigma_xy * sigma_xy))
-    return float(4.0 * modulus * np.sqrt(msq_x * msq_y) / denominator)
+@functools.cache
+def _cd_structure(n: int) -> np.ndarray:
+    """``T[i, j] = e_i * conj(e_j)`` over the ``n`` basis units, so that
+    ``x * conj(y) = sum_ij x_i y_j T[i, j]``: ``(n, n, n)``."""
+    basis = np.eye(n)
+    structure = cd_multiply(basis[:, None, :], cd_conjugate(basis)[None, :, :])
+    structure.flags.writeable = False   # one cached array serves every call
+    return structure
 
 
 def q2n(reference, estimate, window: int = 32) -> float:
@@ -249,15 +261,31 @@ def q2n(reference, estimate, window: int = 32) -> float:
         pad = ((0, 0), (0, 0), (0, padded - bands))
         x = np.pad(x, pad)
         y = np.pad(y, pad)
-    if x.shape[0] < window or x.shape[1] < window:
-        raise DataError(
-            f"image {x.shape[:2]} has no complete {window}x{window} window")
-    values = [
-        _q2n_window(x[i:i + window, j:j + window].reshape(-1, padded),
-                    y[i:i + window, j:j + window].reshape(-1, padded))
-        for i, j in _iter_windows(x.shape[0], x.shape[1], window)
-    ]
-    return float(np.mean(values))
+    wx = _windows(x, window)
+    wy = _windows(y, window)
+    mu_x, xc = _centred(wx)
+    mu_y, yc = _centred(wy)
+    structure = _cd_structure(padded)
+
+    def covariance(a, b):
+        """Window mean of ``a * conj(b)``, one hypercomplex number each."""
+        return np.einsum("nij,ijk->nk", _cross_moments(a, b), structure)
+
+    sigma_xy = covariance(xc, yc)
+    # The variances are component 0 of the same contraction as sigma_xy,
+    # so identical inputs score exactly 1.0.
+    var_x = covariance(xc, xc)[:, 0]
+    var_y = covariance(yc, yc)[:, 0]
+    msq_x = np.sum(mu_x * mu_x, axis=1)
+    msq_y = np.sum(mu_y * mu_y, axis=1)
+    denominator = (var_x + var_y) * (msq_x + msq_y)
+    modulus = np.sqrt(np.sum(sigma_xy * sigma_xy, axis=1))
+    quality = np.empty_like(denominator)
+    zero = denominator == 0.0
+    np.divide(4.0 * modulus * np.sqrt(msq_x * msq_y), denominator,
+              out=quality, where=~zero)
+    quality[zero] = np.all(wx[zero] == wy[zero], axis=(1, 2))
+    return float(np.mean(quality))
 
 
 def _fusion_ratio(fused: np.ndarray, lrms: np.ndarray, window: int) -> int:
@@ -289,12 +317,10 @@ def d_lambda(fused, lrms, window: int = 32, p: float = 1.0) -> float:
     bands = f.shape[2]
     if bands < 2:
         raise DataError("spectral distortion needs at least two bands")
-    total = 0.0
-    for k in range(bands):
-        for l in range(k + 1, bands):
-            q_f = uiqi(f[:, :, k], f[:, :, l], window)
-            q_m = uiqi(m[:, :, k], m[:, :, l], window // ratio)
-            total += 2.0 * abs(q_f - q_m) ** p
+    q_f = _band_pair_uiqi(f, window).mean(axis=0)
+    q_m = _band_pair_uiqi(m, window // ratio).mean(axis=0)
+    drift = np.abs(q_f - q_m)[np.triu_indices(bands, 1)]
+    total = np.sum(2.0 * drift ** p)
     return float((total / (bands * (bands - 1))) ** (1.0 / p))
 
 

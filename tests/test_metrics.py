@@ -254,7 +254,74 @@ def q2n_complex_oracle(x, y):
     return 4.0 * abs(cov) * abs(mu_z) * abs(mu_w) / den
 
 
+def q2n_window_oracle(x, y):
+    """Quality of one window of pixel spectra ``(n_pixels, comps)`` from
+    per-pixel Cayley-Dickson products."""
+    def covariance(a, b, mu_a, mu_b):
+        # mean(a * conj(b)) - mu_a * conj(mu_b)
+        prod = cd_multiply(a, cd_conjugate(b))
+        return prod.mean(axis=0) - cd_multiply(mu_a, cd_conjugate(mu_b))
+
+    mu_x = x.mean(axis=0)
+    mu_y = y.mean(axis=0)
+    sigma_xy = covariance(x, y, mu_x, mu_y)
+    var_x = covariance(x, x, mu_x, mu_x)[0]
+    var_y = covariance(y, y, mu_y, mu_y)[0]
+    msq_x = float(np.sum(mu_x * mu_x))
+    msq_y = float(np.sum(mu_y * mu_y))
+    den = (var_x + var_y) * (msq_x + msq_y)
+    if den == 0.0:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    modulus = math.sqrt(float(np.sum(sigma_xy * sigma_xy)))
+    return 4.0 * modulus * math.sqrt(msq_x * msq_y) / den
+
+
+def q2n_oracle(x, y, window):
+    """Per-window loop over stacks whose band count is already 1, 2, 4 or 8."""
+    values = []
+    for i in range(0, x.shape[0] - window + 1, window):
+        for j in range(0, x.shape[1] - window + 1, window):
+            values.append(q2n_window_oracle(
+                x[i:i + window, j:j + window].reshape(-1, x.shape[2]),
+                y[i:i + window, j:j + window].reshape(-1, y.shape[2])))
+    return float(np.mean(values))
+
+
 class TestQ2n:
+    def test_eight_bands_match_cayley_dickson_oracle(self):
+        x = _fixture(92, (48, 48, 8))
+        y = 0.7 * x + 0.3 * _fixture(93, (48, 48, 8))
+        assert q2n(x, y, window=16) == pytest.approx(
+            q2n_oracle(x, y, 16), abs=1e-12)
+
+    def test_three_bands_match_oracle_on_zero_padded_four(self):
+        x = _fixture(94, (32, 32, 3))
+        y = _fixture(95, (32, 32, 3))
+        pad = ((0, 0), (0, 0), (0, 1))
+        assert q2n(x, y, window=16) == pytest.approx(
+            q2n_oracle(np.pad(x, pad), np.pad(y, pad), 16), abs=1e-12)
+
+    def test_partial_windows_match_oracle(self):
+        x = _fixture(96, (41, 37, 4))
+        y = _fixture(97, (41, 37, 4))
+        assert q2n(x, y, window=16) == pytest.approx(
+            q2n_oracle(x, y, 16), abs=1e-12)
+
+    def test_degenerate_windows_among_ordinary_ones(self):
+        # 0.5 and 0.25 have exact means, so a constant window has exactly
+        # zero variance and the zero-denominator convention applies.
+        x = _fixture(98, (32, 32, 4))
+        y = _fixture(99, (32, 32, 4))
+        x[:16, :16] = y[:16, :16] = 0.5
+        x[:16, 16:] = 0.5
+        y[:16, 16:] = 0.25
+        assert q2n(x[:16, :16], y[:16, :16], window=16) == 1.0
+        assert q2n(x[:16, 16:], y[:16, 16:], window=16) == 0.0
+        ordinary = [q2n_oracle(x[16:, j:j + 16], y[16:, j:j + 16], 16)
+                    for j in (0, 16)]
+        assert q2n(x, y, window=16) == pytest.approx(
+            np.mean([1.0, 0.0] + ordinary), abs=1e-12)
+
     def test_two_band_matches_complex_oracle(self):
         x = _fixture(80, (32, 32, 2))
         y = _fixture(81, (32, 32, 2))
@@ -336,6 +403,20 @@ class TestNoReference:
         assert qnr(0.0209, 0.0219) == pytest.approx(0.95765771, abs=1e-7)
         assert qnr(0.1, 0.2, alpha=2.0) == pytest.approx(0.81 * 0.8, rel=1e-12)
 
+    def test_d_lambda_degenerate_windows_among_ordinary_ones(self):
+        fused, lrms, _ = self._trio()
+        fused = fused[:, :, :2].copy()
+        lrms = lrms[:, :, :2]
+        fused[:32, :32] = 0.5           # equal constant bands: scores 1
+        fused[:32, 32:, 0] = 0.5        # differing constant bands: scores 0
+        fused[:32, 32:, 1] = 0.25
+        ordinary = [uiqi_oracle(fused[32:, j:j + 32, 0],
+                                fused[32:, j:j + 32, 1], 32) for j in (0, 32)]
+        q_fused = np.mean([1.0, 0.0] + ordinary)
+        q_lrms = uiqi_oracle(lrms[:, :, 0], lrms[:, :, 1], 8)
+        assert d_lambda(fused, lrms) == pytest.approx(
+            abs(q_fused - q_lrms), abs=1e-12)
+
     def test_shape_validation(self):
         fused, lrms, pan = self._trio()
         with pytest.raises(DataError, match="band counts"):
@@ -344,6 +425,20 @@ class TestNoReference:
             d_lambda(fused[:63], lrms)
         with pytest.raises(DataError, match="not divisible"):
             d_lambda(fused, lrms, window=30)
+
+
+@pytest.mark.parametrize("window", [0, -4])
+@pytest.mark.parametrize("metric", ["uiqi", "q2n", "d_lambda", "d_s"])
+def test_window_below_one_rejected(metric, window):
+    fused, lrms, pan = TestNoReference()._trio()
+    calls = {
+        "uiqi": lambda: uiqi(fused[:, :, 0], fused[:, :, 1], window),
+        "q2n": lambda: q2n(fused, fused, window),
+        "d_lambda": lambda: d_lambda(fused, lrms, window),
+        "d_s": lambda: d_s(fused, lrms, pan, window),
+    }
+    with pytest.raises(DataError, match="window must be at least 1"):
+        calls[metric]()
 
 
 class TestReferenceBundle:

@@ -94,6 +94,15 @@ class TestTapeMechanics:
         with pytest.raises(ValueError, match="tape"):
             w.backward()
 
+    def test_second_backward_on_consumed_tape_rejected(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with Tape():
+            loss = mul(w, w).sum()
+        loss.backward()
+        with pytest.raises(ValueError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+
     def test_no_recording_without_tape(self):
         w = Tensor(np.ones(3), requires_grad=True)
         y = add(w, w)
