@@ -1,11 +1,14 @@
 """Spatial network layers on B x C x H x W float32 tensors.
 
 Convolutions lower onto matrix multiplies via a channel-major im2col
-buffer (Ci*k*k rows, one column per output pixel) that is rebuilt per
-chunk of whole images or, for large images, per band of output rows, so
-its size is bounded by ``_COL_BUDGET`` whatever the image size.  The
-input-gradient pass and the transposed convolution reuse the same kernel
-with swapped/flipped weights, so everything heavy runs through BLAS.
+buffer (Ci*k*k rows, one column per output pixel) that ``_columns``
+rebuilds per chunk of whole images or, for large images, per band of
+output rows, so its size is bounded by ``_COL_BUDGET`` whatever the image
+size.  The forward multiplies the weights against each chunk; the weight
+gradient multiplies the same chunk against the matching chunk of the
+output gradient, one GEMM per chunk.  The input-gradient pass and the
+transposed convolution reuse the forward kernel with swapped/flipped
+weights, so everything heavy runs through BLAS.
 """
 
 from __future__ import annotations
@@ -37,15 +40,9 @@ def _zero_pad(x: np.ndarray, padding: int) -> np.ndarray:
     return xp
 
 
-def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.ndarray:
-    """Raw cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k).
-
-    Each chunk is lowered channel-major to columns (Ci*k*k, n*rows*Wo) and
-    multiplied as ``wmat @ cols``; the copy that builds the columns runs
-    along image rows.
-    """
-    batch, cin, h, wid = x.shape
-    cout, _, k, _ = w.shape
+def _out_size(shape: tuple, k: int, padding: int, stride: int) -> tuple:
+    """(Ho, Wo) of a k x k correlation over a (B,C,H,W) input."""
+    h, wid = shape[2:]
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wid + 2 * padding - k) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -53,11 +50,28 @@ def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.n
             f"conv2d: spatial input {h}x{wid} too small for kernel {k} "
             f"with padding {padding}"
         )
+    return ho, wo
+
+
+def _columns(x: np.ndarray, k: int, padding: int, stride: int = 1):
+    """Yield ``(b0, b1, r0, r1, cols)``: the channel-major lowering of x
+    (B,Ci,H,W) for images [b0, b1) and output rows [r0, r1).
+
+    ``cols`` is (Ci*k*k, n*rows*Wo), one column per output pixel of the
+    chunk in (image, row, column) order, for the windows of step
+    ``stride`` over x zero-padded by ``padding``.  A chunk is several whole
+    images when one image's columns fit ``_COL_BUDGET``, else a band of
+    output rows of one image; the copy that builds it runs along image rows.
+    Every chunk is written into one buffer allocated per call (a fresh
+    multi-MiB array per chunk costs as much again in page faults), so
+    ``cols`` is overwritten by the next chunk: use it before advancing.
+    """
+    batch, cin = x.shape[:2]
+    ho, wo = _out_size(x.shape, k, padding, stride)
     xp = _zero_pad(x, padding)
-    wmat = w.reshape(cout, cin * k * k)
-    out = np.empty((batch, cout, ho, wo), dtype=DTYPE)
     rows = max(1, min(ho, _COL_BUDGET // (cin * k * k * wo)))
     images = max(1, min(batch, _COL_BUDGET // (cin * k * k * wo * ho)))
+    buf = np.empty(cin * k * k * images * rows * wo, dtype=xp.dtype)
     for b0 in range(0, batch, images):
         b1 = min(b0 + images, batch)
         for r0 in range(0, ho, rows):
@@ -65,11 +79,22 @@ def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.n
             # Output rows [r0, r1) read padded rows [r0*stride, (r1-1)*stride + k).
             band = xp[b0:b1, :, r0 * stride:(r1 - 1) * stride + k]
             win = sliding_window_view(band, (k, k), axis=(2, 3))
-            win = win[:, :, ::stride, ::stride]  # (n, Ci, rows, Wo, k, k)
-            cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
-            prod = wmat @ cols.reshape(cin * k * k, -1)
-            prod = prod.reshape(cout, b1 - b0, r1 - r0, wo)
-            out[b0:b1, :, r0:r1] = prod.transpose(1, 0, 2, 3)
+            win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+            cols = buf[:win.size].reshape(win.shape)  # (Ci, k, k, n, rows, Wo)
+            np.copyto(cols, win)
+            yield b0, b1, r0, r1, cols.reshape(cin * k * k, -1)
+
+
+def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.ndarray:
+    """Raw cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k): each
+    chunk of columns is multiplied as ``wmat @ cols``."""
+    cout, cin, k, _ = w.shape
+    ho, wo = _out_size(x.shape, k, padding, stride)
+    wmat = w.reshape(cout, cin * k * k)
+    out = np.empty((x.shape[0], cout, ho, wo), dtype=DTYPE)
+    for b0, b1, r0, r1, cols in _columns(x, k, padding, stride):
+        prod = (wmat @ cols).reshape(cout, b1 - b0, r1 - r0, wo)
+        out[b0:b1, :, r0:r1] = prod.transpose(1, 0, 2, 3)
     return out
 
 
@@ -78,19 +103,17 @@ def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int,
     """Gradient wrt conv weights: correlate input with the output gradient.
 
     Returns (g channels, x channels, k, k); ``stride`` is the step of the
-    windows over the padded ``x``, one per position of ``g``.
+    windows over the padded ``x``, one per position of ``g``.  Each chunk
+    adds ``cols @ gmat.T``, where gmat is g's matching chunk channel-major,
+    (Co, n*rows*Wo).
     """
     cin = x.shape[1]
     cout = g.shape[1]
-    span_h = (g.shape[2] - 1) * stride + 1
-    span_w = (g.shape[3] - 1) * stride + 1
-    xp = _zero_pad(x, padding)
-    gw = np.empty((cout, cin, k, k), dtype=DTYPE)
-    for di in range(k):
-        for dj in range(k):
-            patch = xp[:, :, di:di + span_h:stride, dj:dj + span_w:stride]
-            gw[:, :, di, dj] = np.tensordot(g, patch, axes=((0, 2, 3), (0, 2, 3)))
-    return gw
+    acc = np.zeros((cin * k * k, cout), dtype=DTYPE)
+    for b0, b1, r0, r1, cols in _columns(x, k, padding, stride):
+        gmat = np.ascontiguousarray(g[b0:b1, :, r0:r1].transpose(1, 0, 2, 3))
+        acc += cols @ gmat.reshape(cout, -1).T
+    return np.ascontiguousarray(acc.T).reshape(cout, cin, k, k)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, padding: int) -> Tensor:

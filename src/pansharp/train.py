@@ -30,7 +30,7 @@ from .model import (
     tdnet_forward,
     tdnet_loss,
 )
-from .wald import DatasetManifest, SamplePair, load_sample, read_manifest
+from .wald import DatasetManifest, load_sample, read_manifest
 
 #: Named learning-rate schedules: ``standard`` decays 1e-3 -> 1e-4 at
 #: epoch 220 (the default); ``high-rate`` runs the same shape one decade up.
@@ -116,30 +116,29 @@ def _batch_tensors(samples: list) -> tuple:
     return Tensor(lrms), Tensor(pan), Tensor(gt), Tensor(gt_d)
 
 
-def _sample_loss(sample: SamplePair, params, config: TdnetConfig,
-                 gamma: float) -> float:
-    lrms, pan, gt, gt_d = _batch_tensors([sample])
-    out = tdnet_forward(lrms, pan, params, config)
-    loss = tdnet_loss(out, gt, gt_d if out.ms_hat_d is not None else None,
-                      gamma=gamma)
-    return loss.item()
-
-
 def _effective_gamma(config: TdnetConfig, gamma: float) -> float:
     """A single-level model has no half-scale output, so the loss
     collapses to the final-resolution term."""
     return 0.0 if config.levels == 1 else gamma
 
 
-def validate(samples: list, params, config: TdnetConfig,
-             gamma: float = 0.4) -> float:
-    """Mean dual-scale loss over a split, no gradient recording."""
+def validate(samples: list, params, config: TdnetConfig, gamma: float = 0.4,
+             batch_size: int = TrainConfig.batch_size) -> float:
+    """Mean dual-scale loss per sample over a split, in batches of
+    ``batch_size``, no gradient recording."""
     if not samples:
         raise DataError("validation split is empty")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     gamma = _effective_gamma(config, gamma)
     total = 0.0
-    for sample in samples:
-        total += _sample_loss(sample, params, config, gamma)
+    for cut in range(0, len(samples), batch_size):
+        batch = samples[cut:cut + batch_size]
+        lrms, pan, gt, gt_d = _batch_tensors(batch)
+        out = tdnet_forward(lrms, pan, params, config)
+        loss = tdnet_loss(out, gt, gt_d if out.ms_hat_d is not None else None,
+                          gamma=gamma)
+        total += loss.item() * len(batch)
     return total / len(samples)
 
 
@@ -226,7 +225,8 @@ def train(data_dir, model_config: TdnetConfig,
 
         train_loss = weighted / n
         if val_samples:
-            val_loss = validate(val_samples, params, model_config, gamma)
+            val_loss = validate(val_samples, params, model_config, gamma,
+                                cfg.batch_size)
         else:
             val_loss = math.nan
         log.append(LogRow(epoch, train_loss, val_loss, lr))

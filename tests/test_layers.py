@@ -139,6 +139,74 @@ class TestCorr2dTiling:
         assert scratch < 2 * layers._COL_BUDGET * 4, scratch
 
 
+def _weight_grad_reference(x, g, k, padding, stride):
+    """float64 einsum of every window of the padded input with g."""
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.astype(np.float64), pad)
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.einsum("bchwij,bohw->ocij", win, g.astype(np.float64))
+
+
+class TestCorr2dWeightGrad:
+    """The weight gradient multiplies g against the forward's column
+    chunks; every cut must give the unchunked float64 result."""
+
+    @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (4, 0),
+                                           (4, 1), (5, 0), (5, 2), (7, 0),
+                                           (7, 3)])
+    def test_chunks_match_reference(self, monkeypatch, mode, stride, k, padding):
+        rng = np.random.default_rng(33)
+        batch, cin, cout = 3, 2, 4
+        x = rng.normal(size=(batch, cin, 15, 11)).astype(np.float32)
+        ho = (15 + 2 * padding - k) // stride + 1
+        wo = (11 + 2 * padding - k) // stride + 1
+        g = rng.normal(size=(batch, cout, ho, wo)).astype(np.float32)
+        per_row = cin * k * k * wo
+        rows = {"images": ho, "bands": ho // 2 + 1, "sub_row": 1}[mode]
+        budget = {"images": 2 * per_row * ho, "bands": rows * per_row,
+                  "sub_row": per_row - 1}[mode]
+        monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+        images = []
+
+        def recording_view(band, *args, **kwargs):
+            images.append(band.shape[0])
+            return sliding_window_view(band, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "sliding_window_view", recording_view)
+        got = layers._corr2d_weight_grad(x, g, k, padding, stride)
+
+        assert got.shape == (cout, cin, k, k) and got.dtype == np.float32
+        np.testing.assert_allclose(
+            got, _weight_grad_reference(x, g, k, padding, stride),
+            rtol=1e-5, atol=1e-5)
+        bands_per_image = -(-ho // rows)
+        assert images == ([2, 1] if mode == "images"
+                          else [1] * (batch * bands_per_image))
+        if mode == "bands":
+            assert ho % rows, "the band case must leave a remainder band"
+
+    def test_column_scratch_is_bounded(self, monkeypatch):
+        """The weight gradient of one 7x7 layer on a 192^2 image allocates
+        at most two column budgets beyond its padded input; its unchunked
+        columns would take 115 MB."""
+        monkeypatch.setattr(layers, "_COL_BUDGET", 1 << 20)
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
+        g = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
+        padded_bytes = 16 * 198 * 198 * 4
+        tracemalloc.start()
+        try:
+            gw = layers._corr2d_weight_grad(x, g, 7, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gw.shape == (16, 16, 7, 7)
+        scratch = peak - padded_bytes
+        assert scratch < 2 * layers._COL_BUDGET * 4, scratch
+
+
 class TestConv2dTranspose:
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(23)

@@ -119,6 +119,14 @@ class TestValidate:
         with pytest.raises(DataError, match="empty"):
             validate([], init_params(MODEL, seed=3), MODEL)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, dataset_dir, batch_size):
+        """Without the check, 0 raised from range() and -1 returned 0.0."""
+        sample = load_sample(dataset_dir, 0)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            validate([sample], init_params(MODEL, seed=3), MODEL,
+                     batch_size=batch_size)
+
     def test_matches_batched_loss(self, dataset_dir):
         """Per-sample averaging equals one big batch on frozen params."""
         from pansharp.model import tdnet_loss
@@ -134,6 +142,28 @@ class TestValidate:
         out = tdnet_forward(lrms, pan, params, MODEL)
         batched = tdnet_loss(out, gt, gt_d, gamma=0.4).item()
         assert per_sample == pytest.approx(batched, rel=1e-5)
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 12, 32])
+    def test_batches_give_per_sample_mean(self, batch_size):
+        """On the smoke profile's 12-sample val split, every batch size
+        gives the per-sample mean; at 5 the last batch holds 2 samples,
+        so a mean of batch means would differ."""
+        from pansharp.model import tdnet_loss
+        ms, pan = synthetic_scene(5, get_sensor("wv3"), ms_size=128)
+        samples = make_samples(ms, pan, patch=16, stride=16)
+        val_ids = set(split([s.id for s in samples], seed=5)["val"])
+        val = [s for s in samples if s.id in val_ids]
+        assert len(val) == 12
+        params = init_params(MODEL, seed=5)
+        losses = []
+        for s in val:
+            out = tdnet_forward(Tensor(s.lrms.transpose(2, 0, 1)[None]),
+                                Tensor(s.pan[None, None]), params, MODEL)
+            losses.append(tdnet_loss(
+                out, Tensor(s.gt.transpose(2, 0, 1)[None]),
+                Tensor(s.gt_d.transpose(2, 0, 1)[None]), gamma=0.4).item())
+        got = validate(val, params, MODEL, gamma=0.4, batch_size=batch_size)
+        assert got == pytest.approx(np.mean(losses), rel=1e-6)
 
     def test_partial_replacement_lowers_l1(self):
         """Copying any target coordinates into the prediction can only
