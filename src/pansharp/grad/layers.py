@@ -1,12 +1,17 @@
 """Spatial network layers on B x C x H x W float32 tensors.
 
-Convolutions lower onto matrix multiplies via a channel-major im2col
-buffer (Ci*k*k rows, one column per output pixel) that ``_columns``
-rebuilds per chunk of whole images or, for large images, per band of
+Convolutions lower onto matrix multiplies by row lowering, the
+memory-efficient convolution (MEC) of Cho & Brand 2017 (arXiv
+1706.06873): ``_columns`` lowers each zero-padded input row along x
+only, Ci*k values per output column, so kernel row dy's im2col matrix
+(Ci*k rows, one column per output pixel) is a strided view of the same
+buffer, shifted by dy rows.  That writes k times fewer column values per
+pixel than a Ci*k*k im2col buffer for the same FLOPs.  The buffer is
+rebuilt per chunk of whole images or, for large images, per band of
 output rows, so its size is bounded by ``_COL_BUDGET`` whatever the image
-size.  The forward multiplies the weights against each chunk; the weight
-gradient multiplies the same chunk against the matching chunk of the
-output gradient, one GEMM per chunk.  The input-gradient pass and the
+size.  The forward sums ``w[:, :, dy] @ cols[dy]`` over the kernel rows;
+the weight gradient multiplies each kernel row's view against the
+matching chunk of the output gradient.  The input-gradient pass and the
 transposed convolution reuse the forward kernel with swapped/flipped
 weights, so everything heavy runs through BLAS.
 """
@@ -14,30 +19,16 @@ weights, so everything heavy runs through BLAS.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import DTYPE, Tensor, _record
 
 # Column-buffer ceiling per chunk, in float32 elements (8 MiB).  A chunk is
-# several whole images when one image's columns fit, otherwise a band of
+# several whole images when their lowered rows fit, otherwise a band of
 # output rows of one image; a single output row is never split, so a row
 # wider than the budget makes a one-row chunk.  Of 1M, 2M, 4M and 8M, 2M
-# was fastest on the 256^2 layers of the default-width network.
+# was fastest on the 256^2 layers of the default-width network, for the
+# im2col lowering and again for the row lowering.
 _COL_BUDGET = 2 << 20
-
-
-def _zero_pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """x (B,C,H,W) with ``padding`` zeros around both spatial axes.
-
-    One zero-filled buffer and one slice copy: the same values as
-    ``np.pad``, without its per-axis passes.
-    """
-    if not padding:
-        return x
-    batch, chans, h, wid = x.shape
-    xp = np.zeros((batch, chans, h + 2 * padding, wid + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + wid] = x
-    return xp
 
 
 def _out_size(shape: tuple, k: int, padding: int, stride: int) -> tuple:
@@ -53,48 +44,86 @@ def _out_size(shape: tuple, k: int, padding: int, stride: int) -> tuple:
     return ho, wo
 
 
-def _columns(x: np.ndarray, k: int, padding: int, stride: int = 1):
-    """Yield ``(b0, b1, r0, r1, cols)``: the channel-major lowering of x
-    (B,Ci,H,W) for images [b0, b1) and output rows [r0, r1).
+def _span(lo: int, n: int, step: int, size: int) -> tuple:
+    """[i0, i1): the i in [0, n) with lo + i*step inside [0, size)."""
+    i0 = min(n, max(0, -(lo // step)))
+    i1 = max(i0, min(n, (size - 1 - lo) // step + 1))
+    return i0, i1
 
-    ``cols`` is (Ci*k*k, n*rows*Wo), one column per output pixel of the
-    chunk in (image, row, column) order, for the windows of step
-    ``stride`` over x zero-padded by ``padding``.  A chunk is several whole
-    images when one image's columns fit ``_COL_BUDGET``, else a band of
-    output rows of one image; the copy that builds it runs along image rows.
-    Every chunk is written into one buffer allocated per call (a fresh
-    multi-MiB array per chunk costs as much again in page faults), so
-    ``cols`` is overwritten by the next chunk: use it before advancing.
+
+def _columns(x: np.ndarray, k: int, padding: int, stride: int = 1):
+    """Yield ``(b0, b1, r0, r1, cols)``: the row lowering of x (B,Ci,H,W)
+    for images [b0, b1) and output rows [r0, r1).
+
+    ``cols[dy]`` is kernel row dy's im2col matrix, (Ci*k, rows*n*Wo), one
+    column per output pixel of the chunk in (row, image, column) order, for
+    the windows of step ``stride`` over x zero-padded by ``padding``.  Each
+    padded input row the chunk reads is lowered along x only, Ci*k values
+    per output column, and stored phase by phase (padded row ``stride*q +
+    phase`` at slot (phase, q)), so the k matrices are strided views of one
+    buffer: kernel row dy reads phase ``dy % stride`` from slot
+    ``dy // stride`` on.  The zero border is written here; x is not padded.
+    A chunk is several whole images when their lowered rows fit
+    ``_COL_BUDGET``, else a band of output rows of one image.  Every chunk
+    is written into one buffer allocated per call (a fresh multi-MiB array
+    per chunk costs as much again in page faults), so ``cols`` is
+    overwritten by the next chunk: use it before advancing.
     """
-    batch, cin = x.shape[:2]
+    batch, cin, h, wid = x.shape
     ho, wo = _out_size(x.shape, k, padding, stride)
-    xp = _zero_pad(x, padding)
-    rows = max(1, min(ho, _COL_BUDGET // (cin * k * k * wo)))
-    images = max(1, min(batch, _COL_BUDGET // (cin * k * k * wo * ho)))
-    buf = np.empty(cin * k * k * images * rows * wo, dtype=xp.dtype)
+    halo = -(-k // stride) - 1  # slots per phase beyond one per output row
+    per_slot = cin * k * stride * wo
+    rows = max(1, min(ho, _COL_BUDGET // per_slot - halo))
+    images = max(1, min(batch, _COL_BUDGET // (per_slot * (ho + halo))))
+    buf = np.empty(per_slot * (rows + halo) * images, dtype=x.dtype)
     for b0 in range(0, batch, images):
         b1 = min(b0 + images, batch)
+        n = b1 - b0
         for r0 in range(0, ho, rows):
             r1 = min(r0 + rows, ho)
-            # Output rows [r0, r1) read padded rows [r0*stride, (r1-1)*stride + k).
-            band = xp[b0:b1, :, r0 * stride:(r1 - 1) * stride + k]
-            win = sliding_window_view(band, (k, k), axis=(2, 3))
-            win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
-            cols = buf[:win.size].reshape(win.shape)  # (Ci, k, k, n, rows, Wo)
-            np.copyto(cols, win)
-            yield b0, b1, r0, r1, cols.reshape(cin * k * k, -1)
+            slots = r1 - r0 + halo
+            low = buf[:per_slot * slots * n].reshape(cin, k, stride, slots, n, wo)
+            for dx in range(k):
+                c0, c1 = _span(dx - padding, wo, stride, wid)
+                x0 = c0 * stride + dx - padding
+                for phase in range(stride):
+                    y_lo = r0 * stride + phase - padding
+                    q0, q1 = _span(y_lo, slots, stride, h)
+                    dst = low[:, dx, phase]  # (Ci, slots, n, Wo)
+                    dst[:, :q0] = 0
+                    dst[:, q1:] = 0
+                    dst[:, q0:q1, :, :c0] = 0
+                    dst[:, q0:q1, :, c1:] = 0
+                    if q0 < q1 and c0 < c1:
+                        y0 = y_lo + q0 * stride
+                        src = x[b0:b1, :, y0:y0 + (q1 - q0 - 1) * stride + 1:stride,
+                                x0:x0 + (c1 - c0 - 1) * stride + 1:stride]
+                        np.copyto(dst[:, q0:q1, :, c0:c1], src.transpose(1, 2, 0, 3))
+            yield b0, b1, r0, r1, [
+                low[:, :, dy % stride, dy // stride:dy // stride + r1 - r0]
+                .reshape(cin * k, -1) for dy in range(k)]
 
 
 def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.ndarray:
-    """Raw cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k): each
-    chunk of columns is multiplied as ``wmat @ cols``."""
+    """Raw cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k): each chunk
+    sums ``w[:, :, dy] @ cols[dy]`` over the kernel rows dy, in order, into
+    one scratch block per call."""
     cout, cin, k, _ = w.shape
     ho, wo = _out_size(x.shape, k, padding, stride)
-    wmat = w.reshape(cout, cin * k * k)
+    wrows = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k, cout, cin * k)
     out = np.empty((x.shape[0], cout, ho, wo), dtype=DTYPE)
+    scratch = None
     for b0, b1, r0, r1, cols in _columns(x, k, padding, stride):
-        prod = (wmat @ cols).reshape(cout, b1 - b0, r1 - r0, wo)
-        out[b0:b1, :, r0:r1] = prod.transpose(1, 0, 2, 3)
+        size = cols[0].shape[1]
+        if scratch is None:  # the first chunk is the largest
+            scratch = np.empty((2, cout * size), dtype=DTYPE)
+        part, prod = scratch[:, :cout * size].reshape(2, cout, size)
+        np.matmul(wrows[0], cols[0], out=part)
+        for dy in range(1, k):
+            np.matmul(wrows[dy], cols[dy], out=prod)
+            part += prod
+        part = part.reshape(cout, r1 - r0, b1 - b0, wo)
+        out[b0:b1, :, r0:r1] = part.transpose(2, 0, 1, 3)
     return out
 
 
@@ -104,16 +133,18 @@ def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int,
 
     Returns (g channels, x channels, k, k); ``stride`` is the step of the
     windows over the padded ``x``, one per position of ``g``.  Each chunk
-    adds ``cols @ gmat.T``, where gmat is g's matching chunk channel-major,
-    (Co, n*rows*Wo).
+    adds ``cols[dy] @ gmat.T`` to kernel row dy, where gmat is g's matching
+    chunk in the columns' order, (Co, rows*n*Wo).
     """
     cin = x.shape[1]
     cout = g.shape[1]
-    acc = np.zeros((cin * k * k, cout), dtype=DTYPE)
+    acc = np.zeros((k, cin * k, cout), dtype=DTYPE)
     for b0, b1, r0, r1, cols in _columns(x, k, padding, stride):
-        gmat = np.ascontiguousarray(g[b0:b1, :, r0:r1].transpose(1, 0, 2, 3))
-        acc += cols @ gmat.reshape(cout, -1).T
-    return np.ascontiguousarray(acc.T).reshape(cout, cin, k, k)
+        gmat = np.ascontiguousarray(g[b0:b1, :, r0:r1].transpose(1, 2, 0, 3))
+        gmat = gmat.reshape(cout, -1).T
+        for dy in range(k):
+            acc[dy] += cols[dy] @ gmat
+    return np.ascontiguousarray(acc.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, padding: int) -> Tensor:
@@ -135,6 +166,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, padding: int) -> Tensor:
         )
     if b is not None and b.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.shape} != ({cout},)")
+    if padding < 0:
+        raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
 
     out_data = _corr2d(x.data, w.data, padding)
     if b is not None:
@@ -172,6 +205,13 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None,
         raise ValueError(
             f"conv2d_transpose: input channel axis has {x.shape[1]} channels "
             f"but weight expects {cin_w}"
+        )
+    if stride < 1:
+        raise ValueError(f"conv2d_transpose: stride must be >= 1, got {stride}")
+    if not 0 <= padding <= k - 1:
+        raise ValueError(
+            f"conv2d_transpose: padding must be in [0, {k - 1}] for kernel {k}, "
+            f"got {padding}"
         )
     batch, _, h, wid = x.shape
     out_h = (h - 1) * stride - 2 * padding + k

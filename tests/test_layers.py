@@ -67,6 +67,11 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
                    None, padding=0)
 
+    def test_negative_padding_rejected(self):
+        x = Tensor(np.zeros((1, 1, 6, 6)))
+        with pytest.raises(ValueError, match="padding must be >= 0, got -1"):
+            conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), None, padding=-1)
+
 
 def _corr2d_reference(x, w, padding, stride):
     """float64 einsum over every window of the padded input."""
@@ -77,8 +82,51 @@ def _corr2d_reference(x, w, padding, stride):
     return np.einsum("bchwij,ocij->bohw", win, w.astype(np.float64))
 
 
+def _chunk_budget(mode, cin, k, stride, ho, wo):
+    """(rows per band, ``_COL_BUDGET``) that makes ``_columns`` cut an
+    image's ho output rows as ``mode`` asks.  A band of r output rows
+    stores stride*(r + halo) lowered padded rows of Ci*k*Wo values each;
+    the halo is the ceil(k/stride) - 1 further slots per phase its windows
+    reach."""
+    per_slot = cin * k * stride * wo
+    halo = -(-k // stride) - 1
+    rows = {"images": ho, "bands": ho // 2 + 1, "sub_row": 1}[mode]
+    budget = {"images": 2 * per_slot * (ho + halo),
+              "bands": per_slot * (rows + halo),
+              "sub_row": per_slot * (1 + halo) - 1}[mode]
+    return rows, budget
+
+
+def _record_chunks(monkeypatch):
+    """Patch ``_columns`` to record each chunk's (b0, b1, r0, r1) after
+    checking that its k matrices are views of one buffer with one column
+    per output pixel."""
+    chunks = []
+    real = layers._columns
+
+    def recording(x, k, padding, stride=1):
+        wo = (x.shape[3] + 2 * padding - k) // stride + 1
+        for b0, b1, r0, r1, cols in real(x, k, padding, stride):
+            assert len(cols) == k
+            for mat in cols:
+                assert mat.shape == (x.shape[1] * k, (b1 - b0) * (r1 - r0) * wo)
+                assert np.may_share_memory(mat, cols[0])
+            chunks.append((b0, b1, r0, r1))
+            yield b0, b1, r0, r1, cols
+
+    monkeypatch.setattr(layers, "_columns", recording)
+    return chunks
+
+
+def _expected_chunks(mode, batch, ho, rows):
+    if mode == "images":
+        return [(0, 2, 0, ho), (2, 3, 0, ho)]
+    return [(b, b + 1, r0, min(r0 + rows, ho))
+            for b in range(batch) for r0 in range(0, ho, rows)]
+
+
 class TestCorr2dTiling:
-    """The column buffer is cut into chunks of whole images or bands of
+    """The lowered rows are cut into chunks of whole images or bands of
     output rows; every cut must give the untiled result."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
@@ -92,42 +140,45 @@ class TestCorr2dTiling:
         w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
         ho = (15 + 2 * padding - k) // stride + 1
         wo = (11 + 2 * padding - k) // stride + 1
-        per_row = cin * k * k * wo
-        rows = {"images": ho, "bands": ho // 2 + 1, "sub_row": 1}[mode]
-        budget = {"images": 2 * per_row * ho, "bands": rows * per_row,
-                  "sub_row": per_row - 1}[mode]
+        rows, budget = _chunk_budget(mode, cin, k, stride, ho, wo)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
-        bands = []
-
-        def recording_view(band, *args, **kwargs):
-            bands.append(band.shape)
-            return sliding_window_view(band, *args, **kwargs)
-
-        monkeypatch.setattr(layers, "sliding_window_view", recording_view)
+        chunks = _record_chunks(monkeypatch)
         got = layers._corr2d(x, w, padding, stride)
 
         np.testing.assert_allclose(got, _corr2d_reference(x, w, padding, stride),
                                    rtol=1e-5, atol=1e-5)
-        out_rows = [(shape[2] - k) // stride + 1 for shape in bands]
-        if mode == "images":
-            assert [shape[0] for shape in bands] == [2, 1]
-            assert out_rows == [ho, ho]
-        else:
-            assert all(shape[0] == 1 for shape in bands)
-            per_image = [rows] * (ho // rows) + ([ho % rows] if ho % rows else [])
-            assert out_rows == per_image * batch
-            if mode == "bands":
-                assert ho % rows, "the band case must leave a remainder band"
+        assert chunks == _expected_chunks(mode, batch, ho, rows)
+        if mode == "bands":
+            assert ho % rows, "the band case must leave a remainder band"
+
+    @pytest.mark.parametrize("batch,cin,size,cout,k", [
+        (1, 64, 256, 38, 7),   # scene scale: level2.mix.k7
+        (1, 114, 256, 8, 3),   # scene scale: level2.mix.blend
+        (1, 64, 256, 64, 3),   # scene scale: pan.res1
+        (32, 16, 16, 6, 7),    # smoke scale: level2.mix.k7
+    ])
+    def test_bit_identical_across_budgets(self, monkeypatch, batch, cin, size,
+                                          cout, k):
+        """The network's own layer shapes give the same bits whether their
+        columns are cut into bands, whole images or one chunk."""
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(batch, cin, size, size)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        outs = []
+        for budget in (1 << 16, 1 << 18, 1 << 21, 1 << 28):
+            monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+            outs.append(layers._corr2d(x, w, k // 2))
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out, outs[0])
 
     def test_column_scratch_is_bounded(self, monkeypatch):
         """One 7x7 layer on a 192^2 image allocates at most two column
-        budgets beyond its padded input and output; its untiled columns
-        would take 115 MB."""
+        budgets besides its output, with no padded copy of its input; its
+        untiled im2col columns would take 115 MB."""
         monkeypatch.setattr(layers, "_COL_BUDGET", 1 << 20)
         rng = np.random.default_rng(32)
         x = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
         w = rng.normal(size=(16, 16, 7, 7)).astype(np.float32)
-        padded_bytes = 16 * 198 * 198 * 4
         tracemalloc.start()
         try:
             out = layers._corr2d(x, w, 3)
@@ -135,7 +186,7 @@ class TestCorr2dTiling:
         finally:
             tracemalloc.stop()
         assert out.shape == (1, 16, 192, 192)
-        scratch = peak - padded_bytes - out.nbytes
+        scratch = peak - out.nbytes
         assert scratch < 2 * layers._COL_BUDGET * 4, scratch
 
 
@@ -163,39 +214,27 @@ class TestCorr2dWeightGrad:
         ho = (15 + 2 * padding - k) // stride + 1
         wo = (11 + 2 * padding - k) // stride + 1
         g = rng.normal(size=(batch, cout, ho, wo)).astype(np.float32)
-        per_row = cin * k * k * wo
-        rows = {"images": ho, "bands": ho // 2 + 1, "sub_row": 1}[mode]
-        budget = {"images": 2 * per_row * ho, "bands": rows * per_row,
-                  "sub_row": per_row - 1}[mode]
+        rows, budget = _chunk_budget(mode, cin, k, stride, ho, wo)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
-        images = []
-
-        def recording_view(band, *args, **kwargs):
-            images.append(band.shape[0])
-            return sliding_window_view(band, *args, **kwargs)
-
-        monkeypatch.setattr(layers, "sliding_window_view", recording_view)
+        chunks = _record_chunks(monkeypatch)
         got = layers._corr2d_weight_grad(x, g, k, padding, stride)
 
         assert got.shape == (cout, cin, k, k) and got.dtype == np.float32
         np.testing.assert_allclose(
             got, _weight_grad_reference(x, g, k, padding, stride),
             rtol=1e-5, atol=1e-5)
-        bands_per_image = -(-ho // rows)
-        assert images == ([2, 1] if mode == "images"
-                          else [1] * (batch * bands_per_image))
+        assert chunks == _expected_chunks(mode, batch, ho, rows)
         if mode == "bands":
             assert ho % rows, "the band case must leave a remainder band"
 
     def test_column_scratch_is_bounded(self, monkeypatch):
         """The weight gradient of one 7x7 layer on a 192^2 image allocates
-        at most two column budgets beyond its padded input; its unchunked
-        columns would take 115 MB."""
+        at most two column budgets, with no padded copy of its input; its
+        unchunked im2col columns would take 115 MB."""
         monkeypatch.setattr(layers, "_COL_BUDGET", 1 << 20)
         rng = np.random.default_rng(34)
         x = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
         g = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
-        padded_bytes = 16 * 198 * 198 * 4
         tracemalloc.start()
         try:
             gw = layers._corr2d_weight_grad(x, g, 7, 3)
@@ -203,8 +242,7 @@ class TestCorr2dWeightGrad:
         finally:
             tracemalloc.stop()
         assert gw.shape == (16, 16, 7, 7)
-        scratch = peak - padded_bytes
-        assert scratch < 2 * layers._COL_BUDGET * 4, scratch
+        assert peak < 2 * layers._COL_BUDGET * 4, peak
 
 
 class TestConv2dTranspose:
@@ -239,6 +277,18 @@ class TestConv2dTranspose:
                 probe["x"], probe["w"], probe["b"], stride=2, padding=1).sum()
             numeric = numeric_gradient(f, a64, h=1e-5)
             assert max_rel_error(tensor.grad, numeric) < 1e-4
+
+    @pytest.mark.parametrize("padding", [4, -1])
+    def test_padding_outside_kernel_rejected(self, padding):
+        x = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match=r"padding must be in \[0, 3\]"):
+            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), None, padding=padding)
+
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_rejected(self, stride):
+        x = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), None, stride=stride)
 
 
 class TestPooling:
