@@ -166,6 +166,12 @@ class RunConfig:
             raise ConfigError(
                 f"{section}.{key}: expected an integer, got {raw!r}") from None
 
+    def get_positive_int(self, section: str, key: str) -> int:
+        value = self.get_int(section, key)
+        if value < 1:
+            raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
+        return value
+
     def get_float(self, section: str, key: str) -> float:
         raw = self.get(section, key)
         try:
@@ -198,12 +204,6 @@ class RunConfig:
             return get_sensor(self.get("sensor", "name"))
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def metric_window(self) -> int:
-        window = self.get_int("metric", "window")
-        if window < 1:
-            raise ConfigError(f"metric.window must be >= 1, got {window}")
-        return window
 
     def model_config(self, default_bands: int | None = None) -> TdnetConfig:
         raw_bands = self.get("model", "bands")
@@ -289,10 +289,8 @@ def _echo_beside_file(config: RunConfig, path) -> None:
 
 def _demo_scenes(config: RunConfig, sensor):
     seed = config.get_int("dataset", "seed")
-    count = config.get_int("dataset", "scenes")
-    if count < 1:
-        raise ConfigError(f"dataset.scenes must be >= 1, got {count}")
-    size = config.get_int("dataset", "ms_size")
+    count = config.get_positive_int("dataset", "scenes")
+    size = config.get_positive_int("dataset", "ms_size")
     return [synthetic_scene(seed + index, sensor, ms_size=size)
             for index in range(count)]
 
@@ -303,6 +301,8 @@ def cmd_simulate(args, config: RunConfig) -> int:
         raise ConfigError(
             "simulate takes either no inputs (demo scene) or exactly two: "
             "MS.psr1 PAN.psr1")
+    patch = config.get_positive_int("dataset", "patch")
+    stride = config.get_positive_int("dataset", "stride")
     if args.inputs:
         from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
@@ -313,8 +313,6 @@ def cmd_simulate(args, config: RunConfig) -> int:
         scenes = _demo_scenes(config, config.sensor_spec())
         source = "synthetic"
 
-    patch = config.get_int("dataset", "patch")
-    stride = config.get_int("dataset", "stride")
     samples = []
     for ms, pan in scenes:
         for sample in make_samples(ms, pan, patch=patch, stride=stride):
@@ -420,7 +418,7 @@ def _tdnet_fuse(ms: MsImage, pan: PanImage, params,
     pan_t = Tensor(pan.data[None, None].astype(np.float32))
     out = tdnet_forward(lrms, pan_t, params, model_config)
     fused = out.ms_hat.data[0].transpose(1, 2, 0).astype(np.float64)
-    return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor, "full")
+    return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor)
 
 
 def _fuse_pair(method: str, checkpoint, ms: MsImage, pan: PanImage,
@@ -429,6 +427,16 @@ def _fuse_pair(method: str, checkpoint, ms: MsImage, pan: PanImage,
         params, model_config = loaded or load_checkpoint(checkpoint)
         return _tdnet_fuse(ms, pan, params, model_config)
     return fuse(method, ms, pan)
+
+
+def _split_ids(manifest: DatasetManifest, split_name: str) -> list:
+    """The sample ids of the split that ``dataset.split`` names."""
+    if split_name not in manifest.splits:
+        raise ConfigError(f"dataset has no split {split_name!r}")
+    ids = manifest.splits[split_name]
+    if not ids:
+        raise DataError(f"split {split_name!r} is empty")
+    return ids
 
 
 def cmd_fuse(args, config: RunConfig) -> int:
@@ -441,7 +449,7 @@ def cmd_fuse(args, config: RunConfig) -> int:
 
     if len(args.inputs) == 2:
         from .container import load_ms, load_pan
-        ms = load_ms(args.inputs[0], resolution="reduced")
+        ms = load_ms(args.inputs[0])
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
         fused = _fuse_pair(method, checkpoint, ms, pan, loaded)
         save_ms(os.path.join(out, "fused.psr1"), fused)
@@ -451,15 +459,11 @@ def cmd_fuse(args, config: RunConfig) -> int:
         manifest = read_manifest(args.inputs[0])
         sensor = get_sensor(manifest.sensor)
         split_name = config.get("dataset", "split")
-        if split_name not in manifest.splits:
-            raise ConfigError(f"dataset has no split {split_name!r}")
-        ids = manifest.splits[split_name]
-        if not ids:
-            raise DataError(f"split {split_name!r} is empty")
+        ids = _split_ids(manifest, split_name)
         for sample_id in ids:
             sample = load_sample(args.inputs[0], sample_id)
-            ms = MsImage(sample.lrms, sensor, "reduced")
-            pan = PanImage(sample.pan, sensor, "full")
+            ms = MsImage(sample.lrms, sensor)
+            pan = PanImage(sample.pan, sensor)
             fused = _fuse_pair(method, checkpoint, ms, pan, loaded)
             save_ms(os.path.join(out, f"{sample_id}.psr1"), fused)
             _write_preview(os.path.join(out, f"{sample_id}.ppm"), fused.data)
@@ -485,13 +489,10 @@ def _load_fused(fused_dir, sample_id: int) -> np.ndarray:
 
 
 def _score_set(dataset_dir, fused_dir, mode: str, window: int,
-               method: str, report: EvalReport) -> None:
+               split_name: str, method: str, report: EvalReport) -> None:
     manifest = read_manifest(dataset_dir)
     sensor = get_sensor(manifest.sensor)
-    ids = manifest.splits["test"]
-    if not ids:
-        raise DataError("dataset test split is empty")
-    for sample_id in ids:
+    for sample_id in _split_ids(manifest, split_name):
         sample = load_sample(dataset_dir, sample_id)
         fused = _load_fused(fused_dir, sample_id)
         if fused.shape != sample.gt.shape:
@@ -499,9 +500,10 @@ def _score_set(dataset_dir, fused_dir, mode: str, window: int,
                 f"sample {sample_id}: fused shape {fused.shape} does not "
                 f"match reference {sample.gt.shape}")
         if mode == "reduced":
-            values = reference_metrics(sample.gt, fused, manifest.ratio)
+            values = reference_metrics(sample.gt, fused, manifest.ratio,
+                                       window=window)
         else:
-            pan = PanImage(sample.pan.astype(np.float64), sensor, "full")
+            pan = PanImage(sample.pan.astype(np.float64), sensor)
             values = no_reference_metrics(fused, sample.lrms, pan,
                                           window=window)
         report.add(method, str(sample_id), **values)
@@ -510,13 +512,14 @@ def _score_set(dataset_dir, fused_dir, mode: str, window: int,
 def cmd_eval(args, config: RunConfig) -> int:
     out = _require_out(args)
     method = args.method or os.path.basename(os.path.normpath(args.fused))
-    window = config.metric_window()
+    window = config.get_positive_int("metric", "window")
     report = EvalReport(provenance={
         "dataset_hash": manifest_hash(read_manifest(args.dataset)),
         "mode": args.mode,
         "window": config.get("metric", "window"),
     })
-    _score_set(args.dataset, args.fused, args.mode, window, method, report)
+    _score_set(args.dataset, args.fused, args.mode, window,
+               config.get("dataset", "split"), method, report)
     report.add_aggregates()
     report.write_csv(out)
     _echo_beside_file(config, out)
@@ -551,14 +554,16 @@ def _comparison_table(report: EvalReport, mode: str) -> str:
 
 
 def cmd_compare(args, config: RunConfig) -> int:
-    window = config.metric_window()
+    window = config.get_positive_int("metric", "window")
+    split_name = config.get("dataset", "split")
     report = EvalReport(provenance={
         "dataset_hash": manifest_hash(read_manifest(args.dataset)),
         "mode": args.mode,
     })
     for fused_dir in args.fused:
         method = os.path.basename(os.path.normpath(fused_dir))
-        _score_set(args.dataset, fused_dir, args.mode, window, method, report)
+        _score_set(args.dataset, fused_dir, args.mode, window, split_name,
+                   method, report)
     report.add_aggregates()
     table = _comparison_table(report, args.mode)
     sys.stdout.write(table)

@@ -87,27 +87,26 @@ def save_ms(path: str | Path, image: MsImage) -> None:
     write_psr1(path, image.data, image.sensor.name, image.sensor.bit_depth)
 
 
-def load_ms(path: str | Path, resolution: str = "full") -> MsImage:
+def load_ms(path: str | Path) -> MsImage:
     data, name, bit_depth = read_psr1(path)
     if data.shape[2] not in (4, 8):
         raise DataError(
             f"{path}: {data.shape[2]} channels is not a supported MS band count")
     sensor = _sensor_for(name, data.shape[2], bit_depth)
-    return MsImage(data.astype(np.float64), sensor, resolution)
+    return MsImage(data.astype(np.float64), sensor)
 
 
 def save_pan(path: str | Path, image: PanImage) -> None:
     write_psr1(path, image.data, image.sensor.name, image.sensor.bit_depth)
 
 
-def load_pan(path: str | Path, resolution: str = "full",
-             sensor: SensorSpec | None = None) -> PanImage:
+def load_pan(path: str | Path, sensor: SensorSpec | None = None) -> PanImage:
     data, name, bit_depth = read_psr1(path)
     if data.shape[2] != 1:
         raise DataError(f"{path}: expected single-channel data, got {data.shape[2]}")
     if sensor is None:
         sensor = SENSORS.get(name) or generic_sensor(4, bit_depth, name=name)
-    return PanImage(data[:, :, 0].astype(np.float64), sensor, resolution)
+    return PanImage(data[:, :, 0].astype(np.float64), sensor)
 
 
 # -- previews -------------------------------------------------------------

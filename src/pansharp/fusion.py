@@ -155,23 +155,15 @@ def exp_baseline(ms: MsImage) -> np.ndarray:
     return interp23(ms.data, ms.sensor.ratio)
 
 
-def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig, *,
-             clamp: bool = True,
-             pan_lowpass_override: np.ndarray | None = None,
-             gain_override: np.ndarray | None = None):
+def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig) -> np.ndarray:
     """Detail-injection fusion of a reduced MS image with its PAN plane.
 
-    Returns an MsImage clamped to [0, 1]; with clamp=False returns the raw
-    float64 array, which may exceed the range. The two overrides substitute
-    P_L or G directly (diagnostics and degeneracy checks).
+    Returns the raw float64 H x W x C stack ``ms_up + G * (P - P_L)``,
+    which may leave [0, 1]; :func:`fuse` clips it.
     """
     check_aligned(ms, pan)
     ms_up = interp23(ms.data, ms.sensor.ratio)
-    p_l = pan_lowpass(pan, config) if pan_lowpass_override is None \
-        else np.asarray(pan_lowpass_override, dtype=np.float64)
-    if p_l.shape != pan.data.shape:
-        raise DataError(
-            f"mra_fuse: pan low-pass shape {p_l.shape} != pan {pan.data.shape}")
+    p_l = pan_lowpass(pan, config)
     if config.equalize and config.gain_mode == "hpm":
         p_bands, p_l_bands = band_match(pan.data, p_l, ms_up)
         detail = p_bands - p_l_bands
@@ -179,22 +171,14 @@ def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig, *,
     else:
         detail = (pan.data - p_l)[:, :, None]
         gain_source = p_l
-    gains = injection_gain(ms_up, gain_source, config) if gain_override is None \
-        else np.asarray(gain_override, dtype=np.float64)
-    fused = ms_up + gains * detail
-    if not clamp:
-        return fused
-    return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor, pan.resolution)
+    return ms_up + injection_gain(ms_up, gain_source, config) * detail
 
 
-def fuse(method: str, ms: MsImage, pan: PanImage, *, clamp: bool = True):
-    """Run one of the named classical methods (see METHODS)."""
+def fuse(method: str, ms: MsImage, pan: PanImage) -> MsImage:
+    """Run one of the named classical methods (see METHODS), clipped to
+    the radiometric range [0, 1]."""
     if method not in METHODS:
         raise DataError(f"unknown fusion method {method!r}; known: {sorted(METHODS)}")
     config = METHODS[method]
-    if config is None:
-        up = exp_baseline(ms)
-        if not clamp:
-            return up
-        return MsImage(np.clip(up, 0.0, 1.0), ms.sensor, pan.resolution)
-    return mra_fuse(ms, pan, config, clamp=clamp)
+    fused = exp_baseline(ms) if config is None else mra_fuse(ms, pan, config)
+    return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor)

@@ -147,10 +147,10 @@ def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int,
     return np.ascontiguousarray(acc.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, padding: int) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     """2-D convolution, stride 1, odd square kernel, zero padding.
 
-    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,) or None.
+    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,).
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D (B,C,H,W), got shape {x.shape}")
@@ -164,19 +164,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, padding: int) -> Tensor:
             f"conv2d: input channel axis has {x.shape[1]} channels but weight "
             f"expects {cin_w}"
         )
-    if b is not None and b.shape != (cout,):
+    if b.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.shape} != ({cout},)")
     if padding < 0:
         raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
 
     out_data = _corr2d(x.data, w.data, padding)
-    if b is not None:
-        out_data += b.data[None, :, None, None]
+    out_data += b.data[None, :, None, None]
     out = Tensor(out_data)
     k = kh
 
     def backward_fn(g: np.ndarray) -> None:
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             w.accumulate_grad(_corr2d_weight_grad(x.data, g, k, padding))
@@ -185,15 +184,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, padding: int) -> Tensor:
             w_swap = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
             x.accumulate_grad(_corr2d(g, w_swap, k - 1 - padding))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record(out, inputs, backward_fn)
+    return _record(out, (x, w, b), backward_fn)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None,
+def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor,
                      stride: int = 2, padding: int = 1) -> Tensor:
     """Transposed convolution (learned upsampling).
 
-    x: (B, Cin, H, W); w: (Cin, Cout, k, k); output is
+    x: (B, Cin, H, W); w: (Cin, Cout, k, k); b: (Cout,); output is
     (H-1)*stride - 2*padding + k per spatial axis (2x for k=4, s=2, p=1).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -206,6 +204,8 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None,
             f"conv2d_transpose: input channel axis has {x.shape[1]} channels "
             f"but weight expects {cin_w}"
         )
+    if b.shape != (cout,):
+        raise ValueError(f"conv2d_transpose: bias shape {b.shape} != ({cout},)")
     if stride < 1:
         raise ValueError(f"conv2d_transpose: stride must be >= 1, got {stride}")
     if not 0 <= padding <= k - 1:
@@ -224,20 +224,18 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None,
     xd[:, :, ::stride, ::stride] = x.data
     w_conv = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     out_data = _corr2d(xd, w_conv, k - 1 - padding)
-    if b is not None:
-        out_data += b.data[None, :, None, None]
+    out_data += b.data[None, :, None, None]
     out = Tensor(out_data)
 
     def backward_fn(g: np.ndarray) -> None:
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             x.accumulate_grad(_corr2d(g, w.data, padding, stride=stride))
         if w.requires_grad:
             w.accumulate_grad(_corr2d_weight_grad(g, x.data, k, padding, stride))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record(out, inputs, backward_fn)
+    return _record(out, (x, w, b), backward_fn)
 
 
 def _window_split(data: np.ndarray, k: int) -> np.ndarray:

@@ -42,6 +42,8 @@ FD_STEP_LINEAR = 5e-2
 # ~5e-5 for every variant.
 FD_STEP_MODEL = 1e-5
 REL_FLOOR = 1e-3
+# Coordinates probed per parameter tensor by the model row.
+MODEL_SAMPLES_PER_TENSOR = 2
 
 
 @dataclass(frozen=True)
@@ -369,9 +371,7 @@ def reference_forward(lrms: np.ndarray, pan: np.ndarray, params,
 # -- full-model check ------------------------------------------------------
 
 
-def model_gradient_error(config=None, seed: int = 0, *,
-                         samples_per_tensor: int = 2, h: float = FD_STEP_MODEL,
-                         floor: float = REL_FLOOR) -> float:
+def model_gradient_error(config=None, seed: int = 0) -> float:
     """Worst relative error of the engine's parameter gradients against
     central finite differences of the double-precision reference forward.
 
@@ -423,16 +423,16 @@ def model_gradient_error(config=None, seed: int = 0, *,
     for name, tensor in params.items():
         flat = vals[name].reshape(-1)
         gflat = tensor.grad.reshape(-1)
-        n_pick = min(samples_per_tensor, flat.size)
+        n_pick = min(MODEL_SAMPLES_PER_TENSOR, flat.size)
         for i in pick.choice(flat.size, size=n_pick, replace=False):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP_MODEL
             fp = run()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP_MODEL
             fm = run()
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            worst = max(worst, _rel_error(float(gflat[i]), numeric, floor))
+            numeric = (fp - fm) / (2.0 * FD_STEP_MODEL)
+            worst = max(worst, _rel_error(float(gflat[i]), numeric, REL_FLOOR))
     return worst
 
 

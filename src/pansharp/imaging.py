@@ -17,8 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
-RESOLUTIONS = ("reduced", "full")
-
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -45,10 +43,6 @@ class SensorSpec:
                 raise ValueError(f"SensorSpec: Nyquist gain {g} outside (0, 1)")
         if not 8 <= self.bit_depth <= 16:
             raise ValueError(f"SensorSpec: bit depth {self.bit_depth} outside 8..16")
-
-    @property
-    def max_value(self) -> int:
-        return (1 << self.bit_depth) - 1
 
 
 def _uniform(g: float, bands: int) -> tuple[float, ...]:
@@ -80,7 +74,6 @@ class MsImage:
 
     data: np.ndarray
     sensor: SensorSpec
-    resolution: str = "full"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -91,8 +84,6 @@ class MsImage:
                 f"MsImage: {self.data.shape[2]} bands but sensor "
                 f"{self.sensor.name!r} has {self.sensor.bands}")
         _check_range01("MsImage", self.data)
-        if self.resolution not in RESOLUTIONS:
-            raise DataError(f"MsImage: resolution must be one of {RESOLUTIONS}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,15 +96,12 @@ class PanImage:
 
     data: np.ndarray
     sensor: SensorSpec
-    resolution: str = "full"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DataError(f"PanImage: expected H x W data, got shape {self.data.shape}")
         _check_range01("PanImage", self.data)
-        if self.resolution not in RESOLUTIONS:
-            raise DataError(f"PanImage: resolution must be one of {RESOLUTIONS}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -140,28 +128,6 @@ def check_aligned(ms: MsImage, pan: PanImage) -> None:
     if pan.sensor.name != ms.sensor.name:
         raise DataError(
             f"sensor mismatch ({ms.sensor.name!r} vs {pan.sensor.name!r})")
-
-
-# -- radiometry -----------------------------------------------------------
-
-
-def normalize(raw: np.ndarray, sensor: SensorSpec) -> np.ndarray:
-    """Scale integer counts to [0, 1] by the sensor's full range."""
-    raw = np.asarray(raw)
-    top = sensor.max_value
-    if raw.size and (raw.min() < 0 or raw.max() > top):
-        raise DataError(
-            f"normalize: sample outside [0, {top}] for {sensor.bit_depth}-bit "
-            f"sensor (min {raw.min()}, max {raw.max()})")
-    return raw.astype(np.float64) / top
-
-
-def denormalize(img: np.ndarray, sensor: SensorSpec) -> np.ndarray:
-    """Back to integer counts (round-half-even), inverse of normalize."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.size and (img.min() < 0.0 or img.max() > 1.0):
-        raise DataError("denormalize: values outside [0, 1]")
-    return np.rint(img * sensor.max_value).astype(np.uint16)
 
 
 # -- MTF-matched Gaussian low-pass ----------------------------------------

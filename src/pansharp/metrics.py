@@ -356,13 +356,14 @@ def qnr(d_lambda_value: float, d_s_value: float,
     return float((1.0 - d_lambda_value) ** alpha * (1.0 - d_s_value) ** beta)
 
 
-def reference_metrics(reference, estimate, ratio: int) -> dict:
-    """All reduced-resolution scores of an estimate against ground truth."""
+def reference_metrics(reference, estimate, ratio: int, window: int = 32) -> dict:
+    """All reduced-resolution scores of an estimate against ground truth;
+    ``window`` is the Q2^n block size."""
     return {
         "sam": sam(reference, estimate),
         "ergas": ergas(reference, estimate, ratio),
         "scc": scc(reference, estimate),
-        "q2n": q2n(reference, estimate),
+        "q2n": q2n(reference, estimate, window),
     }
 
 

@@ -312,14 +312,12 @@ def _smoothed_pan_pyramid(pan: Tensor, config: TdnetConfig) -> dict[str, Tensor]
 
 def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
          config: TdnetConfig, level: str = "level1", *,
-         pan_low: Tensor | None = None,
-         gate_override: float | None = None) -> Tensor:
+         pan_low: Tensor | None = None) -> Tensor:
     """Upsample ×2 (or ×ratio) and inject the detail map through a gain.
 
-    The learned gain is a sigmoid gate over the concatenated inputs;
-    ``gate_override`` replaces it with a constant (a test hook for the
-    degenerate gains 0 and 1). With ``use_mrab`` off the detail map is
-    added directly; in ``tmra_hpm`` mode the gain is the band-to-PAN ratio.
+    The learned gain is a sigmoid gate over the concatenated inputs. With
+    ``use_mrab`` off the detail map is added directly; in ``tmra_hpm``
+    mode the gain is the band-to-PAN ratio.
     """
     if ms_low.data.ndim != 4 or d.data.ndim != 4:
         raise ValueError("mrab: inputs must be 4-D (B,C,H,W)")
@@ -341,11 +339,8 @@ def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
         if pan_low is None:
             raise ValueError("mrab: tmra_hpm mode needs the smoothed PAN raster")
         return tmra_injection(ms_up, pan_low, d)
-    if gate_override is not None:
-        gain = Tensor(np.full(ms_up.shape, gate_override, dtype=DTYPE))
-    else:
-        hidden = relu(_conv_layer(params, f"{level}.gate1", concat([ms_up, d])))
-        gain = sigmoid(_conv_layer(params, f"{level}.gate2", hidden))
+    hidden = relu(_conv_layer(params, f"{level}.gate1", concat([ms_up, d])))
+    gain = sigmoid(_conv_layer(params, f"{level}.gate2", hidden))
     return ms_up + gain * d
 
 
@@ -367,8 +362,7 @@ def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
 
 
 def tdnet_forward(lrms: Tensor, pan: Tensor, params: dict[str, Tensor],
-                  config: TdnetConfig, *,
-                  gate_override: float | None = None) -> TdnetOutput:
+                  config: TdnetConfig) -> TdnetOutput:
     """Run the full network: PAN details, then one injection+refine stage
     per level, coarsest first.
     """
@@ -400,15 +394,15 @@ def tdnet_forward(lrms: Tensor, pan: Tensor, params: dict[str, Tensor],
 
     if config.levels == 1:
         fused = mrab(lrms, d_full, params, config, "level1",
-                     pan_low=pan_lows.get("level1"), gate_override=gate_override)
+                     pan_low=pan_lows.get("level1"))
         return TdnetOutput(ms_hat_d=None,
                            ms_hat=mscb(fused, d_full, params, config, "level1"))
 
     first = mrab(lrms, d_half, params, config, "level1",
-                 pan_low=pan_lows.get("level1"), gate_override=gate_override)
+                 pan_low=pan_lows.get("level1"))
     ms_hat_d = mscb(first, d_half, params, config, "level1")
     second = mrab(ms_hat_d, d_full, params, config, "level2",
-                  pan_low=pan_lows.get("level2"), gate_override=gate_override)
+                  pan_low=pan_lows.get("level2"))
     ms_hat = mscb(second, d_full, params, config, "level2")
     return TdnetOutput(ms_hat_d=ms_hat_d, ms_hat=ms_hat)
 

@@ -90,12 +90,7 @@ class TrainResult:
     """Trained parameters plus the run's replayable record."""
 
     params: dict
-    model_config: TdnetConfig
-    train_config: TrainConfig
     log: list = field(default_factory=list)
-    best_epoch: int | None = None
-    final_path: str | None = None
-    best_path: str | None = None
 
 
 def lr_for_epoch(schedule, epoch: int) -> float:
@@ -248,9 +243,7 @@ def train(data_dir, model_config: TdnetConfig,
             save_checkpoint(best_path, params, model_config)
         write_loss_log(os.path.join(out_dir, "loss_log.csv"), log)
 
-    return TrainResult(params=params, model_config=model_config,
-                       train_config=cfg, log=log, best_epoch=best_epoch,
-                       final_path=final_path, best_path=best_path)
+    return TrainResult(params=params, log=log)
 
 
 def manifest_hash(manifest: DatasetManifest) -> str:

@@ -42,7 +42,8 @@ from .imaging import (
 
 SPLIT_NAMES = ("train", "val", "test")
 SAMPLE_ROLES = ("pan", "lrms", "gt", "gtd")
-DEFAULT_RATIOS = (0.7, 0.2, 0.1)
+#: Train/val/test fractions of :func:`split`.
+SPLIT_RATIOS = (0.7, 0.2, 0.1)
 
 
 def degrade(image, sensor: SensorSpec, factor: int) -> np.ndarray:
@@ -141,24 +142,20 @@ def make_samples(ms_full: MsImage, pan_full: PanImage,
     return samples
 
 
-def split(ids, ratios=DEFAULT_RATIOS, seed: int = 0) -> dict:
+def split(ids, seed: int = 0) -> dict:
     """Deterministic shuffled split into train/val/test id lists.
 
-    The id list is shuffled by the portable RNG, then cut contiguously;
-    validation and test sizes are floored and the remainder goes to
-    training, so 12580 ids yield 8806/2516/1258 at the default ratios.
+    The id list is shuffled by the portable RNG, then cut contiguously at
+    :data:`SPLIT_RATIOS`; validation and test sizes are floored and the
+    remainder goes to training, so 12580 ids yield 8806/2516/1258.
     """
     ids = list(ids)
     if not ids:
         raise DataError("cannot split an empty id list")
-    if len(ratios) != len(SPLIT_NAMES):
-        raise DataError(f"expected {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios {ratios} do not sum to 1")
     shuffled = list(ids)
     SplitMix64(derive_seed(seed, "split")).shuffle(shuffled)
-    n_val = int(len(ids) * ratios[1])
-    n_test = int(len(ids) * ratios[2])
+    n_val = int(len(ids) * SPLIT_RATIOS[1])
+    n_test = int(len(ids) * SPLIT_RATIOS[2])
     n_train = len(ids) - n_val - n_test
     return {
         "train": shuffled[:n_train],
@@ -303,6 +300,6 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
         band = offset + slope * structure + curve * structure * (1.0 - structure)
         world[:, :, k] = np.clip(band + 0.02 * texture, 0.0, 1.0)
 
-    pan = PanImage(world.mean(axis=2), sensor, "full")
-    ms = MsImage(degrade(world, sensor, ratio), sensor, "full")
+    pan = PanImage(world.mean(axis=2), sensor)
+    ms = MsImage(degrade(world, sensor, ratio), sensor)
     return ms, pan

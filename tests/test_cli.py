@@ -21,7 +21,7 @@ from pansharp.container import read_psr1, save_ms, save_pan, write_psr1
 from pansharp.errors import ConfigError
 from pansharp.fusion import fuse
 from pansharp.imaging import MsImage, PanImage, get_sensor
-from pansharp.metrics import EvalReport
+from pansharp.metrics import EvalReport, q2n
 from pansharp.model import (
     TdnetConfig,
     init_params,
@@ -178,6 +178,19 @@ class TestSimulate:
                    "--set", "dataset.patch=30"])
         assert rc == 3
 
+    @pytest.mark.parametrize("key,value", [
+        ("stride", "0"), ("stride", "-4"), ("patch", "0"), ("patch", "-8"),
+        ("ms_size", "0"), ("scenes", "0")])
+    def test_dataset_integer_below_one_is_config_error(self, tmp_path, capsys,
+                                                       key, value):
+        out = tmp_path / "x"
+        rc = main(["simulate", "--out", str(out), *SIM_ARGS,
+                   "--set", f"dataset.{key}={value}"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: dataset.{key} must be >= 1, got {value}\n"
+        assert not out.exists()
+
     def test_single_input_is_config_error(self, tmp_path):
         rc = main(["simulate", "lonely.psr1", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -227,18 +240,17 @@ class TestFuse:
         assert main(["fuse", str(ms_path), str(pan_path),
                      "--method", "glp-hpm", "--out", str(out)]) == 0
         sensor = get_sensor("wv3")
-        ms = MsImage(read_psr1(ms_path)[0].astype(np.float64), sensor,
-                     "reduced")
+        ms = MsImage(read_psr1(ms_path)[0].astype(np.float64), sensor)
         pan = PanImage(read_psr1(pan_path)[0][:, :, 0].astype(np.float64),
-                       sensor, "full")
+                       sensor)
         expected = tmp_path / "library.psr1"
         save_ms(expected, fuse("glp-hpm", ms, pan))
         assert (out / "fused.psr1").read_bytes() == expected.read_bytes()
 
     def test_constant_scene_exp_is_constant(self, tmp_path):
         sensor = get_sensor("wv3")
-        ms = MsImage(np.full((8, 8, 8), 0.25), sensor, "reduced")
-        pan = PanImage(np.full((32, 32), 0.5), sensor, "full")
+        ms = MsImage(np.full((8, 8, 8), 0.25), sensor)
+        pan = PanImage(np.full((32, 32), 0.5), sensor)
         save_ms(tmp_path / "ms.psr1", ms)
         save_pan(tmp_path / "pan.psr1", pan)
         out = tmp_path / "fused"
@@ -356,6 +368,44 @@ class TestEval:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 3
 
+    def test_reduced_mode_uses_metric_window(self, dataset_dir,
+                                             exp_fused_dir, tmp_path):
+        """metric.window reaches Q2^n, as the CSV provenance records."""
+        out = tmp_path / "report.csv"
+        assert main(["eval", str(dataset_dir), str(exp_fused_dir),
+                     "--set", "metric.window=16", "--out", str(out)]) == 0
+        report = EvalReport.read_csv(out)
+        assert report.provenance["window"] == "16"
+        plain = [r for r in report.rows if not r["image"].startswith("__")]
+        assert len(plain) == 2
+        for row in plain:
+            gt = load_sample(dataset_dir, int(row["image"])).gt
+            fused, _, _ = read_psr1(exp_fused_dir / f"{row['image']}.psr1")
+            at16 = q2n(gt, fused, window=16)
+            assert row["q2n"] == pytest.approx(at16, rel=1e-5)
+            assert row["q2n"] != pytest.approx(q2n(gt, fused, window=32),
+                                               rel=1e-3)
+
+    def test_scores_the_configured_split(self, dataset_dir, tmp_path, capsys):
+        val = ["--set", "dataset.split=val"]
+        fused = tmp_path / "exp-val"
+        assert main(["fuse", str(dataset_dir), "--method", "exp",
+                     "--out", str(fused), *val]) == 0
+        out = tmp_path / "report.csv"
+        assert main(["eval", str(dataset_dir), str(fused),
+                     "--out", str(out), *val]) == 0
+        report = EvalReport.read_csv(out)
+        images = {r["image"] for r in report.rows
+                  if not r["image"].startswith("__")}
+        assert images == {str(i) for i in
+                          read_manifest(dataset_dir).splits["val"]}
+        assert main(["compare", str(dataset_dir), str(fused), *val]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(dataset_dir), str(fused), "--out", str(out),
+                     "--set", "dataset.split=holdout"]) == 2
+        assert capsys.readouterr().err == \
+            "error: dataset has no split 'holdout'\n"
+
     @pytest.mark.parametrize("window", ["0", "-4"])
     def test_window_below_one_is_config_error(self, dataset_dir,
                                               exp_fused_dir, tmp_path,
@@ -371,6 +421,16 @@ class TestEval:
 
 
 class TestCompare:
+    def test_metric_window_reaches_q2n_column(self, dataset_dir,
+                                              exp_fused_dir, capsys):
+        tables = []
+        for window in ("16", "32"):
+            assert main(["compare", str(dataset_dir), str(exp_fused_dir),
+                         "--set", f"metric.window={window}"]) == 0
+            tables.append(capsys.readouterr().out.splitlines()[1].split())
+        assert tables[0][:4] == tables[1][:4]  # method, sam, ergas, scc
+        assert tables[0][4] != tables[1][4]  # q2n
+
     def test_single_method_table(self, dataset_dir, exp_fused_dir, capsys):
         assert main(["compare", str(dataset_dir), str(exp_fused_dir)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -66,11 +66,11 @@ class TestPsr1:
 
     def test_ms_pan_wrappers(self, tmp_path):
         rng = np.random.default_rng(42)
-        ms = MsImage(rng.uniform(0, 1, (8, 8, 4)), SENSORS["gf2"], "reduced")
+        ms = MsImage(rng.uniform(0, 1, (8, 8, 4)), SENSORS["gf2"])
         pan = PanImage(rng.uniform(0, 1, (32, 32)), SENSORS["gf2"])
         save_ms(tmp_path / "ms.psr1", ms)
         save_pan(tmp_path / "pan.psr1", pan)
-        ms2 = load_ms(tmp_path / "ms.psr1", resolution="reduced")
+        ms2 = load_ms(tmp_path / "ms.psr1")
         pan2 = load_pan(tmp_path / "pan.psr1")
         assert ms2.sensor is SENSORS["gf2"]
         assert pan2.sensor is SENSORS["gf2"]

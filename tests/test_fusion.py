@@ -1,10 +1,12 @@
 """Classical fusion family: formula checks, degeneracies, gain oracles."""
 
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
 
+import pansharp.fusion
 from pansharp.errors import DataError
 from pansharp.fusion import (
     HPM_EPSILON,
@@ -34,8 +36,8 @@ def _smooth_pair(seed=50, h=16, w=16, sensor=SENSORS["gf2"]):
     base = lowpass(base, mtf_gaussian_taps(0.2, 8))
     base = 0.1 + 0.8 * (base - base.min()) / (base.max() - base.min())
     bands = np.stack([np.clip(base * s, 0, 1) for s in (0.9, 1.0, 0.8, 0.7)], axis=2)
-    ms = MsImage(bands[::4, ::4], sensor, "reduced")
-    pan = PanImage(bands.mean(axis=2), sensor, "reduced")
+    ms = MsImage(bands[::4, ::4], sensor)
+    pan = PanImage(bands.mean(axis=2), sensor)
     return ms, pan
 
 
@@ -145,12 +147,12 @@ class TestMraFuse:
         for name in METHODS:
             out = fuse(name, ms, pan)
             assert out.data.shape == (64, 64, 4)
-            assert out.resolution == "reduced"
             assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_raw_flag_skips_clamp(self):
+        """mra_fuse returns the raw pyramid; fuse only clips it."""
         ms, pan = _smooth_pair()
-        raw = fuse("glp-hpm", ms, pan, clamp=False)
+        raw = mra_fuse(ms, pan, METHODS["glp-hpm"])
         assert isinstance(raw, np.ndarray)
         clamped = fuse("glp-hpm", ms, pan).data
         np.testing.assert_array_equal(clamped, np.clip(raw, 0, 1))
@@ -160,37 +162,40 @@ class TestMraFuse:
         np.testing.assert_array_equal(
             exp_baseline(ms), interp23(ms.data, ms.sensor.ratio))
 
-    def test_constant_pan_degenerates_to_exp(self):
+    def test_constant_pan_degenerates_to_exp(self, monkeypatch):
         """When P equals P_L the detail plane vanishes for every method."""
         ms, _ = _smooth_pair()
-        pan = PanImage(np.full((64, 64), 0.5), ms.sensor, "reduced")
+        pan = PanImage(np.full((64, 64), 0.5), ms.sensor)
         expect = fuse("exp", ms, pan).data
         for name, config in METHODS.items():
             if config is None:
                 continue
-            with pytest.warns(RuntimeWarning) if config.gain_mode == "regression" \
-                    else nullcontext():
-                exact = mra_fuse(ms, pan, config,
-                                 pan_lowpass_override=pan.data)
-            np.testing.assert_array_equal(exact.data, expect)
+            warns = (partial(pytest.warns, RuntimeWarning)
+                     if config.gain_mode == "regression" else nullcontext)
+            with monkeypatch.context() as patch, warns():
+                patch.setattr(pansharp.fusion, "pan_lowpass",
+                              lambda pan, config: pan.data)
+                exact = mra_fuse(ms, pan, config)
+            np.testing.assert_array_equal(np.clip(exact, 0.0, 1.0), expect)
             # The computed low-pass of a constant plane is constant too, so
             # the unforced pipeline agrees to rounding.
-            with pytest.warns(RuntimeWarning) if config.gain_mode == "regression" \
-                    else nullcontext():
+            with warns():
                 close = mra_fuse(ms, pan, config)
-            np.testing.assert_allclose(close.data, expect, atol=1e-12)
+            np.testing.assert_allclose(np.clip(close, 0.0, 1.0), expect,
+                                       atol=1e-12)
 
-    def test_zero_gain_degenerates_to_interp(self):
+    def test_zero_gain_degenerates_to_interp(self, monkeypatch):
         ms, pan = _smooth_pair()
-        raw = mra_fuse(ms, pan, MraConfig("mtf_glp", "hpm"), clamp=False,
-                       gain_override=np.zeros((64, 64, 4)))
+        monkeypatch.setattr(pansharp.fusion, "injection_gain",
+                            lambda ms_up, pan_l, config: np.zeros((64, 64, 4)))
+        raw = mra_fuse(ms, pan, MraConfig("mtf_glp", "hpm"))
         np.testing.assert_array_equal(raw, interp23(ms.data, 4))
 
     def test_sfim_equals_intensity_modulation(self):
         """SFIM in MRA form equals ms_up * P / P_box when P_box > epsilon."""
         ms, pan = _smooth_pair()
         config = METHODS["sfim"]
-        got = mra_fuse(ms, pan, config, clamp=False)
+        got = mra_fuse(ms, pan, config)
         p_box = pan_lowpass(pan, config)
         assert p_box.min() > HPM_EPSILON
         want = interp23(ms.data, 4) * (pan.data / p_box)[:, :, None]
@@ -204,8 +209,8 @@ class TestMraFuse:
 
         scene_ms, scene_pan = synthetic_scene(58, SENSORS["wv3"], ms_size=64)
         sample = make_samples(scene_ms, scene_pan)[0]
-        lr = MsImage(sample.lrms.astype(np.float64), scene_ms.sensor, "reduced")
-        pan = PanImage(sample.pan.astype(np.float64), scene_ms.sensor, "reduced")
+        lr = MsImage(sample.lrms.astype(np.float64), scene_ms.sensor)
+        pan = PanImage(sample.pan.astype(np.float64), scene_ms.sensor)
         fused = fuse("glp-hpm", lr, pan).data
         baseline = fuse("exp", lr, pan).data
         assert sam(sample.gt, fused) < sam(sample.gt, baseline)
@@ -213,10 +218,10 @@ class TestMraFuse:
 
     def test_shape_and_sensor_mismatch(self):
         ms, pan = _smooth_pair()
-        small = PanImage(pan.data[:32, :32], pan.sensor, "reduced")
+        small = PanImage(pan.data[:32, :32], pan.sensor)
         with pytest.raises(DataError, match="does not match"):
             mra_fuse(ms, small, MraConfig())
-        other = PanImage(pan.data, SENSORS["qb"], "reduced")
+        other = PanImage(pan.data, SENSORS["qb"])
         with pytest.raises(DataError, match="sensor mismatch"):
             mra_fuse(ms, other, MraConfig())
         with pytest.raises(DataError, match="unknown fusion method"):

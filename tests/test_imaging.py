@@ -10,14 +10,12 @@ from pansharp.imaging import (
     SENSORS,
     SensorSpec,
     box_taps,
-    denormalize,
     get_sensor,
     interp23,
     interp23_taps,
     lowpass,
     mtf_gaussian_taps,
     mtf_sigma,
-    normalize,
 )
 
 
@@ -55,35 +53,13 @@ class TestSensorSpec:
 
     def test_image_wrappers_validate(self):
         wv3 = SENSORS["wv3"]
-        MsImage(np.zeros((8, 8, 8)), wv3, "reduced")
+        MsImage(np.zeros((8, 8, 8)), wv3)
         with pytest.raises(DataError, match="bands"):
             MsImage(np.zeros((8, 8, 4)), wv3)
         with pytest.raises(DataError, match="outside"):
             PanImage(np.full((4, 4), 1.5), wv3)
         with pytest.raises(DataError, match="non-finite"):
             PanImage(np.full((4, 4), np.nan), wv3)
-
-
-class TestNormalize:
-    def test_roundtrip_integers_exact(self):
-        rng = np.random.default_rng(31)
-        for name in ("wv3", "gf2", "qb"):
-            spec = SENSORS[name]
-            raw = rng.integers(0, spec.max_value + 1, size=(7, 5, spec.bands))
-            back = denormalize(normalize(raw, spec), spec)
-            np.testing.assert_array_equal(back, raw)
-
-    def test_full_scale_maps_to_one(self):
-        spec = SENSORS["gf2"]
-        assert normalize(np.array([spec.max_value]), spec)[0] == 1.0
-        assert normalize(np.array([0]), spec)[0] == 0.0
-
-    def test_out_of_range_rejected(self):
-        spec = SENSORS["wv3"]
-        with pytest.raises(DataError, match="outside"):
-            normalize(np.array([1 << 12]), spec)
-        with pytest.raises(DataError, match="outside"):
-            denormalize(np.array([1.2]), spec)
 
 
 class TestMtfKernel:

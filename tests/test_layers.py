@@ -44,7 +44,8 @@ class TestConv2d:
         w = np.zeros((2, 2, 3, 3), np.float32)
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
-        out = conv2d(Tensor(x), Tensor(w), None, padding=1).data
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(2, np.float32)),
+                     padding=1).data
         np.testing.assert_array_equal(out, x)
 
     def test_gradients_match_finite_differences(self):
@@ -59,18 +60,20 @@ class TestConv2d:
     def test_shape_errors_name_dimension(self):
         x = Tensor(np.zeros((1, 3, 8, 8)))
         w = Tensor(np.zeros((4, 2, 3, 3)))
+        b4, b1 = Tensor(np.zeros(4)), Tensor(np.zeros(1))
         with pytest.raises(ValueError, match="3 channels but weight expects 2"):
-            conv2d(x, w, None, padding=1)
+            conv2d(x, w, b4, padding=1)
         with pytest.raises(ValueError, match="odd"):
-            conv2d(x, Tensor(np.zeros((4, 3, 4, 4))), None, padding=1)
+            conv2d(x, Tensor(np.zeros((4, 3, 4, 4))), b4, padding=1)
         with pytest.raises(ValueError, match="too small"):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
-                   None, padding=0)
+                   b1, padding=0)
 
     def test_negative_padding_rejected(self):
         x = Tensor(np.zeros((1, 1, 6, 6)))
         with pytest.raises(ValueError, match="padding must be >= 0, got -1"):
-            conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), None, padding=-1)
+            conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)),
+                   padding=-1)
 
 
 def _corr2d_reference(x, w, padding, stride):
@@ -282,13 +285,22 @@ class TestConv2dTranspose:
     def test_padding_outside_kernel_rejected(self, padding):
         x = Tensor(np.zeros((1, 1, 3, 3)))
         with pytest.raises(ValueError, match=r"padding must be in \[0, 3\]"):
-            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), None, padding=padding)
+            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(1)),
+                             padding=padding)
 
     @pytest.mark.parametrize("stride", [0, -2])
     def test_stride_below_one_rejected(self, stride):
         x = Tensor(np.zeros((1, 1, 3, 3)))
         with pytest.raises(ValueError, match="stride must be >= 1"):
-            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), None, stride=stride)
+            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(1)),
+                             stride=stride)
+
+    def test_bias_shape_rejected(self):
+        """A bias that is not one value per output channel raises in the
+        forward, not later in the backward."""
+        x = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match=r"bias shape \(1,\) != \(2,\)"):
+            conv2d_transpose(x, Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros(1)))
 
 
 class TestPooling:

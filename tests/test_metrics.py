@@ -367,7 +367,7 @@ class TestNoReference:
                           for s in (0.9, 0.8, 0.7, 0.6)], axis=2)
         taps = mtf_gaussian_taps(0.3, 4)
         lrms = np.stack([lowpass(fused[:, :, k], taps, 4) for k in range(4)], axis=2)
-        pan = PanImage(np.clip(base, 0, 1), sensor, "full")
+        pan = PanImage(np.clip(base, 0, 1), sensor)
         return fused, lrms, pan
 
     def test_d_lambda_matches_pairwise_oracle(self):

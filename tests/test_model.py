@@ -40,6 +40,14 @@ def _zero_refine_block(params, level):
             tensor.data[...] = 0.0
 
 
+def _saturate_gates(params, config, gain):
+    """Pin every level's sigmoid gate at exactly ``gain``, 0 or 1: zero
+    weights and an infinite bias, as sigmoid(-inf) == 0 and sigmoid(inf) == 1."""
+    for level in config.level_names:
+        params[f"{level}.gate2.w"].data[...] = 0.0
+        params[f"{level}.gate2.b"].data[...] = np.inf if gain else -np.inf
+
+
 class TestTdnetConfig:
     def test_defaults(self):
         """The stock 8-band configuration matches the documented defaults."""
@@ -232,7 +240,8 @@ class TestMrab:
     def test_zero_gate_returns_upsampled_input_exactly(self):
         params = init_params(self.CFG, seed=4)
         x, d = self._inputs()
-        out = mrab(x, d, params, self.CFG, "level1", gate_override=0.0)
+        _saturate_gates(params, self.CFG, 0)
+        out = mrab(x, d, params, self.CFG, "level1")
         ms_up = pixel_shuffle(
             conv2d(x, params["level1.up.w"], params["level1.up.b"], padding=1), 2)
         np.testing.assert_array_equal(out.data, ms_up.data)
@@ -407,7 +416,8 @@ class TestTdnetForward:
         _zero_refine_block(params, "level2")
         lrms = Tensor(_rand(66, (1, 4, 4, 4)))
         pan = Tensor(_rand(67, (1, 1, 16, 16)))
-        out = tdnet_forward(lrms, pan, params, cfg, gate_override=1.0)
+        _saturate_gates(params, cfg, 1)
+        out = tdnet_forward(lrms, pan, params, cfg)
 
         d_full, d_half = pan_branch(pan, params, cfg)
         up1 = pixel_shuffle(conv2d(lrms, params["level1.up.w"],
@@ -428,7 +438,8 @@ class TestTdnetForward:
         _zero_refine_block(params, "level2")
         lrms = Tensor(_rand(68, (1, 4, 4, 4)))
         pan_np = _rand(69, (1, 1, 16, 16))
-        out = tdnet_forward(lrms, Tensor(pan_np), params, cfg, gate_override=1.0)
+        _saturate_gates(params, cfg, 1)
+        out = tdnet_forward(lrms, Tensor(pan_np), params, cfg)
 
         half = pan_np.reshape(1, 1, 8, 2, 8, 2).mean(axis=(3, 5))
         up1 = pixel_shuffle(conv2d(lrms, params["level1.up.w"],

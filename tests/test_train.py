@@ -4,10 +4,13 @@ dataset, divergence abort, checkpoint artifacts, and the variant suite."""
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pansharp
 from pansharp.errors import DataError, TrainingDiverged
 from pansharp.grad import Tensor, l1_loss
 from pansharp.imaging import get_sensor
@@ -210,6 +213,27 @@ class TestTrain:
                (tmp_path / "b" / "final.ckpt").read_bytes()
         assert (tmp_path / "a" / "loss_log.csv").read_bytes() == \
                (tmp_path / "b" / "loss_log.csv").read_bytes()
+
+    def test_replay_is_identical_across_blas_thread_counts(self, dataset_dir,
+                                                           tmp_path):
+        """A smoke-width ``train`` writes the same checkpoint and loss log
+        whether OpenBLAS runs its matrix products on one thread or two."""
+        src = os.path.dirname(os.path.dirname(pansharp.__file__))
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads)
+            result = subprocess.run(
+                [sys.executable, "-m", "pansharp.cli", "train",
+                 str(dataset_dir), "--out", str(out),
+                 "--set", "model.feature_width=16",
+                 "--set", "model.mscb_width=6", "--set", "train.epochs=1"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            artifacts.append([(out / name).read_bytes()
+                              for name in ("final.ckpt", "loss_log.csv")])
+        assert artifacts[0] == artifacts[1]
 
     def test_lr_decay_boundary_in_log(self, dataset_dir):
         cfg = TrainConfig(epochs=4, batch_size=16, seed=1,
