@@ -8,12 +8,14 @@ only, Ci*k values per output column, so kernel row dy's im2col matrix
 buffer, shifted by dy rows.  That writes k times fewer column values per
 pixel than a Ci*k*k im2col buffer for the same FLOPs.  The buffer is
 rebuilt per chunk of whole images or, for large images, per band of
-output rows, so its size is bounded by ``_COL_BUDGET`` whatever the image
-size.  The forward sums ``w[:, :, dy] @ cols[dy]`` over the kernel rows;
-the weight gradient multiplies each kernel row's view against the
-matching chunk of the output gradient.  The input-gradient pass and the
-transposed convolution reuse the forward kernel with swapped/flipped
-weights, so everything heavy runs through BLAS.
+padded input rows, so its size is bounded by ``_COL_BUDGET`` whatever the
+image size, and every padded row is lowered once.  The forward multiplies
+all k kernel rows stacked, (k*Co, Ci*k), by the whole chunk in one GEMM
+and adds the k row blocks of the product into the output, each shifted by
+its kernel row; the weight gradient multiplies each kernel row's view
+against the matching rows of the output gradient.  The input-gradient
+pass and the transposed convolution reuse the forward kernel with
+swapped/flipped weights, so everything heavy runs through BLAS.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import numpy as np
 
 from .tensor import DTYPE, Tensor, _record
 
-# Column-buffer ceiling per chunk, in float32 elements (8 MiB).  A chunk is
-# several whole images when their lowered rows fit, otherwise a band of
-# output rows of one image; a single output row is never split, so a row
-# wider than the budget makes a one-row chunk.  Of 1M, 2M, 4M and 8M, 2M
-# was fastest on the 256^2 layers of the default-width network, for the
-# im2col lowering and again for the row lowering.
+# Ceiling per chunk on its lowered rows plus the caller's block kept
+# alongside them (the forward's product), in float32 elements (8 MiB).  A
+# chunk is several whole images when their padded rows fit, otherwise a
+# band of padded rows of one image; a single padded row is never split, so
+# a row wider than the budget makes a one-row chunk.  Of 1M, 2M, 4M and
+# 8M, 2M was fastest on the 256^2 layers of the default-width network for
+# the im2col and the row lowering; for the stacked GEMM 2M and 4M were
+# level (296 vs 287 ms over six layer shapes) and 4M holds twice the memory.
 _COL_BUDGET = 2 << 20
 
 
@@ -51,79 +55,109 @@ def _span(lo: int, n: int, step: int, size: int) -> tuple:
     return i0, i1
 
 
-def _columns(x: np.ndarray, k: int, padding: int, stride: int = 1):
-    """Yield ``(b0, b1, r0, r1, cols)``: the row lowering of x (B,Ci,H,W)
-    for images [b0, b1) and output rows [r0, r1).
+def _columns(x: np.ndarray, k: int, padding: int, stride: int = 1,
+             reserve: int = 0):
+    """Yield ``(b0, b1, q0, q1, phases, spare)``: the row lowering of slots
+    [q0, q1) of images [b0, b1) of x (B,Ci,H,W).
 
-    ``cols[dy]`` is kernel row dy's im2col matrix, (Ci*k, rows*n*Wo), one
-    column per output pixel of the chunk in (row, image, column) order, for
-    the windows of step ``stride`` over x zero-padded by ``padding``.  Each
-    padded input row the chunk reads is lowered along x only, Ci*k values
-    per output column, and stored phase by phase (padded row ``stride*q +
-    phase`` at slot (phase, q)), so the k matrices are strided views of one
-    buffer: kernel row dy reads phase ``dy % stride`` from slot
-    ``dy // stride`` on.  The zero border is written here; x is not padded.
-    A chunk is several whole images when their lowered rows fit
-    ``_COL_BUDGET``, else a band of output rows of one image.  Every chunk
-    is written into one buffer allocated per call (a fresh multi-MiB array
-    per chunk costs as much again in page faults), so ``cols`` is
+    Slot q holds the ``stride`` padded input rows ``stride*q + phase``;
+    output row r of the windows of step ``stride`` over x zero-padded by
+    ``padding`` reads kernel row dy from slot ``r + dy // stride``, phase
+    ``dy % stride``, so an image has ``Ho + ceil(k/stride) - 1`` slots.
+    ``phases[p]`` is phase p's lowered rows, (Ci*k, slots*n*Wo): each
+    padded row lowered along x only, Ci*k values per output column, in
+    (slot, image, column) order.  Kernel row dy's im2col matrix for output
+    rows [r0, r1) is the column range of slots [r0 + dy//stride, r1 +
+    dy//stride) of its phase.  The zero border is written here; x is not
+    padded.  A chunk is several whole images when their slots fit
+    ``_COL_BUDGET``, else a band of slots of one image; every slot is
+    lowered once.  The budget also holds ``spare``: ``reserve`` values per
+    slot, image and output column of the largest chunk, for a block the
+    caller keeps beside each chunk (the forward's product).  The chunks
+    and ``spare`` share one buffer allocated per call (a fresh multi-MiB
+    array per chunk costs as much again in page faults), so ``phases`` is
     overwritten by the next chunk: use it before advancing.
     """
     batch, cin, h, wid = x.shape
     ho, wo = _out_size(x.shape, k, padding, stride)
-    halo = -(-k // stride) - 1  # slots per phase beyond one per output row
+    total = ho - 1 + -(-k // stride)  # slots per image
     per_slot = cin * k * stride * wo
-    rows = max(1, min(ho, _COL_BUDGET // per_slot - halo))
-    images = max(1, min(batch, _COL_BUDGET // (per_slot * (ho + halo))))
-    buf = np.empty(per_slot * (rows + halo) * images, dtype=x.dtype)
+    fit = _COL_BUDGET // (per_slot + reserve * wo)  # slots per chunk
+    slots = max(1, min(total, fit))
+    images = max(1, min(batch, fit // total))
+    buf = np.empty((per_slot + reserve * wo) * slots * images, dtype=x.dtype)
+    spare = buf[per_slot * slots * images:]
     for b0 in range(0, batch, images):
         b1 = min(b0 + images, batch)
         n = b1 - b0
-        for r0 in range(0, ho, rows):
-            r1 = min(r0 + rows, ho)
-            slots = r1 - r0 + halo
-            low = buf[:per_slot * slots * n].reshape(cin, k, stride, slots, n, wo)
+        for q0 in range(0, total, slots):
+            q1 = min(q0 + slots, total)
+            low = buf[:per_slot * (q1 - q0) * n].reshape(cin, k, stride, q1 - q0, n, wo)
             for dx in range(k):
                 c0, c1 = _span(dx - padding, wo, stride, wid)
                 x0 = c0 * stride + dx - padding
                 for phase in range(stride):
-                    y_lo = r0 * stride + phase - padding
-                    q0, q1 = _span(y_lo, slots, stride, h)
+                    y_lo = q0 * stride + phase - padding
+                    s0, s1 = _span(y_lo, q1 - q0, stride, h)
                     dst = low[:, dx, phase]  # (Ci, slots, n, Wo)
-                    dst[:, :q0] = 0
-                    dst[:, q1:] = 0
-                    dst[:, q0:q1, :, :c0] = 0
-                    dst[:, q0:q1, :, c1:] = 0
-                    if q0 < q1 and c0 < c1:
-                        y0 = y_lo + q0 * stride
-                        src = x[b0:b1, :, y0:y0 + (q1 - q0 - 1) * stride + 1:stride,
+                    dst[:, :s0] = 0
+                    dst[:, s1:] = 0
+                    dst[:, s0:s1, :, :c0] = 0
+                    dst[:, s0:s1, :, c1:] = 0
+                    if s0 < s1 and c0 < c1:
+                        y0 = y_lo + s0 * stride
+                        src = x[b0:b1, :, y0:y0 + (s1 - s0 - 1) * stride + 1:stride,
                                 x0:x0 + (c1 - c0 - 1) * stride + 1:stride]
-                        np.copyto(dst[:, q0:q1, :, c0:c1], src.transpose(1, 2, 0, 3))
-            yield b0, b1, r0, r1, [
-                low[:, :, dy % stride, dy // stride:dy // stride + r1 - r0]
-                .reshape(cin * k, -1) for dy in range(k)]
+                        np.copyto(dst[:, s0:s1, :, c0:c1], src.transpose(1, 2, 0, 3))
+            yield b0, b1, q0, q1, [low[:, :, phase].reshape(cin * k, -1)
+                                   for phase in range(stride)], spare
 
 
 def _corr2d(x: np.ndarray, w: np.ndarray, padding: int, stride: int = 1) -> np.ndarray:
-    """Raw cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k): each chunk
-    sums ``w[:, :, dy] @ cols[dy]`` over the kernel rows dy, in order, into
-    one scratch block per call."""
+    """Raw cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k).
+
+    Each chunk of slots runs one GEMM per phase (one at stride 1): the
+    phase's kernel rows stacked, Co matrix rows each, times its lowered
+    rows, so the products hold k row blocks, one per kernel row.  Block dy, shifted by ``dy // stride``
+    slots, is kernel row dy's share of every output row whose window
+    reaches the chunk.  The blocks dy > 0 are added in order of dy into
+    block 0 for the rows whose windows start in the chunk, which is then
+    copied into the output, and into the output for the rows whose windows
+    started in an earlier chunk.  So every output value is summed from
+    dy = 0 upwards whatever the chunking, and the same bits come out for
+    any ``_COL_BUDGET``.
+    """
     cout, cin, k, _ = w.shape
     ho, wo = _out_size(x.shape, k, padding, stride)
-    wrows = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k, cout, cin * k)
+    wrows = w.transpose(2, 0, 1, 3).reshape(k, cout, cin * k)
+    stacks = [np.ascontiguousarray(wrows[phase::stride]).reshape(-1, cin * k)
+              for phase in range(stride)]
     out = np.empty((x.shape[0], cout, ho, wo), dtype=DTYPE)
-    scratch = None
-    for b0, b1, r0, r1, cols in _columns(x, k, padding, stride):
-        size = cols[0].shape[1]
-        if scratch is None:  # the first chunk is the largest
-            scratch = np.empty((2, cout * size), dtype=DTYPE)
-        part, prod = scratch[:, :cout * size].reshape(2, cout, size)
-        np.matmul(wrows[0], cols[0], out=part)
+    for b0, b1, q0, q1, phases, spare in _columns(x, k, padding, stride, k * cout):
+        size = phases[0].shape[1]
+        prods, start = [], 0
+        for wphase, low in zip(stacks, phases):
+            block = spare[start:start + wphase.shape[0] * size]
+            block = block.reshape(wphase.shape[0], size)
+            np.matmul(wphase, low, out=block)
+            prods.append(block.reshape(-1, cout, q1 - q0, b1 - b0, wo))
+            start += block.size
+        head = prods[0][0]  # kernel row 0, one slot per output row from q0
+        rows = min(q1, ho) - q0  # output rows whose windows start in the chunk
         for dy in range(1, k):
-            np.matmul(wrows[dy], cols[dy], out=prod)
-            part += prod
-        part = part.reshape(cout, r1 - r0, b1 - b0, wo)
-        out[b0:b1, :, r0:r1] = part.transpose(2, 0, 1, 3)
+            shift = dy // stride
+            part = prods[dy % stride][shift]
+            m = min(rows, q1 - q0 - shift)
+            if m > 0:
+                head[:, :m] += part[:, shift:shift + m]
+            # Rows whose windows started in an earlier chunk.
+            r0, r1 = max(0, q0 - shift), min(q0, ho, q1 - shift)
+            if r0 < r1:
+                dst = out[b0:b1, :, r0:r1]
+                np.add(dst, part[:, r0 + shift - q0:r1 + shift - q0].transpose(2, 0, 1, 3),
+                       out=dst)
+        if rows > 0:
+            out[b0:b1, :, q0:q0 + rows] = head[:, :rows].transpose(2, 0, 1, 3)
     return out
 
 
@@ -133,17 +167,28 @@ def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int,
 
     Returns (g channels, x channels, k, k); ``stride`` is the step of the
     windows over the padded ``x``, one per position of ``g``.  Each chunk
-    adds ``cols[dy] @ gmat.T`` to kernel row dy, where gmat is g's matching
-    chunk in the columns' order, (Co, rows*n*Wo).
+    adds, per kernel row dy, its im2col matrix for the output rows whose
+    dy-th window row lies in the chunk times the matching rows of g, in
+    the columns' order.  A GEMM of all kernel rows stacked would need g
+    copied once per kernel row, zero-padded to the chunk's slots; it gave
+    no steady gain and moved the gradient's bits (``BENCH_12.json``).
     """
     cin = x.shape[1]
-    cout = g.shape[1]
+    cout, ho = g.shape[1:3]
+    taps = -(-k // stride)
     acc = np.zeros((k, cin * k, cout), dtype=DTYPE)
-    for b0, b1, r0, r1, cols in _columns(x, k, padding, stride):
-        gmat = np.ascontiguousarray(g[b0:b1, :, r0:r1].transpose(1, 2, 0, 3))
+    for b0, b1, q0, q1, phases, _ in _columns(x, k, padding, stride):
+        lo, hi = max(0, q0 - taps + 1), min(ho, q1)  # output rows reading the chunk
+        span = (b1 - b0) * g.shape[3]  # columns per row
+        gmat = np.ascontiguousarray(g[b0:b1, :, lo:hi].transpose(1, 2, 0, 3))
         gmat = gmat.reshape(cout, -1).T
         for dy in range(k):
-            acc[dy] += cols[dy] @ gmat
+            shift = dy // stride
+            r0, r1 = max(lo, q0 - shift), min(hi, q1 - shift)
+            if r0 < r1:
+                c0 = (r0 + shift - q0) * span
+                cols = phases[dy % stride][:, c0:c0 + (r1 - r0) * span]
+                acc[dy] += cols @ gmat[(r0 - lo) * span:(r1 - lo) * span]
     return np.ascontiguousarray(acc.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
 
 
@@ -246,15 +291,27 @@ def _window_split(data: np.ndarray, k: int) -> np.ndarray:
 
 
 def maxpool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k max pooling; ties keep the first window entry."""
+    """Non-overlapping k x k max pooling; ties keep the first window entry.
+
+    The forward is a running maximum over the k*k strided views of x, one
+    per window entry in scan order.  ``np.maximum`` propagates NaN and, of
+    two equal values (+0.0 and -0.0), returns its second operand, so the
+    running maximum goes second and keeps the earlier entry, as argmax
+    does.  The first-max index the gradient routes through is found only
+    when a backward runs.
+    """
     batch, ch, h, w = x.shape
     if h % k or w % k:
         raise ValueError(f"maxpool2d: spatial dims {h}x{w} not divisible by {k}")
-    windows = _window_split(x.data, k)
-    idx = windows.argmax(axis=-1)  # argmax takes the first maximal entry
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    out_data = x.data[:, :, ::k, ::k].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(x.data[:, :, i::k, j::k], out_data, out=out_data)
+    out = Tensor(out_data)
 
     def backward_fn(g: np.ndarray) -> None:
+        idx = _window_split(x.data, k).argmax(axis=-1)  # the first maximal entry
         gw = np.zeros((batch, ch, h // k, w // k, k * k), DTYPE)
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
         gw = gw.reshape(batch, ch, h // k, w // k, k, k)

@@ -85,52 +85,61 @@ def _corr2d_reference(x, w, padding, stride):
     return np.einsum("bchwij,ocij->bohw", win, w.astype(np.float64))
 
 
-def _chunk_budget(mode, cin, k, stride, ho, wo):
-    """(rows per band, ``_COL_BUDGET``) that makes ``_columns`` cut an
-    image's ho output rows as ``mode`` asks.  A band of r output rows
-    stores stride*(r + halo) lowered padded rows of Ci*k*Wo values each;
-    the halo is the ceil(k/stride) - 1 further slots per phase its windows
-    reach."""
-    per_slot = cin * k * stride * wo
-    halo = -(-k // stride) - 1
-    rows = {"images": ho, "bands": ho // 2 + 1, "sub_row": 1}[mode]
-    budget = {"images": 2 * per_slot * (ho + halo),
-              "bands": per_slot * (rows + halo),
-              "sub_row": per_slot * (1 + halo) - 1}[mode]
-    return rows, budget
+def _slots(ho, k, stride):
+    """Slots ``_columns`` lowers per image: ho plus the ceil(k/stride) - 1
+    further slots the last output row's windows reach."""
+    return ho - 1 + -(-k // stride)
+
+
+def _chunk_budget(mode, cin, k, stride, ho, wo, reserve):
+    """(slots per band, ``_COL_BUDGET``) that makes ``_columns`` cut an
+    image's slots as ``mode`` asks.  A slot stores ``stride`` lowered padded
+    rows of Ci*k*Wo values each, and the budget also holds the caller's
+    ``reserve`` values per slot and output column (the forward's k*Co
+    product rows; none for the weight gradient).  ``sub_row`` is a budget
+    below one slot, so every chunk is one slot."""
+    per_slot = (cin * k * stride + reserve) * wo
+    total = _slots(ho, k, stride)
+    slots = {"images": total, "bands": total // 2 + 1, "sub_row": 1}[mode]
+    budget = {"images": 2 * per_slot * total,
+              "bands": per_slot * slots,
+              "sub_row": per_slot - 1}[mode]
+    return slots, budget
 
 
 def _record_chunks(monkeypatch):
-    """Patch ``_columns`` to record each chunk's (b0, b1, r0, r1) after
-    checking that its k matrices are views of one buffer with one column
-    per output pixel."""
+    """Patch ``_columns`` to record each chunk's (b0, b1, q0, q1) after
+    checking that its ``stride`` phase matrices are views of one buffer
+    with one column per slot, image and output column, and that the spare
+    block holds ``reserve`` values per column."""
     chunks = []
     real = layers._columns
 
-    def recording(x, k, padding, stride=1):
+    def recording(x, k, padding, stride=1, reserve=0):
         wo = (x.shape[3] + 2 * padding - k) // stride + 1
-        for b0, b1, r0, r1, cols in real(x, k, padding, stride):
-            assert len(cols) == k
-            for mat in cols:
-                assert mat.shape == (x.shape[1] * k, (b1 - b0) * (r1 - r0) * wo)
-                assert np.may_share_memory(mat, cols[0])
-            chunks.append((b0, b1, r0, r1))
-            yield b0, b1, r0, r1, cols
+        for b0, b1, q0, q1, phases, spare in real(x, k, padding, stride, reserve):
+            assert len(phases) == stride
+            for mat in phases:
+                assert mat.shape == (x.shape[1] * k, (b1 - b0) * (q1 - q0) * wo)
+                assert np.may_share_memory(mat, phases[0])
+            assert spare.size >= reserve * (b1 - b0) * (q1 - q0) * wo
+            chunks.append((b0, b1, q0, q1))
+            yield b0, b1, q0, q1, phases, spare
 
     monkeypatch.setattr(layers, "_columns", recording)
     return chunks
 
 
-def _expected_chunks(mode, batch, ho, rows):
+def _expected_chunks(mode, batch, total, slots):
     if mode == "images":
-        return [(0, 2, 0, ho), (2, 3, 0, ho)]
-    return [(b, b + 1, r0, min(r0 + rows, ho))
-            for b in range(batch) for r0 in range(0, ho, rows)]
+        return [(0, 2, 0, total), (2, 3, 0, total)]
+    return [(b, b + 1, q0, min(q0 + slots, total))
+            for b in range(batch) for q0 in range(0, total, slots)]
 
 
 class TestCorr2dTiling:
-    """The lowered rows are cut into chunks of whole images or bands of
-    output rows; every cut must give the untiled result."""
+    """The lowered slots are cut into chunks of whole images or bands of
+    slots; every cut must give the untiled result."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -143,34 +152,40 @@ class TestCorr2dTiling:
         w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
         ho = (15 + 2 * padding - k) // stride + 1
         wo = (11 + 2 * padding - k) // stride + 1
-        rows, budget = _chunk_budget(mode, cin, k, stride, ho, wo)
+        slots, budget = _chunk_budget(mode, cin, k, stride, ho, wo, k * cout)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
         got = layers._corr2d(x, w, padding, stride)
 
         np.testing.assert_allclose(got, _corr2d_reference(x, w, padding, stride),
                                    rtol=1e-5, atol=1e-5)
-        assert chunks == _expected_chunks(mode, batch, ho, rows)
+        total = _slots(ho, k, stride)
+        assert chunks == _expected_chunks(mode, batch, total, slots)
         if mode == "bands":
-            assert ho % rows, "the band case must leave a remainder band"
+            assert total % slots, "the band case must leave a remainder band"
 
     @pytest.mark.parametrize("batch,cin,size,cout,k", [
         (1, 64, 256, 38, 7),   # scene scale: level2.mix.k7
         (1, 114, 256, 8, 3),   # scene scale: level2.mix.blend
         (1, 64, 256, 64, 3),   # scene scale: pan.res1
         (32, 16, 16, 6, 7),    # smoke scale: level2.mix.k7
+        (1, 1, 256, 64, 3),    # scene scale: pan.entry
+        (4, 8, 64, 8, 4),      # training scale: level2.up input gradient
     ])
     def test_bit_identical_across_budgets(self, monkeypatch, batch, cin, size,
                                           cout, k):
         """The network's own layer shapes give the same bits whether their
-        columns are cut into bands, whole images or one chunk."""
+        slots are cut into bands, whole images or one chunk.  The 4x4
+        kernel is a deconv stage's input gradient, a correlation of the
+        output gradient at stride 2 with padding 1."""
+        stride, padding = (2, 1) if k == 4 else (1, k // 2)
         rng = np.random.default_rng(35)
         x = rng.normal(size=(batch, cin, size, size)).astype(np.float32)
         w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
         outs = []
         for budget in (1 << 16, 1 << 18, 1 << 21, 1 << 28):
             monkeypatch.setattr(layers, "_COL_BUDGET", budget)
-            outs.append(layers._corr2d(x, w, k // 2))
+            outs.append(layers._corr2d(x, w, padding, stride))
         for out in outs[1:]:
             np.testing.assert_array_equal(out, outs[0])
 
@@ -217,7 +232,7 @@ class TestCorr2dWeightGrad:
         ho = (15 + 2 * padding - k) // stride + 1
         wo = (11 + 2 * padding - k) // stride + 1
         g = rng.normal(size=(batch, cout, ho, wo)).astype(np.float32)
-        rows, budget = _chunk_budget(mode, cin, k, stride, ho, wo)
+        slots, budget = _chunk_budget(mode, cin, k, stride, ho, wo, 0)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
         got = layers._corr2d_weight_grad(x, g, k, padding, stride)
@@ -226,9 +241,10 @@ class TestCorr2dWeightGrad:
         np.testing.assert_allclose(
             got, _weight_grad_reference(x, g, k, padding, stride),
             rtol=1e-5, atol=1e-5)
-        assert chunks == _expected_chunks(mode, batch, ho, rows)
+        total = _slots(ho, k, stride)
+        assert chunks == _expected_chunks(mode, batch, total, slots)
         if mode == "bands":
-            assert ho % rows, "the band case must leave a remainder band"
+            assert total % slots, "the band case must leave a remainder band"
 
     def test_column_scratch_is_bounded(self, monkeypatch):
         """The weight gradient of one 7x7 layer on a 192^2 image allocates
@@ -321,6 +337,20 @@ class TestPooling:
                            [1, 0, 1, 0],
                            [0, 0, 0, 0]], np.float32)
         np.testing.assert_array_equal(t.grad[0, 0], expect)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_maxpool_keeps_first_maximum_bits(self, k):
+        """The forward holds the bits of each window's first maximal entry,
+        as the argmax over the window does: NaN wins, and of tied +0.0 and
+        -0.0 the earlier one is kept."""
+        rng = np.random.default_rng(26)
+        values = np.array([-0.0, 0.0, 1.0, -1.0, np.nan], np.float32)
+        x = rng.choice(values, size=(2, 3, 6 * k, 6 * k))
+        windows = x.reshape(2, 3, 6, k, 6, k).transpose(0, 1, 2, 4, 3, 5)
+        windows = windows.reshape(2, 3, 6, 6, k * k)
+        first = np.take_along_axis(windows, windows.argmax(-1)[..., None], -1)
+        got = maxpool2d(Tensor(x), k).data
+        assert got.tobytes() == first[..., 0].tobytes()
 
     def test_maxpool_divisibility_error(self):
         with pytest.raises(ValueError, match="divisible"):
