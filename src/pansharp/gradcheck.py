@@ -174,7 +174,7 @@ def _check_conv2d() -> float:
 
 def _check_conv2d_transpose() -> float:
     return _op_fd_error(
-        lambda t: _engine.conv2d_transpose(t[0], t[1], t[2], stride=2, padding=1),
+        lambda t: _engine.conv2d_transpose(t[0], t[1], t[2]),
         [_gauss(26, (1, 2, 4, 4)), _gauss(27, (2, 3, 4, 4), 0.5),
          _gauss(28, (3,))], h=FD_STEP_LINEAR)
 
@@ -241,15 +241,14 @@ def _conv_ref(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out + b[None, :, None, None]
 
 
-def _deconv_ref(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                stride: int = 2, pad: int = 1) -> np.ndarray:
-    """Transposed conv via zero-stuffing + flipped-kernel correlation."""
+def _deconv_ref(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stride-2, padding-1 transposed conv via zero-stuffing +
+    flipped-kernel correlation."""
     bsz, cin, h, wid = x.shape
-    k = w.shape[2]
-    stuffed = np.zeros((bsz, cin, (h - 1) * stride + 1, (wid - 1) * stride + 1))
-    stuffed[:, :, ::stride, ::stride] = x
+    stuffed = np.zeros((bsz, cin, 2 * h - 1, 2 * wid - 1))
+    stuffed[:, :, ::2, ::2] = x
     flipped = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    return _conv_ref(stuffed, flipped, b, k - 1 - pad)
+    return _conv_ref(stuffed, flipped, b, w.shape[2] - 2)
 
 
 def _maxpool_ref(x: np.ndarray, k: int) -> np.ndarray:

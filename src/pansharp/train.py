@@ -131,8 +131,7 @@ def validate(samples: list, params, config: TdnetConfig, gamma: float = 0.4,
         batch = samples[cut:cut + batch_size]
         lrms, pan, gt, gt_d = _batch_tensors(batch)
         out = tdnet_forward(lrms, pan, params, config)
-        loss = tdnet_loss(out, gt, gt_d if out.ms_hat_d is not None else None,
-                          gamma=gamma)
+        loss = tdnet_loss(out, gt, gt_d, gamma=gamma)
         total += loss.item() * len(batch)
     return total / len(samples)
 
@@ -179,7 +178,6 @@ def train(data_dir, model_config: TdnetConfig,
     ordered = [params[name] for name in params]
     state = AdamState(ordered)
     gamma = _effective_gamma(model_config, cfg.gamma)
-    two_level = model_config.levels == 2
 
     log: list = []
     best_val = math.inf
@@ -204,8 +202,7 @@ def train(data_dir, model_config: TdnetConfig,
             zero_grads(ordered)
             with Tape():
                 out = tdnet_forward(lrms, pan, params, model_config)
-                loss = tdnet_loss(out, gt, gt_d if two_level else None,
-                                  gamma=gamma)
+                loss = tdnet_loss(out, gt, gt_d, gamma=gamma)
             loss.backward()
             value = loss.item()
             if not math.isfinite(value):

@@ -15,7 +15,9 @@ from pansharp.grad import (
     conv2d,
     conv2d_transpose,
     maxpool2d,
+    mul,
     pixel_shuffle,
+    tensor_sum,
 )
 from helpers import (
     check_op_gradient,
@@ -77,7 +79,7 @@ class TestConv2d:
 
 
 def _corr2d_reference(x, w, padding, stride):
-    """float64 einsum over every window of the padded input."""
+    """float64 einsum over every ``stride``-th window of the padded input."""
     k = w.shape[-1]
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     xp = np.pad(x.astype(np.float64), pad)
@@ -85,61 +87,63 @@ def _corr2d_reference(x, w, padding, stride):
     return np.einsum("bchwij,ocij->bohw", win, w.astype(np.float64))
 
 
-def _slots(ho, k, stride):
-    """Slots ``_columns`` lowers per image: ho plus the ceil(k/stride) - 1
-    further slots the last output row's windows reach."""
-    return ho - 1 + -(-k // stride)
-
-
-def _chunk_budget(mode, cin, k, stride, ho, wo, reserve):
-    """(slots per band, ``_COL_BUDGET``) that makes ``_columns`` cut an
-    image's slots as ``mode`` asks.  A slot stores ``stride`` lowered padded
-    rows of Ci*k*Wo values each, and the budget also holds the caller's
-    ``reserve`` values per slot and output column (the forward's k*Co
+def _chunk_budget(mode, cin, k, ho, wo, reserve):
+    """(padded rows per band, ``_COL_BUDGET``) that makes ``_columns`` cut
+    an image's ho + k - 1 padded rows as ``mode`` asks.  A lowered padded
+    row holds Ci*k*Wo values, and the budget also holds the caller's
+    ``reserve`` values per row and output column (the forward's k*Co
     product rows; none for the weight gradient).  ``sub_row`` is a budget
-    below one slot, so every chunk is one slot."""
-    per_slot = (cin * k * stride + reserve) * wo
-    total = _slots(ho, k, stride)
-    slots = {"images": total, "bands": total // 2 + 1, "sub_row": 1}[mode]
-    budget = {"images": 2 * per_slot * total,
-              "bands": per_slot * slots,
-              "sub_row": per_slot - 1}[mode]
-    return slots, budget
+    below one row, so every chunk is one row."""
+    per_row = (cin * k + reserve) * wo
+    total = ho + k - 1
+    rows = {"images": total, "bands": total // 2 + 1, "sub_row": 1}[mode]
+    budget = {"images": 2 * per_row * total,
+              "bands": per_row * rows,
+              "sub_row": per_row - 1}[mode]
+    return rows, budget
 
 
 def _record_chunks(monkeypatch):
     """Patch ``_columns`` to record each chunk's (b0, b1, q0, q1) after
-    checking that its ``stride`` phase matrices are views of one buffer
-    with one column per slot, image and output column, and that the spare
-    block holds ``reserve`` values per column."""
+    checking that its lowered matrix has one column per padded row, image
+    and output column, and that the spare block holds ``reserve`` values
+    per column."""
     chunks = []
     real = layers._columns
 
-    def recording(x, k, padding, stride=1, reserve=0):
-        wo = (x.shape[3] + 2 * padding - k) // stride + 1
-        for b0, b1, q0, q1, phases, spare in real(x, k, padding, stride, reserve):
-            assert len(phases) == stride
-            for mat in phases:
-                assert mat.shape == (x.shape[1] * k, (b1 - b0) * (q1 - q0) * wo)
-                assert np.may_share_memory(mat, phases[0])
+    def recording(x, k, padding, reserve=0):
+        wo = x.shape[3] + 2 * padding - k + 1
+        for b0, b1, q0, q1, low, spare in real(x, k, padding, reserve):
+            assert low.shape == (x.shape[1] * k, (b1 - b0) * (q1 - q0) * wo)
             assert spare.size >= reserve * (b1 - b0) * (q1 - q0) * wo
             chunks.append((b0, b1, q0, q1))
-            yield b0, b1, q0, q1, phases, spare
+            yield b0, b1, q0, q1, low, spare
 
     monkeypatch.setattr(layers, "_columns", recording)
     return chunks
 
 
-def _expected_chunks(mode, batch, total, slots):
+def _expected_chunks(mode, batch, total, rows):
     if mode == "images":
         return [(0, 2, 0, total), (2, 3, 0, total)]
-    return [(b, b + 1, q0, min(q0 + slots, total))
-            for b in range(batch) for q0 in range(0, total, slots)]
+    return [(b, b + 1, q0, min(q0 + rows, total))
+            for b in range(batch) for q0 in range(0, total, rows)]
+
+
+def _dilate(g, stride, ho, wo):
+    """g spread over a zero (ho, wo) map at every ``stride``-th position:
+    the output gradient of a stride-``stride`` correlation as a stride-1
+    one.  ``conv2d_transpose``'s weight gradient correlates such a map."""
+    gd = np.zeros(g.shape[:2] + (ho, wo), g.dtype)
+    gd[:, :, ::stride, ::stride] = g
+    return gd
 
 
 class TestCorr2dTiling:
-    """The lowered slots are cut into chunks of whole images or bands of
-    slots; every cut must give the untiled result."""
+    """The lowered padded rows are cut into chunks of whole images or
+    bands of rows; every cut must give the untiled result.  A stride-2
+    correlation (``conv2d_transpose``'s input gradient) is the stride-1
+    one at every second row and column."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -150,19 +154,18 @@ class TestCorr2dTiling:
         batch, cin, cout = 3, 2, 4
         x = rng.normal(size=(batch, cin, 15, 11)).astype(np.float32)
         w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
-        ho = (15 + 2 * padding - k) // stride + 1
-        wo = (11 + 2 * padding - k) // stride + 1
-        slots, budget = _chunk_budget(mode, cin, k, stride, ho, wo, k * cout)
+        ho, wo = 15 + 2 * padding - k + 1, 11 + 2 * padding - k + 1
+        rows, budget = _chunk_budget(mode, cin, k, ho, wo, k * cout)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d(x, w, padding, stride)
+        got = layers._corr2d(x, w, padding)[:, :, ::stride, ::stride]
 
         np.testing.assert_allclose(got, _corr2d_reference(x, w, padding, stride),
                                    rtol=1e-5, atol=1e-5)
-        total = _slots(ho, k, stride)
-        assert chunks == _expected_chunks(mode, batch, total, slots)
+        total = ho + k - 1
+        assert chunks == _expected_chunks(mode, batch, total, rows)
         if mode == "bands":
-            assert total % slots, "the band case must leave a remainder band"
+            assert total % rows, "the band case must leave a remainder band"
 
     @pytest.mark.parametrize("batch,cin,size,cout,k", [
         (1, 64, 256, 38, 7),   # scene scale: level2.mix.k7
@@ -175,17 +178,17 @@ class TestCorr2dTiling:
     def test_bit_identical_across_budgets(self, monkeypatch, batch, cin, size,
                                           cout, k):
         """The network's own layer shapes give the same bits whether their
-        slots are cut into bands, whole images or one chunk.  The 4x4
-        kernel is a deconv stage's input gradient, a correlation of the
-        output gradient at stride 2 with padding 1."""
-        stride, padding = (2, 1) if k == 4 else (1, k // 2)
+        padded rows are cut into bands, whole images or one chunk.  The
+        4x4 kernel is a deconv stage's input gradient, a correlation of
+        the output gradient with padding 1."""
+        padding = 1 if k == 4 else k // 2
         rng = np.random.default_rng(35)
         x = rng.normal(size=(batch, cin, size, size)).astype(np.float32)
         w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
         outs = []
         for budget in (1 << 16, 1 << 18, 1 << 21, 1 << 28):
             monkeypatch.setattr(layers, "_COL_BUDGET", budget)
-            outs.append(layers._corr2d(x, w, padding, stride))
+            outs.append(layers._corr2d(x, w, padding))
         for out in outs[1:]:
             np.testing.assert_array_equal(out, outs[0])
 
@@ -209,7 +212,8 @@ class TestCorr2dTiling:
 
 
 def _weight_grad_reference(x, g, k, padding, stride):
-    """float64 einsum of every window of the padded input with g."""
+    """float64 einsum of every ``stride``-th window of the padded input
+    with g."""
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     xp = np.pad(x.astype(np.float64), pad)
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -218,7 +222,9 @@ def _weight_grad_reference(x, g, k, padding, stride):
 
 class TestCorr2dWeightGrad:
     """The weight gradient multiplies g against the forward's column
-    chunks; every cut must give the unchunked float64 result."""
+    chunks; every cut must give the unchunked float64 result.  A stride-2
+    weight gradient (``conv2d_transpose``'s) is the stride-1 one of the
+    zero-dilated output gradient."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -229,22 +235,22 @@ class TestCorr2dWeightGrad:
         rng = np.random.default_rng(33)
         batch, cin, cout = 3, 2, 4
         x = rng.normal(size=(batch, cin, 15, 11)).astype(np.float32)
-        ho = (15 + 2 * padding - k) // stride + 1
-        wo = (11 + 2 * padding - k) // stride + 1
-        g = rng.normal(size=(batch, cout, ho, wo)).astype(np.float32)
-        slots, budget = _chunk_budget(mode, cin, k, stride, ho, wo, 0)
+        ho, wo = 15 + 2 * padding - k + 1, 11 + 2 * padding - k + 1
+        g = rng.normal(size=(batch, cout, (ho - 1) // stride + 1,
+                             (wo - 1) // stride + 1)).astype(np.float32)
+        rows, budget = _chunk_budget(mode, cin, k, ho, wo, 0)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d_weight_grad(x, g, k, padding, stride)
+        got = layers._corr2d_weight_grad(x, _dilate(g, stride, ho, wo), k, padding)
 
         assert got.shape == (cout, cin, k, k) and got.dtype == np.float32
         np.testing.assert_allclose(
             got, _weight_grad_reference(x, g, k, padding, stride),
             rtol=1e-5, atol=1e-5)
-        total = _slots(ho, k, stride)
-        assert chunks == _expected_chunks(mode, batch, total, slots)
+        total = ho + k - 1
+        assert chunks == _expected_chunks(mode, batch, total, rows)
         if mode == "bands":
-            assert total % slots, "the band case must leave a remainder band"
+            assert total % rows, "the band case must leave a remainder band"
 
     def test_column_scratch_is_bounded(self, monkeypatch):
         """The weight gradient of one 7x7 layer on a 192^2 image allocates
@@ -276,40 +282,37 @@ class TestConv2dTranspose:
         np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
 
     def test_gradients_match_oracle_finite_differences(self):
-        """Backward pass vs float64 central differences of the naive oracle."""
+        """Backward pass vs float64 central differences of the naive oracle,
+        under a random cotangent r (loss = sum(out * r)) on a batch of two
+        non-square inputs, so a shifted or transposed subsampling of the
+        output gradient cannot cancel out as it can under sum()."""
         rng = np.random.default_rng(24)
-        x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
+        x = rng.normal(size=(2, 2, 3, 5)).astype(np.float32)
         w = rng.normal(size=(2, 3, 4, 4)).astype(np.float32) * 0.5
         b = rng.normal(size=3).astype(np.float32)
+        r = rng.normal(size=(2, 3, 6, 10)).astype(np.float32)
         tx = Tensor(x, requires_grad=True)
         tw = Tensor(w, requires_grad=True)
         tb = Tensor(b, requires_grad=True)
         with Tape():
-            loss = conv2d_transpose(tx, tw, tb).sum()
+            loss = tensor_sum(mul(conv2d_transpose(tx, tw, tb), Tensor(r)))
         loss.backward()
         for tensor, arr in [(tx, x), (tw, w), (tb, b)]:
             a64 = arr.astype(np.float64)
             probe = {"x": a64 if tensor is tx else x.astype(np.float64),
                      "w": a64 if tensor is tw else w.astype(np.float64),
                      "b": a64 if tensor is tb else b.astype(np.float64)}
-            f = lambda: conv2d_transpose_naive(
-                probe["x"], probe["w"], probe["b"], stride=2, padding=1).sum()
+            f = lambda: (conv2d_transpose_naive(
+                probe["x"], probe["w"], probe["b"], stride=2, padding=1)
+                * r).sum()
             numeric = numeric_gradient(f, a64, h=1e-5)
             assert max_rel_error(tensor.grad, numeric) < 1e-4
 
-    @pytest.mark.parametrize("padding", [4, -1])
-    def test_padding_outside_kernel_rejected(self, padding):
+    def test_kernel_below_two_rejected(self):
+        """A 1x1 kernel cannot cover the fixed padding of 1."""
         x = Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(ValueError, match=r"padding must be in \[0, 3\]"):
-            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(1)),
-                             padding=padding)
-
-    @pytest.mark.parametrize("stride", [0, -2])
-    def test_stride_below_one_rejected(self, stride):
-        x = Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(ValueError, match="stride must be >= 1"):
-            conv2d_transpose(x, Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(1)),
-                             stride=stride)
+        with pytest.raises(ValueError, match="at least 2x2 to cover padding 1, got 1x1"):
+            conv2d_transpose(x, Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros(1)))
 
     def test_bias_shape_rejected(self):
         """A bias that is not one value per output channel raises in the
