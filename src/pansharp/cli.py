@@ -421,10 +421,9 @@ def _tdnet_fuse(ms: MsImage, pan: PanImage, params,
     return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor)
 
 
-def _fuse_pair(method: str, checkpoint, ms: MsImage, pan: PanImage,
-               loaded=None) -> MsImage:
+def _fuse_pair(method: str, ms: MsImage, pan: PanImage, loaded) -> MsImage:
     if method == "tdnet":
-        params, model_config = loaded or load_checkpoint(checkpoint)
+        params, model_config = loaded
         return _tdnet_fuse(ms, pan, params, model_config)
     return fuse(method, ms, pan)
 
@@ -451,7 +450,7 @@ def cmd_fuse(args, config: RunConfig) -> int:
         from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
-        fused = _fuse_pair(method, checkpoint, ms, pan, loaded)
+        fused = _fuse_pair(method, ms, pan, loaded)
         save_ms(os.path.join(out, "fused.psr1"), fused)
         _write_preview(os.path.join(out, "preview.ppm"), fused.data)
         print(f"fused 1 pair with {method} -> {out}/fused.psr1")
@@ -464,7 +463,7 @@ def cmd_fuse(args, config: RunConfig) -> int:
             sample = load_sample(args.inputs[0], sample_id)
             ms = MsImage(sample.lrms, sensor)
             pan = PanImage(sample.pan, sensor)
-            fused = _fuse_pair(method, checkpoint, ms, pan, loaded)
+            fused = _fuse_pair(method, ms, pan, loaded)
             save_ms(os.path.join(out, f"{sample_id}.psr1"), fused)
             _write_preview(os.path.join(out, f"{sample_id}.ppm"), fused.data)
         print(f"fused {len(ids)} samples ({split_name} split) with "

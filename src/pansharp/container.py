@@ -100,12 +100,11 @@ def save_pan(path: str | Path, image: PanImage) -> None:
     write_psr1(path, image.data, image.sensor.name, image.sensor.bit_depth)
 
 
-def load_pan(path: str | Path, sensor: SensorSpec | None = None) -> PanImage:
-    data, name, bit_depth = read_psr1(path)
+def load_pan(path: str | Path, sensor: SensorSpec) -> PanImage:
+    """Read a PAN raster that belongs to ``sensor``'s multispectral image."""
+    data, _, _ = read_psr1(path)
     if data.shape[2] != 1:
         raise DataError(f"{path}: expected single-channel data, got {data.shape[2]}")
-    if sensor is None:
-        sensor = SENSORS.get(name) or generic_sensor(4, bit_depth, name=name)
     return PanImage(data[:, :, 0].astype(np.float64), sensor)
 
 

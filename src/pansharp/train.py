@@ -111,12 +111,6 @@ def _batch_tensors(samples: list) -> tuple:
     return Tensor(lrms), Tensor(pan), Tensor(gt), Tensor(gt_d)
 
 
-def _effective_gamma(config: TdnetConfig, gamma: float) -> float:
-    """A single-level model has no half-scale output, so the loss
-    collapses to the final-resolution term."""
-    return 0.0 if config.levels == 1 else gamma
-
-
 def validate(samples: list, params, config: TdnetConfig, gamma: float = 0.4,
              batch_size: int = TrainConfig.batch_size) -> float:
     """Mean dual-scale loss per sample over a split, in batches of
@@ -125,7 +119,6 @@ def validate(samples: list, params, config: TdnetConfig, gamma: float = 0.4,
         raise DataError("validation split is empty")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    gamma = _effective_gamma(config, gamma)
     total = 0.0
     for cut in range(0, len(samples), batch_size):
         batch = samples[cut:cut + batch_size]
@@ -173,11 +166,14 @@ def train(data_dir, model_config: TdnetConfig,
         raise DataError(
             f"dataset has {manifest.bands} bands but the model expects "
             f"{model_config.bands}")
+    if manifest.ratio != model_config.ratio:
+        raise DataError(
+            f"dataset has ratio {manifest.ratio} but the model expects "
+            f"{model_config.ratio}")
 
     params = init_params(model_config, seed=cfg.seed)
     ordered = [params[name] for name in params]
     state = AdamState(ordered)
-    gamma = _effective_gamma(model_config, cfg.gamma)
 
     log: list = []
     best_val = math.inf
@@ -202,7 +198,7 @@ def train(data_dir, model_config: TdnetConfig,
             zero_grads(ordered)
             with Tape():
                 out = tdnet_forward(lrms, pan, params, model_config)
-                loss = tdnet_loss(out, gt, gt_d, gamma=gamma)
+                loss = tdnet_loss(out, gt, gt_d, gamma=cfg.gamma)
             loss.backward()
             value = loss.item()
             if not math.isfinite(value):
@@ -217,7 +213,7 @@ def train(data_dir, model_config: TdnetConfig,
 
         train_loss = weighted / n
         if val_samples:
-            val_loss = validate(val_samples, params, model_config, gamma,
+            val_loss = validate(val_samples, params, model_config, cfg.gamma,
                                 cfg.batch_size)
         else:
             val_loss = math.nan

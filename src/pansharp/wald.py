@@ -41,6 +41,8 @@ from .imaging import (
 )
 
 SPLIT_NAMES = ("train", "val", "test")
+_MANIFEST_FIELDS = {"seed": int, "sensor": str, "bands": int, "ratio": int,
+                    "splits": dict}
 SAMPLE_ROLES = ("pan", "lrms", "gt", "gtd")
 #: Train/val/test fractions of :func:`split`.
 SPLIT_RATIOS = (0.7, 0.2, 0.1)
@@ -207,6 +209,23 @@ class DatasetManifest:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed manifest: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise DataError("malformed manifest: expected a JSON object")
+        for key, kind in _MANIFEST_FIELDS.items():
+            if key not in payload:
+                raise DataError(f"malformed manifest: missing {key!r}")
+            if not isinstance(payload[key], kind):
+                raise DataError(
+                    f"malformed manifest: {key!r} is a "
+                    f"{type(payload[key]).__name__}, not a {kind.__name__}")
+        for key in ("bands", "ratio"):
+            if payload[key] < 1:
+                raise DataError(f"malformed manifest: {key!r} is {payload[key]}")
+        for name, ids in payload["splits"].items():
+            if not (isinstance(ids, list) and all(isinstance(i, int) for i in ids)):
+                raise DataError(
+                    f"malformed manifest: split {name!r} must be a list of "
+                    f"sample ids")
         return cls(seed=payload["seed"], sensor=payload["sensor"],
                    bands=payload["bands"], ratio=payload["ratio"],
                    splits=payload["splits"],

@@ -566,6 +566,28 @@ class TestExitCodes:
         assert self._tdnet_exit(capsys, tmp_path, *pair_paths,
                                 levels=1, ratio=2) == 3
 
+    def test_train_model_ratio_not_dataset_ratio(self, dataset_dir, tmp_path,
+                                                 capsys):
+        rc = main(["train", str(dataset_dir), "--out", str(tmp_path / "t"),
+                   "--set", "model.levels=1", "--set", "model.ratio=2",
+                   "--set", "train.epochs=1", *SMALL_MODEL])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "ratio" in err and rc == 3
+
+    @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
+    def test_corrupt_manifest(self, command, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text('{"sensor": "wv3"}')
+        args = {"fuse": ["fuse", str(data), "--method", "exp"],
+                "train": ["train", str(data)],
+                "eval": ["eval", str(data), str(tmp_path)]}[command]
+        rc = main([*args, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest" in err, err
+        assert rc == 3
+
     def test_psr1_sensor_name_not_utf8(self, pair_paths, tmp_path, capsys):
         ms_path, pan_path = pair_paths
         blob = bytearray(ms_path.read_bytes())

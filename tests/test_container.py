@@ -71,7 +71,7 @@ class TestPsr1:
         save_ms(tmp_path / "ms.psr1", ms)
         save_pan(tmp_path / "pan.psr1", pan)
         ms2 = load_ms(tmp_path / "ms.psr1")
-        pan2 = load_pan(tmp_path / "pan.psr1")
+        pan2 = load_pan(tmp_path / "pan.psr1", ms2.sensor)
         assert ms2.sensor is SENSORS["gf2"]
         assert pan2.sensor is SENSORS["gf2"]
         np.testing.assert_array_equal(ms2.data, ms.data.astype(np.float32))

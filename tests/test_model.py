@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pansharp.errors import DataError
-from pansharp.grad import Tape, Tensor, conv2d, pixel_shuffle
+from pansharp.grad import Tape, Tensor, conv2d, l1_loss, pixel_shuffle
 from pansharp.model import (
     TdnetConfig,
     ablation_configs,
@@ -19,7 +19,7 @@ from pansharp.model import (
     load_checkpoint,
     mrab,
     mscb,
-    pan_branch,
+    pan_details,
     parameter_plan,
     save_checkpoint,
     tdnet_forward,
@@ -43,7 +43,7 @@ def _zero_refine_block(params, level):
 def _saturate_gates(params, config, gain):
     """Pin every level's sigmoid gate at exactly ``gain``, 0 or 1: zero
     weights and an infinite bias, as sigmoid(-inf) == 0 and sigmoid(inf) == 1."""
-    for level in config.level_names:
+    for level, _ in config.stages:
         params[f"{level}.gate2.w"].data[...] = 0.0
         params[f"{level}.gate2.b"].data[...] = np.inf if gain else -np.inf
 
@@ -155,26 +155,40 @@ class TestPanBranch:
 
     def test_output_shapes(self):
         params = init_params(self.CFG, seed=1)
-        d_full, d_half = pan_branch(Tensor(_rand(3, (1, 1, 64, 64))),
-                                    params, self.CFG)
+        d_half, d_full = pan_details(Tensor(_rand(3, (1, 1, 64, 64))),
+                                     params, self.CFG)
         assert d_full.shape == (1, 8, 64, 64)
         assert d_half.shape == (1, 8, 32, 32)
+
+    @pytest.mark.parametrize("use_pan_branch", [True, False])
+    @pytest.mark.parametrize("levels, ratio", [(1, 4), (1, 2), (2, 4)])
+    def test_one_map_per_stage_on_its_grid(self, levels, ratio, use_pan_branch):
+        cfg = TdnetConfig(bands=3, feature_width=4, mscb_width=2, ratio=ratio,
+                          levels=levels, use_pan_branch=use_pan_branch)
+        details = pan_details(Tensor(_rand(4, (2, 1, 16, 16))),
+                              init_params(cfg, seed=1), cfg)
+        assert len(details) == len(cfg.stages) == levels
+        for (_, pool), d in zip(cfg.stages, details):
+            assert d.shape == (2, 3, 16 // pool, 16 // pool)
+
+    def test_stage_table(self):
+        assert TdnetConfig(bands=4).stages == (("level1", 2), ("level2", 1))
+        assert TdnetConfig(bands=4, levels=1).stages == (("level1", 1),)
 
     def test_zero_pan_gives_zero_details(self):
         """With zero input and (default) zero biases the whole branch is a
         chain of linear maps and relus evaluated at 0."""
         params = init_params(self.CFG, seed=1)
-        d_full, d_half = pan_branch(Tensor(np.zeros((1, 1, 16, 16), np.float32)),
-                                    params, self.CFG)
-        np.testing.assert_array_equal(d_full.data, 0.0)
-        np.testing.assert_array_equal(d_half.data, 0.0)
+        for d in pan_details(Tensor(np.zeros((1, 1, 16, 16), np.float32)),
+                             params, self.CFG):
+            np.testing.assert_array_equal(d.data, 0.0)
 
     def test_rejects_bad_inputs(self):
         params = init_params(self.CFG, seed=1)
         with pytest.raises(ValueError, match=r"\(B,1,H,W\)"):
-            pan_branch(Tensor(np.zeros((1, 2, 8, 8), np.float32)), params, self.CFG)
+            pan_details(Tensor(np.zeros((1, 2, 8, 8), np.float32)), params, self.CFG)
         with pytest.raises(ValueError, match="even"):
-            pan_branch(Tensor(np.zeros((1, 1, 7, 7), np.float32)), params, self.CFG)
+            pan_details(Tensor(np.zeros((1, 1, 7, 7), np.float32)), params, self.CFG)
 
     def test_gradients_match_reference_differences(self):
         """Exhaustive finite differences of a double-precision branch shadow
@@ -189,7 +203,7 @@ class TestPanBranch:
         proj_half = rng.standard_normal((1, 3, 4, 4))
 
         with Tape():
-            d_full, d_half = pan_branch(Tensor(pan_np), params, cfg)
+            d_half, d_full = pan_details(Tensor(pan_np), params, cfg)
             loss = ((d_full * Tensor(proj_full)).sum()
                     + (d_half * Tensor(proj_half)).sum())
         loss.backward()
@@ -419,7 +433,7 @@ class TestTdnetForward:
         _saturate_gates(params, cfg, 1)
         out = tdnet_forward(lrms, pan, params, cfg)
 
-        d_full, d_half = pan_branch(pan, params, cfg)
+        d_half, d_full = pan_details(pan, params, cfg)
         up1 = pixel_shuffle(conv2d(lrms, params["level1.up.w"],
                                    params["level1.up.b"], padding=1), 2)
         level1 = up1.data + d_half.data
@@ -514,14 +528,18 @@ class TestTdnetLoss:
             with pytest.raises(ValueError, match="gamma"):
                 tdnet_loss(out, gt, gt_d, gamma=bad)
 
-    def test_single_level_requires_zero_gamma(self):
+    def test_single_level_loss_is_full_resolution_l1(self):
+        """A single-level output has no half-resolution term, so gamma and
+        gt_d do not enter its loss."""
         cfg = TdnetConfig(bands=4, feature_width=6, mscb_width=2, levels=1)
         out, _, _ = self._outputs(cfg)
-        gt = Tensor(np.zeros_like(out.ms_hat.data))
-        with pytest.raises(ValueError, match="invalid variant combination"):
-            tdnet_loss(out, gt, None, gamma=0.4)
-        assert tdnet_loss(out, Tensor(out.ms_hat.data.copy()), None,
-                          gamma=0.0).item() == 0.0
+        gt = Tensor(_rand(86, out.ms_hat.shape))
+        gt_d = Tensor(_rand(87, (1, 4, 8, 8)))
+        expected = l1_loss(out.ms_hat, gt).data
+        for gamma in (0.0, 0.4):
+            for target in (None, gt_d):
+                loss = tdnet_loss(out, gt, target, gamma=gamma)
+                np.testing.assert_array_equal(loss.data, expected)
 
     def test_full_weight_on_half_resolution_zeroes_final_stage_grads(self):
         """gamma = 1 leaves every parameter consumed only by the second

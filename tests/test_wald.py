@@ -1,5 +1,7 @@
 """Dataset simulation: degradation, patching, splits, directory layout."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -166,8 +168,24 @@ class TestManifest:
                             splits={"train": [0], "val": [1]})
 
     def test_malformed_json(self):
-        with pytest.raises(DataError, match="malformed"):
-            DatasetManifest.from_json("{not json")
+        for text in ("{not json", "[1, 2, 3]"):
+            with pytest.raises(DataError, match="malformed"):
+                DatasetManifest.from_json(text)
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda payload: payload.pop("seed"), "missing 'seed'"),
+        (lambda payload: payload.update(ratio="4"), "'ratio' is a str"),
+        (lambda payload: payload.update(ratio=0), "'ratio' is 0"),
+        (lambda payload: payload.update(splits=[1, 2]), "'splits' is a list"),
+        (lambda payload: payload["splits"].update(train=5), "split 'train'"),
+        (lambda payload: payload["splits"].update(val=[[1]]), "split 'val'"),
+    ], ids=["missing-key", "str-ratio", "zero-ratio", "array-splits",
+            "int-split", "nested-split"])
+    def test_corrupt_payload_is_data_error(self, edit, problem):
+        payload = json.loads(self._manifest().to_json())
+        edit(payload)
+        with pytest.raises(DataError, match=problem):
+            DatasetManifest.from_json(json.dumps(payload))
 
 
 class TestDatasetDirectory:
