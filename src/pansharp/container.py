@@ -60,6 +60,8 @@ def read_psr1(path: str | Path) -> tuple[np.ndarray, str, int]:
     h, w, c, bit_depth, name_len = _DIMS.unpack_from(blob, _HEADER.size)
     if not 8 <= bit_depth <= 16:
         raise DataError(f"{path}: bit depth {bit_depth} outside 8..16")
+    if 0 in (h, w, c):
+        raise DataError(f"{path}: empty raster ({h}x{w}x{c})")
     offset = _HEADER.size + _DIMS.size
     if len(blob) < offset + name_len:
         raise DataError(f"{path}: truncated sensor name")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .imaging import (
+    INTERP23_MIN_SIZE,
     MsImage,
     PanImage,
     box_taps,
@@ -176,9 +177,15 @@ def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig) -> np.ndarray:
 
 def fuse(method: str, ms: MsImage, pan: PanImage) -> MsImage:
     """Run one of the named classical methods (see METHODS), clipped to
-    the radiometric range [0, 1]."""
+    the radiometric range [0, 1].  An MS grid below ``INTERP23_MIN_SIZE``
+    on either axis is a :class:`DataError`."""
     if method not in METHODS:
         raise DataError(f"unknown fusion method {method!r}; known: {sorted(METHODS)}")
+    height, width = ms.data.shape[:2]
+    if min(height, width) < INTERP23_MIN_SIZE:
+        raise DataError(
+            f"MS raster is {height}x{width}; the 23-tap interpolator needs at "
+            f"least {INTERP23_MIN_SIZE}x{INTERP23_MIN_SIZE}")
     config = METHODS[method]
     fused = exp_baseline(ms) if config is None else mra_fuse(ms, pan, config)
     return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor)

@@ -164,37 +164,74 @@ def box_taps(half_width: int) -> np.ndarray:
     return np.full(side, 1.0 / side)
 
 
+#: Bytes of padded planes that one group of :func:`lowpass` holds. With
+#: 41 taps a 64x64 patch's 8 bands (426 KB) share one group, while each
+#: band of a 256x256 or larger raster (606 KB and up) has its own, so a
+#: scene keeps the working set of one band at a time.
+_LOWPASS_BUDGET = 512 << 10
+
+
 def lowpass(image: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
     """Per-band separable convolution with ``outer(taps, taps)`` under a
     symmetric (edge-repeating) mirror boundary, keeping every ``step``-th
     sample along both spatial axes from offset 0.
 
-    The result equals the full-size filtered image sliced
-    ``[::step, ::step]``, but only the kept samples are computed, so a
-    blur-and-decimate costs about ``1/step`` of a full-size blur.
+    ``taps`` is one odd-length row for every band, or, for an H x W x C
+    image, one row per band with shape (C, K). The result equals the
+    full-size filtered image sliced ``[::step, ::step]``, but only the
+    kept samples are computed, so a blur-and-decimate costs about
+    ``1/step`` of a full-size blur.
+
+    The bands are filtered band-major (C x H x W) in groups whose padded
+    planes fit ``_LOWPASS_BUDGET``: a small patch's bands take one pad and
+    one product per axis, a scene's go one at a time. Every output sample
+    is the same sequential float64 sum over the taps, whatever the group.
     """
     taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 1 or taps.size % 2 == 0:
-        raise ValueError(f"lowpass: taps must be 1-D with odd length, got {taps.shape}")
     if step < 1:
         raise ValueError(f"lowpass: step must be >= 1, got {step}")
-    out = np.asarray(image, dtype=np.float64)
-    if out.ndim not in (2, 3):
-        raise ValueError(f"lowpass: expected 2-D or 3-D image, got shape {out.shape}")
-    for axis in (0, 1):
-        out = _lowpass_axis(out, taps, axis, step)
+    data = np.asarray(image, dtype=np.float64)
+    if data.ndim not in (2, 3):
+        raise ValueError(f"lowpass: expected 2-D or 3-D image, got shape {data.shape}")
+    if (taps.ndim not in (1, 2) or taps.shape[-1] % 2 == 0
+            or taps.ndim == 2 and taps.shape[:1] != data.shape[2:]):
+        raise ValueError(
+            f"lowpass: taps must be one odd-length row, or one per band of an "
+            f"H x W x C image; got {taps.shape} for image {data.shape}")
+    if data.ndim == 2:
+        return _lowpass_planes(data, taps, step)
+    height, width, bands = data.shape
+    half = taps.shape[-1] // 2
+    rows, cols = -(-height // step), -(-width // step)
+    plane_bytes = 8 * max((height + 2 * half) * width, rows * (width + 2 * half))
+    group = max(1, _LOWPASS_BUDGET // plane_bytes)
+    planes = np.moveaxis(data, 2, 0)
+    out = np.empty((rows, cols, bands))
+    for start in range(0, bands, group):
+        kept = slice(start, start + group)
+        group_taps = taps if taps.ndim == 1 else taps[kept, None, None]
+        out[:, :, kept] = np.moveaxis(
+            _lowpass_planes(planes[kept], group_taps, step), 0, -1)
     return out
 
 
+def _lowpass_planes(planes: np.ndarray, taps: np.ndarray, step: int) -> np.ndarray:
+    """Filter and decimate the last two axes of ``planes``; the leading
+    axes of ``taps`` broadcast against the leading axes of ``planes``."""
+    for axis in (-2, -1):
+        planes = _lowpass_axis(planes, taps, axis, step)
+    return planes
+
+
 def _lowpass_axis(data: np.ndarray, taps: np.ndarray, axis: int, step: int) -> np.ndarray:
-    half = taps.size // 2
+    half = taps.shape[-1] // 2
     pad = [(0, 0)] * data.ndim
     pad[axis] = (half, half)
     padded = np.pad(data, pad, mode="symmetric")
-    windows = sliding_window_view(padded, taps.size, axis=axis)
-    kept = windows[(slice(None),) * axis + (slice(None, None, step),)]
+    windows = sliding_window_view(padded, taps.shape[-1], axis=axis)
+    kept = windows[(..., slice(None, None, step)) + (slice(None),) * -axis]
     # Convolution flips the taps; the window index is the last axis.
-    return np.einsum("...k,k->...", kept, taps[::-1])
+    return np.einsum("...k,...k->...", kept, taps[..., ::-1])
 
 
 # -- 23-tap interpolation --------------------------------------------------
@@ -216,11 +253,16 @@ def interp23_taps() -> np.ndarray:
     return taps
 
 
+#: Fewest samples per axis that :func:`interp23` can mirror its taps over.
+INTERP23_MIN_SIZE = 6
+
+
 def _upsample2_axis(arr: np.ndarray, axis: int, taps: np.ndarray) -> np.ndarray:
     shape = list(arr.shape)
-    if shape[axis] < 6:
+    if shape[axis] < INTERP23_MIN_SIZE:
         raise ValueError(
-            f"interp23: axis {axis} has {shape[axis]} samples; need >= 6")
+            f"interp23: axis {axis} has {shape[axis]} samples; "
+            f"need >= {INTERP23_MIN_SIZE}")
     shape[axis] *= 2
     out = np.empty(shape, dtype=np.float64)
     x = np.moveaxis(arr, axis, -1)

@@ -455,7 +455,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], TdnetConfig]:
-    """Read a checkpoint back into (params, config); validates the layout."""
+    """Read a checkpoint back into (params, config); validates the layout
+    and that every parameter value is finite."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -492,6 +493,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], TdnetConfig]:
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
             raw = _read_exact(fh, 4 * math.prod(shape), f"data for {name}")
             data = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if not np.isfinite(data).all():
+                raise DataError(f"checkpoint parameter {name} has non-finite values")
             params[name] = Tensor(data.astype(DTYPE), requires_grad=True)
         if fh.read(1):
             raise DataError("checkpoint has trailing bytes")

@@ -52,9 +52,10 @@ def degrade(image, sensor: SensorSpec, factor: int) -> np.ndarray:
     """Blur with the sensor's MTF-matched Gaussian, then decimate.
 
     2-D input uses the PAN Nyquist gain; 3-D input uses the per-band
-    gains and must carry exactly the sensor's band count.  The blur
-    sigma is matched to the requested ``factor``, so a x2 degrade uses a
-    narrower kernel than a x4 one.
+    gains and must carry exactly the sensor's band count.  Either way
+    the raster takes one :func:`lowpass` call, with one tap row per band.
+    The blur sigma is matched to the requested ``factor``, so a x2
+    degrade uses a narrower kernel than a x4 one.
     """
     data = np.asarray(getattr(image, "data", image), dtype=np.float64)
     if data.ndim not in (2, 3):
@@ -64,16 +65,14 @@ def degrade(image, sensor: SensorSpec, factor: int) -> np.ndarray:
             f"raster dims {data.shape[:2]} are not divisible by {factor}")
     if data.ndim == 2:
         taps = mtf_gaussian_taps(sensor.pan_nyquist_gain, factor)
-        return lowpass(data, taps, factor)
-    if data.shape[2] != sensor.bands:
+    elif data.shape[2] != sensor.bands:
         raise DataError(
             f"raster has {data.shape[2]} bands but sensor "
             f"'{sensor.name}' expects {sensor.bands}")
-    low = np.empty_like(data[::factor, ::factor])
-    for k in range(sensor.bands):
-        taps = mtf_gaussian_taps(sensor.ms_nyquist_gains[k], factor)
-        low[:, :, k] = lowpass(data[:, :, k], taps, factor)
-    return low
+    else:
+        taps = np.stack([mtf_gaussian_taps(gain, factor)
+                         for gain in sensor.ms_nyquist_gains])
+    return lowpass(data, taps, factor)
 
 
 @dataclass

@@ -490,6 +490,16 @@ def _crafted_checkpoint(path, patch) -> str:
     return f"tdnet:{path}"
 
 
+@pytest.fixture(scope="module")
+def small_patch_dir(tmp_path_factory):
+    """16 samples of 16x16 patches: every LRMS is 4x4."""
+    directory = tmp_path_factory.mktemp("small") / "dataset"
+    assert main(["simulate", "--out", str(directory), "--seed", "5",
+                 "--set", "dataset.ms_size=64", "--set", "dataset.patch=16",
+                 "--set", "dataset.stride=16"]) == 0
+    return directory
+
+
 class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, dataset_dir, tmp_path):
@@ -588,6 +598,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and "manifest" in err, err
         assert rc == 3
 
+    @pytest.mark.parametrize("shape", [(0, 16, 8), (16, 0, 8), (16, 16, 0)])
+    def test_psr1_empty_raster(self, shape, tmp_path, capsys):
+        """A header may declare a zero height, width or channel count; the
+        reader rejects it before the network sees an empty tensor."""
+        h, w, c = shape
+        ms_path, pan_path = tmp_path / "ms.psr1", tmp_path / "pan.psr1"
+        write_psr1(ms_path, np.zeros(shape, np.float32), "wv3", 11)
+        write_psr1(pan_path, np.zeros((4 * h, 4 * w), np.float32), "wv3", 11)
+        assert self._tdnet_exit(capsys, tmp_path, ms_path, pan_path) == 3
+
+    def test_checkpoint_nan_weight(self, pair_paths, tmp_path, capsys):
+        """A NaN in ``pan.entry.w`` feeds a relu, which maps it to 0, so the
+        fused raster would come out finite; the loader rejects it."""
+        def nan_weight(blob, name_at, name_len):
+            (ndim,) = struct.unpack_from("<I", blob, name_at + name_len)
+            struct.pack_into("<f", blob, name_at + name_len + 4 + 4 * ndim,
+                             float("nan"))
+
+        method = _crafted_checkpoint(tmp_path / "nan.ckpt", nan_weight)
+        assert self._fuse_exit(capsys, tmp_path, *pair_paths, method) == 3
+        assert not (tmp_path / "out" / "fused.psr1").exists()
+
     def test_psr1_sensor_name_not_utf8(self, pair_paths, tmp_path, capsys):
         ms_path, pan_path = pair_paths
         blob = bytearray(ms_path.read_bytes())
@@ -595,6 +627,18 @@ class TestExitCodes:
         bad = tmp_path / "ms.psr1"
         bad.write_bytes(bytes(blob))
         assert self._fuse_exit(capsys, tmp_path, bad, pan_path, "exp") == 3
+
+    @pytest.mark.parametrize("method", ["exp", "sfim", "mra-unit", "glp-hpm",
+                                        "glp-reg"])
+    def test_fuse_ms_below_interpolator_minimum(self, method, small_patch_dir,
+                                                tmp_path, capsys):
+        """Simulating 16x16 patches is valid, but their 4x4 LRMS is below the
+        23-tap interpolator's 6x6 minimum: a data error, not a traceback."""
+        rc = main(["fuse", str(small_patch_dir), "--method", method,
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "4x4" in err and rc == 3
 
 
 def test_import_leaves_out_scipy():

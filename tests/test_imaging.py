@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pansharp import imaging
 from pansharp.errors import DataError
 from pansharp.imaging import (
     MsImage,
@@ -33,6 +34,27 @@ def lowpass_naive(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                     acc += padded[i + di, j + dj] * kf[di, dj]
             out[i, j] = acc
     return out
+
+
+def lowpass_sequential(image: np.ndarray, taps: np.ndarray, step: int) -> np.ndarray:
+    """Float64 oracle for one band that fixes the summation order: along
+    each axis, ``acc += window_k * tap_k`` over the flipped taps in order."""
+    half = taps.size // 2
+    out = np.asarray(image, dtype=np.float64)
+    for axis in (0, 1):
+        moved = np.moveaxis(out, axis, 0)
+        padded = np.pad(moved, [(half, half), (0, 0)], mode="symmetric")
+        acc = np.zeros_like(moved[::step])
+        for k, tap in enumerate(taps[::-1]):
+            acc += padded[k:k + moved.shape[0]:step] * tap
+        out = np.moveaxis(acc, 0, axis)
+    return out
+
+
+def per_band_taps(bands: int, ratio: int) -> np.ndarray:
+    """One distinct 41-tap MTF row per band."""
+    gains = np.linspace(0.15, 0.45, bands)
+    return np.stack([mtf_gaussian_taps(gain, ratio) for gain in gains])
 
 
 class TestSensorSpec:
@@ -129,6 +151,82 @@ class TestLowpass:
         img = np.arange(49, dtype=np.float64).reshape(7, 7)
         got = lowpass(img, taps)
         assert got[3, 3] == pytest.approx(img[1:6, 1:6].mean())
+
+
+class TestLowpassPerBandTaps:
+    """One tap row per band: the bands are filtered together, band-major,
+    in groups, and every band equals its own 2-D call bit for bit."""
+
+    @staticmethod
+    def _per_band(img, taps, step):
+        return np.stack([lowpass(img[:, :, k], taps[k], step)
+                         for k in range(img.shape[2])], axis=2)
+
+    @pytest.mark.parametrize("step", [4, 2])
+    def test_matches_per_band_calls(self, step):
+        img = np.random.default_rng(40).uniform(0, 1, (64, 64, 8))
+        taps = per_band_taps(8, step)
+        got = lowpass(img, taps, step)
+        assert got.shape == (64 // step, 64 // step, 8)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, self._per_band(img, taps, step))
+
+    @pytest.mark.parametrize("group", [1, 3])
+    @pytest.mark.parametrize("step", [4, 2])
+    def test_group_size_does_not_move_bits(self, group, step, monkeypatch):
+        """Groups of 1, and of 3 with a remainder of 2, equal one group."""
+        img = np.random.default_rng(41).uniform(0, 1, (64, 64, 8))
+        taps = per_band_taps(8, step)
+        whole = lowpass(img, taps, step)
+        plane_bytes = 8 * (64 + 40) * 64  # the row pass's padded plane
+        monkeypatch.setattr(imaging, "_LOWPASS_BUDGET", group * plane_bytes)
+        np.testing.assert_array_equal(lowpass(img, taps, step), whole)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 4), (5, 7, 3)])
+    def test_image_smaller_than_halo(self, shape):
+        img = np.random.default_rng(42).uniform(0, 1, shape)
+        taps = per_band_taps(shape[2], 4)
+        for step in (1, 4):
+            np.testing.assert_array_equal(lowpass(img, taps, step),
+                                          self._per_band(img, taps, step))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (5, 7)])
+    def test_2d_input_unchanged(self, shape):
+        """A 2-D image gives the same bits as the band of a 3-D image."""
+        img = np.random.default_rng(43).uniform(0, 1, shape)
+        taps = mtf_gaussian_taps(0.15, 4)
+        for step in (1, 4):
+            got = lowpass(img, taps, step)
+            assert got.shape == img[::step, ::step].shape
+            band = lowpass(img[:, :, None], taps[None], step)[:, :, 0]
+            np.testing.assert_array_equal(got, band)
+            np.testing.assert_array_equal(got, lowpass_sequential(img, taps, step))
+
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    def test_sequential_float64_oracle(self, step, monkeypatch):
+        """Every band is the in-order mul-then-add over its taps, in one
+        group and in groups of one."""
+        img = np.random.default_rng(44).uniform(0, 1, (32, 24, 8))
+        taps = per_band_taps(8, 4)
+        want = np.stack([lowpass_sequential(img[:, :, k], taps[k], step)
+                         for k in range(8)], axis=2)
+        np.testing.assert_array_equal(lowpass(img, taps, step), want)
+        monkeypatch.setattr(imaging, "_LOWPASS_BUDGET", 1)
+        np.testing.assert_array_equal(lowpass(img, taps, step), want)
+
+    def test_shared_row_equals_repeated_rows(self):
+        img = np.random.default_rng(45).uniform(0, 1, (16, 16, 4))
+        taps = mtf_gaussian_taps(0.3, 4)
+        np.testing.assert_array_equal(lowpass(img, taps, 4),
+                                      lowpass(img, np.stack([taps] * 4), 4))
+
+    def test_rejects_mismatched_rows(self):
+        taps = per_band_taps(4, 4)
+        for img, bad in ((np.zeros((8, 8, 3)), taps),
+                         (np.zeros((8, 8)), taps),
+                         (np.zeros((8, 8, 4)), taps[:, :-1])):
+            with pytest.raises(ValueError, match="taps"):
+                lowpass(img, bad)
 
 
 class TestInterp23:

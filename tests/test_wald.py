@@ -1,6 +1,7 @@
 """Dataset simulation: degradation, patching, splits, directory layout."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,24 @@ class TestDegrade:
                 ms[:, :, k],
                 mtf_gaussian_taps(sensor.ms_nyquist_gains[k], 4))[::4, ::4]
             np.testing.assert_array_equal(got[:, :, k], want)
+
+    @pytest.mark.parametrize("side", [512, 256])
+    def test_scene_is_filtered_one_band_at_a_time(self, side):
+        """A scene-size raster keeps the per-band working set: the traced
+        peak of an 8-band x4 degrade is its output plus one band's padded
+        plane and row pass, as when each band took its own call."""
+        sensor = SENSORS["wv3"]
+        scene = np.random.default_rng(102).uniform(0, 1, (side, side, 8))
+        degrade(scene, sensor, 4)
+        tracemalloc.start()
+        try:
+            degrade(scene, sensor, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = 8 * (side // 4) ** 2 * 8
+        band = 8 * (side + 40) * side + 8 * (side // 4) * side
+        assert peak <= out + band + (64 << 10), (peak, out + band)
 
     def test_factor_scales_blur(self):
         # A x2 degrade uses a narrower kernel than x4, so it keeps more
