@@ -14,9 +14,10 @@ stride 1.  The forward multiplies all k kernel rows stacked, (k*Co,
 Ci*k), by the whole chunk in one GEMM and adds the k row blocks of the
 product into the output, each shifted by its kernel row; the weight
 gradient multiplies each kernel row's view against the matching rows of
-the output gradient.  The input-gradient pass and the transposed
-convolution reuse the forward kernel with swapped/flipped weights, so
-everything heavy runs through BLAS.
+the output gradient.  The input-gradient pass reuses the forward kernel
+with swapped, flipped weights, and the transposed convolution is a 3x3
+``conv2d`` followed by ``pixel_shuffle``, so everything heavy runs
+through BLAS.
 """
 
 from __future__ import annotations
@@ -215,52 +216,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     return _record(out, (x, w, b), backward_fn)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Transposed convolution (learned upsampling), stride 2, padding 1.
+# Per axis, the taps of a 4-tap, stride-2, padding-1 transposed conv that
+# output phase 0 and phase 1 read at input offsets -1, 0 and +1; tap 4 is
+# no tap, a zero.
+_PHASE_TAPS = np.array([[3, 1, 4], [4, 2, 0]])
 
-    x: (B, Cin, H, W); w: (Cin, Cout, k, k) with k >= 2; b: (Cout,);
-    output is 2*H - 4 + k per spatial axis (2x for k=4).  The forward
-    correlates the zero-dilated input ``xd`` with flipped swapped weights;
-    the backward runs at stride 1 too: the input gradient is every second
-    pixel of the correlation of g with w, and the weight gradient
-    correlates g with ``xd``, whose zeros add nothing.
-    """
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ValueError("conv2d_transpose: input and weight must be 4-D")
-    cin_w, cout, k, kw = w.shape
-    if k != kw:
-        raise ValueError(f"conv2d_transpose: kernel must be square, got {k}x{kw}")
-    if k < 2:
-        raise ValueError(
-            f"conv2d_transpose: kernel must be at least 2x2 to cover padding 1, "
-            f"got {k}x{k}")
-    if x.shape[1] != cin_w:
-        raise ValueError(
-            f"conv2d_transpose: input channel axis has {x.shape[1]} channels "
-            f"but weight expects {cin_w}"
-        )
-    if b.shape != (cout,):
-        raise ValueError(f"conv2d_transpose: bias shape {b.shape} != ({cout},)")
-    batch, _, h, wid = x.shape
-    if min(h, wid) * 2 - 4 + k <= 0:
-        raise ValueError("conv2d_transpose: output size would be empty")
 
-    xd = np.zeros((batch, cin_w, 2 * h - 1, 2 * wid - 1), DTYPE)
-    xd[:, :, ::2, ::2] = x.data
-    w_conv = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    out_data = _corr2d(xd, w_conv, k - 2)
-    out_data += b.data[None, :, None, None]
-    out = Tensor(out_data)
+def _gather(t: Tensor, index: np.ndarray) -> Tensor:
+    """t's values at the flat ``index``, where index ``t.size`` reads 0.
+    The backward scatter-adds g back onto the entries read."""
+    out = Tensor(np.append(t.data.ravel(), DTYPE(0))[index])
 
     def backward_fn(g: np.ndarray) -> None:
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            x.accumulate_grad(_corr2d(g, w.data, 1)[:, :, ::2, ::2])
-        if w.requires_grad:
-            w.accumulate_grad(_corr2d_weight_grad(g, xd, k, 1))
+        acc = np.zeros(t.size + 1, DTYPE)
+        np.add.at(acc, index, g)
+        t.accumulate_grad(acc[:-1].reshape(t.shape))
 
-    return _record(out, (x, w, b), backward_fn)
+    return _record(out, (t,), backward_fn)
+
+
+def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Transposed convolution (learned x2 upsampling): kernel 4, stride 2,
+    padding 1.
+
+    x: (B, Cin, H, W); w: (Cin, Cout, 4, 4); b: (Cout,); output (B, Cout,
+    2H, 2W).  Output pixel (2y + dy, 2x + dx) reads input rows y - 1, y and
+    y + 1 through taps ``_PHASE_TAPS[dy]`` of w, and likewise along x.  So
+    the layer is a sub-pixel convolution (Shi et al. 2016): a 3x3,
+    padding-1 ``conv2d`` with 4*Cout outputs, channel c*4 + dy*2 + dx
+    gathering w's taps for phase (dy, dx), then ``pixel_shuffle(., 2)``.
+    """
+    if w.shape[2:] != (4, 4):
+        raise ValueError(
+            f"conv2d_transpose: weight must be (Cin, Cout, 4, 4), got shape {w.shape}")
+    cin, cout = w.shape[:2]
+    if b.shape != (cout,):
+        raise ValueError(f"conv2d_transpose: bias shape {b.shape} != ({cout},)")
+    taps = np.pad(np.arange(w.size).reshape(w.shape), ((0, 0), (0, 0), (0, 1), (0, 1)),
+                  constant_values=w.size)
+    taps = taps[:, :, _PHASE_TAPS[:, None, :, None], _PHASE_TAPS[None, :, None, :]]
+    stack = _gather(w, taps.transpose(1, 2, 3, 0, 4, 5).reshape(4 * cout, cin, 3, 3))
+    bias = _gather(b, np.repeat(np.arange(cout), 4))
+    return pixel_shuffle(conv2d(x, stack, bias, padding=1), 2)
 
 
 def _window_split(data: np.ndarray, k: int) -> np.ndarray:

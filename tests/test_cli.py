@@ -490,6 +490,24 @@ def _crafted_checkpoint(path, patch) -> str:
     return f"tdnet:{path}"
 
 
+def _last_sample(value):
+    """Spoil a PSR1 file by setting its last float32 sample to ``value``."""
+    return lambda blob: blob[:-4] + struct.pack("<f", value)
+
+
+# Hostile rasters for fuse: the file spoilt and how.  Each must exit 3 with
+# one error line and write no fused raster.
+_HOSTILE_RASTERS = {
+    "truncated-header": ("ms", lambda blob: blob[:20]),
+    "bad-magic": ("ms", lambda blob: b"PSR0" + blob[4:]),
+    "truncated-payload": ("ms", lambda blob: blob[:-4]),
+    "ms-nan": ("ms", _last_sample(float("nan"))),
+    "ms-inf": ("ms", _last_sample(float("inf"))),
+    "pan-nan": ("pan", _last_sample(float("nan"))),
+    "pan-inf": ("pan", _last_sample(-float("inf"))),
+}
+
+
 @pytest.fixture(scope="module")
 def small_patch_dir(tmp_path_factory):
     """16 samples of 16x16 patches: every LRMS is 4x4."""
@@ -520,11 +538,12 @@ class TestExitCodes:
 
     def _fuse_exit(self, capsys, tmp_path, ms_path, pan_path, method):
         """Exit code of a fuse run; a corrupt input must end it with a
-        one-line error, not a traceback."""
+        one-line error, not a traceback, and with no fused raster."""
         rc = main(["fuse", str(ms_path), str(pan_path), "--method", method,
                    "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "fused.psr1").exists()
         return rc
 
     def test_checkpoint_dim_beyond_file_size(self, pair_paths, tmp_path,
@@ -627,6 +646,23 @@ class TestExitCodes:
         bad = tmp_path / "ms.psr1"
         bad.write_bytes(bytes(blob))
         assert self._fuse_exit(capsys, tmp_path, bad, pan_path, "exp") == 3
+
+    @pytest.mark.parametrize("method", ["exp", "tdnet"])
+    @pytest.mark.parametrize("row", sorted(_HOSTILE_RASTERS))
+    def test_fuse_hostile_raster(self, row, method, pair_paths, tmp_path,
+                                 capsys):
+        """A spoilt MS or PAN file is a data error for the classic and the
+        network path alike."""
+        which, spoil = _HOSTILE_RASTERS[row]
+        paths = dict(zip(("ms", "pan"), pair_paths))
+        bad = tmp_path / f"{which}.psr1"
+        bad.write_bytes(spoil(paths[which].read_bytes()))
+        paths[which] = bad
+        if method == "exp":
+            rc = self._fuse_exit(capsys, tmp_path, paths["ms"], paths["pan"], "exp")
+        else:
+            rc = self._tdnet_exit(capsys, tmp_path, paths["ms"], paths["pan"])
+        assert rc == 3
 
     @pytest.mark.parametrize("method", ["exp", "sfim", "mra-unit", "glp-hpm",
                                         "glp-reg"])

@@ -1,5 +1,6 @@
 """Spatial layers vs. loop-based oracles and finite differences."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -133,7 +134,7 @@ def _expected_chunks(mode, batch, total, rows):
 def _dilate(g, stride, ho, wo):
     """g spread over a zero (ho, wo) map at every ``stride``-th position:
     the output gradient of a stride-``stride`` correlation as a stride-1
-    one.  ``conv2d_transpose``'s weight gradient correlates such a map."""
+    one, whose zeros add nothing to the weight gradient."""
     gd = np.zeros(g.shape[:2] + (ho, wo), g.dtype)
     gd[:, :, ::stride, ::stride] = g
     return gd
@@ -141,9 +142,9 @@ def _dilate(g, stride, ho, wo):
 
 class TestCorr2dTiling:
     """The lowered padded rows are cut into chunks of whole images or
-    bands of rows; every cut must give the untiled result.  A stride-2
-    correlation (``conv2d_transpose``'s input gradient) is the stride-1
-    one at every second row and column."""
+    bands of rows; every cut must give the untiled result.  The stride-2
+    cases compare every second row and column of the same output with a
+    strided reference."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -173,15 +174,13 @@ class TestCorr2dTiling:
         (1, 64, 256, 64, 3),   # scene scale: pan.res1
         (32, 16, 16, 6, 7),    # smoke scale: level2.mix.k7
         (1, 1, 256, 64, 3),    # scene scale: pan.entry
-        (4, 8, 64, 8, 4),      # training scale: level2.up input gradient
+        (4, 8, 64, 32, 3),     # a deconv stage's sub-pixel conv, 8 -> 4*8
     ])
     def test_bit_identical_across_budgets(self, monkeypatch, batch, cin, size,
                                           cout, k):
         """The network's own layer shapes give the same bits whether their
-        padded rows are cut into bands, whole images or one chunk.  The
-        4x4 kernel is a deconv stage's input gradient, a correlation of
-        the output gradient with padding 1."""
-        padding = 1 if k == 4 else k // 2
+        padded rows are cut into bands, whole images or one chunk."""
+        padding = k // 2
         rng = np.random.default_rng(35)
         x = rng.normal(size=(batch, cin, size, size)).astype(np.float32)
         w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
@@ -223,8 +222,8 @@ def _weight_grad_reference(x, g, k, padding, stride):
 class TestCorr2dWeightGrad:
     """The weight gradient multiplies g against the forward's column
     chunks; every cut must give the unchunked float64 result.  A stride-2
-    weight gradient (``conv2d_transpose``'s) is the stride-1 one of the
-    zero-dilated output gradient."""
+    weight gradient is checked as the stride-1 one of the zero-dilated
+    output gradient."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -272,14 +271,22 @@ class TestCorr2dWeightGrad:
 
 class TestConv2dTranspose:
     def test_matches_naive_oracle(self):
+        """One stage, then the single-stage x4 upsampler (``up1`` then
+        ``up2``), on a small odd shape and the network's 8-band deconv
+        shapes at batch 4."""
         rng = np.random.default_rng(23)
-        x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
-        w = rng.normal(size=(3, 4, 4, 4)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
-        got = conv2d_transpose(Tensor(x), Tensor(w), Tensor(b)).data
-        want = conv2d_transpose_naive(x, w, b, stride=2, padding=1)
-        assert got.shape == (2, 4, 10, 10)
-        np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+        for shape, cout, stages in [((2, 3, 5, 5), 4, 1), ((4, 8, 16, 16), 8, 1),
+                                    ((4, 8, 32, 32), 8, 1), ((4, 8, 16, 16), 8, 2)]:
+            got = x = rng.normal(size=shape).astype(np.float32)
+            want = x.astype(np.float64)
+            for _ in range(stages):
+                w = rng.normal(size=(got.shape[1], cout, 4, 4)).astype(np.float32)
+                b = rng.normal(size=cout).astype(np.float32)
+                got = conv2d_transpose(Tensor(got), Tensor(w), Tensor(b)).data
+                want = conv2d_transpose_naive(want, w, b, stride=2, padding=1)
+            scale = 2 ** stages
+            assert got.shape == (shape[0], cout, scale * shape[2], scale * shape[3])
+            np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
 
     def test_gradients_match_oracle_finite_differences(self):
         """Backward pass vs float64 central differences of the naive oracle,
@@ -308,11 +315,15 @@ class TestConv2dTranspose:
             numeric = numeric_gradient(f, a64, h=1e-5)
             assert max_rel_error(tensor.grad, numeric) < 1e-4
 
-    def test_kernel_below_two_rejected(self):
-        """A 1x1 kernel cannot cover the fixed padding of 1."""
+    def test_kernel_not_4x4_rejected(self):
+        """The layer is the network's fixed 4x4, stride-2 upsampler; any
+        other kernel is refused with one message."""
         x = Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(ValueError, match="at least 2x2 to cover padding 1, got 1x1"):
-            conv2d_transpose(x, Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros(1)))
+        for kh, kw in [(1, 1), (3, 3), (5, 5), (4, 3)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"weight must be (Cin, Cout, 4, 4), got shape (1, 1, {kh}, {kw})")):
+                conv2d_transpose(x, Tensor(np.zeros((1, 1, kh, kw))),
+                                 Tensor(np.zeros(1)))
 
     def test_bias_shape_rejected(self):
         """A bias that is not one value per output channel raises in the
