@@ -287,14 +287,6 @@ def _echo_beside_file(config: RunConfig, path) -> None:
 # -- simulate -------------------------------------------------------------
 
 
-def _demo_scenes(config: RunConfig, sensor):
-    seed = config.get_int("dataset", "seed")
-    count = config.get_positive_int("dataset", "scenes")
-    size = config.get_positive_int("dataset", "ms_size")
-    return [synthetic_scene(seed + index, sensor, ms_size=size)
-            for index in range(count)]
-
-
 def cmd_simulate(args, config: RunConfig) -> int:
     out = _require_out(args)
     if args.inputs and len(args.inputs) != 2:
@@ -307,21 +299,26 @@ def cmd_simulate(args, config: RunConfig) -> int:
         from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
+        sensor, count, source = ms.sensor, 1, "rasters"
         scenes = [(ms, pan)]
-        source = "rasters"
     else:
-        scenes = _demo_scenes(config, config.sensor_spec())
-        source = "synthetic"
+        sensor, source = config.sensor_spec(), "synthetic"
+        seed = config.get_int("dataset", "seed")
+        count = config.get_positive_int("dataset", "scenes")
+        size = config.get_positive_int("dataset", "ms_size")
+        # Made one at a time as the loop below asks for them.
+        scenes = (synthetic_scene(seed + index, sensor, ms_size=size)
+                  for index in range(count))
 
     samples = []
     for ms, pan in scenes:
         for sample in make_samples(ms, pan, patch=patch, stride=stride):
             sample.id = len(samples)
             samples.append(sample)
+        del ms, pan  # only this scene's patches outlive it
     if not samples:
         raise DataError("no samples produced; input smaller than the patch")
 
-    sensor = scenes[0][0].sensor
     splits = split([s.id for s in samples],
                    seed=config.get_int("dataset", "split_seed"))
     manifest = DatasetManifest(
@@ -334,7 +331,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
             "source": source,
             "patch": str(patch),
             "stride": str(stride),
-            "scenes": str(len(scenes)),
+            "scenes": str(count),
             "split_seed": config.get("dataset", "split_seed"),
             "pan_degrade": "pan-mtf blur + decimate",
             "gt_d_degrade": "band-mtf x2 blur + decimate",

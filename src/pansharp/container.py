@@ -98,10 +98,6 @@ def load_ms(path: str | Path) -> MsImage:
     return MsImage(data.astype(np.float64), sensor)
 
 
-def save_pan(path: str | Path, image: PanImage) -> None:
-    write_psr1(path, image.data, image.sensor.name, image.sensor.bit_depth)
-
-
 def load_pan(path: str | Path, sensor: SensorSpec) -> PanImage:
     """Read a PAN raster that belongs to ``sensor``'s multispectral image."""
     data, _, _ = read_psr1(path)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,16 +64,25 @@ def degrade(image, sensor: SensorSpec, factor: int) -> np.ndarray:
     if data.shape[0] % factor or data.shape[1] % factor:
         raise DataError(
             f"raster dims {data.shape[:2]} are not divisible by {factor}")
-    if data.ndim == 2:
-        taps = mtf_gaussian_taps(sensor.pan_nyquist_gain, factor)
-    elif data.shape[2] != sensor.bands:
+    if data.ndim == 3 and data.shape[2] != sensor.bands:
         raise DataError(
             f"raster has {data.shape[2]} bands but sensor "
             f"'{sensor.name}' expects {sensor.bands}")
-    else:
-        taps = np.stack([mtf_gaussian_taps(gain, factor)
-                         for gain in sensor.ms_nyquist_gains])
-    return lowpass(data, taps, factor)
+    pan_taps, band_taps = _degrade_taps(sensor, factor)
+    return lowpass(data, pan_taps if data.ndim == 2 else band_taps, factor)
+
+
+@lru_cache(maxsize=64)
+def _degrade_taps(sensor: SensorSpec, factor: int) -> tuple:
+    """The taps :func:`degrade` filters with: the PAN row and the (C, K)
+    stack of band rows, built once per (sensor, factor) and read-only,
+    because every caller shares them."""
+    pan_taps = mtf_gaussian_taps(sensor.pan_nyquist_gain, factor)
+    band_taps = np.stack([mtf_gaussian_taps(gain, factor)
+                          for gain in sensor.ms_nyquist_gains])
+    pan_taps.flags.writeable = False
+    band_taps.flags.writeable = False
+    return pan_taps, band_taps
 
 
 @dataclass
@@ -278,6 +288,15 @@ def _raster_path(directory, sample_id: int, role: str) -> str:
 SCENE_OCTAVES = ((0.1, 16, 1.0), (0.2, 8, 0.55), (0.3, 4, 0.3), (0.5, 2, 0.15))
 
 
+def _scene_taps(gain: float, ratio: int) -> np.ndarray:
+    """MTF-matched Gaussian taps for a synthetic-scene blur, cut to the
+    support whose outermost taps reach 1e-10 of the peak: at sigma 0.43,
+    36 of the 41 default taps are below it and only cost time."""
+    taps = mtf_gaussian_taps(gain, ratio)
+    half = taps.size // 2 - int(np.argmax(taps >= 1e-10 * taps.max()))
+    return mtf_gaussian_taps(gain, ratio, support=2 * half + 1)
+
+
 def synthetic_scene(seed: int, sensor: SensorSpec,
                     ms_size: int = 128) -> tuple:
     """Deterministic synthetic aligned (MS, PAN) pair at full resolution.
@@ -286,38 +305,61 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     PAN resolution; each band maps it through its own random radiometric
     response (plus a faint band-specific texture), and the PAN plane is
     the band average of that high-resolution world.  The MS image is the
-    world degraded by the sensor ratio, so the pair behaves like an
-    aligned acquisition with genuine PAN-only detail.
+    world degraded by the sensor ratio (the taps of :func:`degrade`), so
+    the pair behaves like an aligned acquisition with genuine PAN-only
+    detail.
+
+    The world is never stacked: each band is added to a running PAN sum
+    and degraded as soon as it is made, so the scene holds a handful of
+    PAN-sized float64 planes whatever the band count.  The octave and
+    texture blurs keep only the taps above 1e-10 of their peak
+    (:func:`_scene_taps`); the MS degrade keeps all 41.
     """
     if ms_size % 4:
         raise DataError(f"ms_size {ms_size} must be divisible by 4")
     ratio = sensor.ratio
-    pan_size = ms_size * ratio
+    plane = (ms_size * ratio, ms_size * ratio)
     rng = SplitMix64(derive_seed(seed, "scene"))
-    structure = np.zeros((pan_size, pan_size))
+    structure = np.zeros(plane)
     for gain, octave_ratio, amplitude in SCENE_OCTAVES:
-        noise = rng.uniform_array((pan_size, pan_size)).astype(np.float64)
-        layer = lowpass(noise, mtf_gaussian_taps(gain, octave_ratio))
+        layer = lowpass(rng.uniform_array(plane).astype(np.float64),
+                        _scene_taps(gain, octave_ratio))
         layer -= layer.mean()
         scale = np.abs(layer).max()
         if scale > 0:
             layer /= scale
         structure += amplitude * layer
-    structure = (structure - structure.min())
+    # Each spent plane is dropped at once (here and in the band loop
+    # below): the scene's memory is a count of live planes.
+    del layer
+    structure -= structure.min()
     structure /= structure.max()
 
-    world = np.empty((pan_size, pan_size, sensor.bands))
-    texture_taps = mtf_gaussian_taps(0.4, 2)
+    band_taps = _degrade_taps(sensor, ratio)[1]
+    texture_taps = _scene_taps(0.4, 2)
+    pan = np.zeros(plane)
+    ms = np.empty((ms_size, ms_size, sensor.bands))
     for k in range(sensor.bands):
         offset = rng.uniform(0.05, 0.15)
         slope = rng.uniform(0.5, 0.8)
         curve = rng.uniform(-0.25, 0.25)
-        texture = rng.uniform_array((pan_size, pan_size)).astype(np.float64)
-        texture = lowpass(texture, texture_taps)
+        texture = lowpass(rng.uniform_array(plane).astype(np.float64),
+                          texture_taps)
         texture -= texture.mean()
-        band = offset + slope * structure + curve * structure * (1.0 - structure)
-        world[:, :, k] = np.clip(band + 0.02 * texture, 0.0, 1.0)
-
-    pan = PanImage(world.mean(axis=2), sensor)
-    ms = MsImage(degrade(world, sensor, ratio), sensor)
-    return ms, pan
+        texture *= 0.02
+        # clip(offset + slope*s + curve*s*(1 - s) + 0.02*texture, 0, 1),
+        # in place, one operation at a time in the expression's order.
+        band = slope * structure
+        band += offset
+        bend = curve * structure
+        bend *= 1.0 - structure
+        band += bend
+        del bend
+        band += texture
+        del texture
+        np.clip(band, 0.0, 1.0, out=band)
+        pan += band
+        ms[:, :, k] = lowpass(band, band_taps[k], ratio)
+        del band
+    pan /= sensor.bands
+    return MsImage(ms, sensor), PanImage(pan, sensor)

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pansharp.cli import (
     _preview_band_indices,
     main,
 )
-from pansharp.container import read_psr1, save_ms, save_pan, write_psr1
+from pansharp.container import read_psr1, save_ms, write_psr1
 from pansharp.errors import ConfigError
 from pansharp.fusion import fuse
 from pansharp.imaging import MsImage, PanImage, get_sensor
@@ -28,7 +29,12 @@ from pansharp.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from pansharp.wald import load_sample, read_manifest, synthetic_scene
+from pansharp.wald import (
+    load_sample,
+    make_samples,
+    read_manifest,
+    synthetic_scene,
+)
 
 
 SIM_ARGS = ["--set", "dataset.ms_size=160", "--set", "dataset.patch=32",
@@ -159,13 +165,41 @@ class TestSimulate:
         assert parser.get("dataset", "seed") == "5"
         assert parser.get("sensor", "name") == "wv3"
 
+    def test_demo_scenes_are_made_one_at_a_time(self, tmp_path):
+        """A 3-scene demo holds one scene's full-resolution rasters at a
+        time: its traced peak stays within one scene's PAN and MS of the
+        1-scene peak, and its samples are each scene's own."""
+        peaks = {}
+        for count in (1, 3):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--out", str(tmp_path / str(count)),
+                             "--set", "dataset.ms_size=64",
+                             "--set", "dataset.patch=64",
+                             "--set", f"dataset.scenes={count}"]) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        scene = 8 * (256 * 256 + 64 * 64 * 8)
+        assert peaks[3] - peaks[1] < scene, (peaks, scene)
+        out = tmp_path / "3"
+        assert read_manifest(out).provenance["scenes"] == "3"
+        for index in range(3):
+            ms, pan = synthetic_scene(index, get_sensor("wv3"), ms_size=64)
+            (want,) = make_samples(ms, pan, patch=64)
+            got = load_sample(out, index)
+            for role in ("pan", "lrms", "gt", "gt_d"):
+                np.testing.assert_array_equal(getattr(got, role),
+                                              getattr(want, role))
+
     def test_simulate_from_rasters_matches_demo(self, dataset_dir, tmp_path):
         """Feeding the demo scene back in as PSR1 rasters reproduces the
         same samples byte for byte."""
         sensor = get_sensor("wv3")
         ms, pan = synthetic_scene(5, sensor, ms_size=160)
         save_ms(tmp_path / "ms.psr1", ms)
-        save_pan(tmp_path / "pan.psr1", pan)
+        write_psr1(tmp_path / "pan.psr1", pan.data, pan.sensor.name,
+                   pan.sensor.bit_depth)
         out = tmp_path / "from-rasters"
         assert main(["simulate", str(tmp_path / "ms.psr1"),
                      str(tmp_path / "pan.psr1"), "--out", str(out),
@@ -252,7 +286,8 @@ class TestFuse:
         ms = MsImage(np.full((8, 8, 8), 0.25), sensor)
         pan = PanImage(np.full((32, 32), 0.5), sensor)
         save_ms(tmp_path / "ms.psr1", ms)
-        save_pan(tmp_path / "pan.psr1", pan)
+        write_psr1(tmp_path / "pan.psr1", pan.data, pan.sensor.name,
+                   pan.sensor.bit_depth)
         out = tmp_path / "fused"
         assert main(["fuse", str(tmp_path / "ms.psr1"),
                      str(tmp_path / "pan.psr1"),

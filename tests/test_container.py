@@ -10,7 +10,6 @@ from pansharp.container import (
     percentile_stretch,
     read_psr1,
     save_ms,
-    save_pan,
     write_psr1,
 )
 from pansharp.errors import DataError
@@ -69,7 +68,8 @@ class TestPsr1:
         ms = MsImage(rng.uniform(0, 1, (8, 8, 4)), SENSORS["gf2"])
         pan = PanImage(rng.uniform(0, 1, (32, 32)), SENSORS["gf2"])
         save_ms(tmp_path / "ms.psr1", ms)
-        save_pan(tmp_path / "pan.psr1", pan)
+        write_psr1(tmp_path / "pan.psr1", pan.data, pan.sensor.name,
+                   pan.sensor.bit_depth)
         ms2 = load_ms(tmp_path / "ms.psr1")
         pan2 = load_pan(tmp_path / "pan.psr1", ms2.sensor)
         assert ms2.sensor is SENSORS["gf2"]

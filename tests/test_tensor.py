@@ -26,6 +26,7 @@ from pansharp.grad import (
     sigmoid,
     zero_grads,
 )
+from pansharp.grad import rng as rng_module
 from helpers import check_op_gradient
 
 
@@ -248,14 +249,22 @@ class TestRng:
         assert derive_seed(7, "scene") != derive_seed(7, "split")
         assert derive_seed(7, "epoch", 3) != derive_seed(7, "epoch", 4)
 
-    def test_uniform_array_matches_scalar_sequence(self):
-        scalar_rng = SplitMix64(42)
-        expected = np.float32([scalar_rng.uniform(-1.0, 3.0) for _ in range(12)])
-        vector_rng = SplitMix64(42)
-        got = vector_rng.uniform_array((3, 4), -1.0, 3.0)
-        np.testing.assert_array_equal(got.ravel(), expected)
-        # State advances past the block: the next draws agree too.
-        assert vector_rng.uniform() == scalar_rng.uniform()
+    def test_uniform_array_matches_scalar_sequence(self, monkeypatch):
+        # (37, 53) spans many blocks of 64 with a remainder of 41.
+        cases = [((3, 4), -1.0, 3.0, None), ((37, 53), -0.3, 0.7, None),
+                 ((37, 53), -0.3, 0.7, 64)]
+        for shape, low, high, block in cases:
+            if block is not None:
+                monkeypatch.setattr(rng_module, "_DRAW_BLOCK", block)
+            scalar_rng = SplitMix64(42)
+            expected = np.float32([scalar_rng.uniform(low, high)
+                                   for _ in range(int(np.prod(shape)))])
+            vector_rng = SplitMix64(42)
+            got = vector_rng.uniform_array(shape, low, high)
+            assert got.shape == shape and got.dtype == np.float32
+            np.testing.assert_array_equal(got.ravel(), expected)
+            # State advances past the block: the next draws agree too.
+            assert vector_rng.uniform() == scalar_rng.uniform()
 
     def test_kaiming_bound_and_determinism(self):
         w1 = kaiming_uniform(SplitMix64(5), (64, 3, 3, 3), fan_in=27)

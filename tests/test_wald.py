@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from pansharp.errors import DataError
+from pansharp.grad.rng import SplitMix64, derive_seed
 from pansharp.imaging import (
     SENSORS,
     lowpass,
     mtf_gaussian_taps,
 )
 from pansharp.wald import (
+    SCENE_OCTAVES,
     DatasetManifest,
     SamplePair,
     degrade,
@@ -23,6 +25,7 @@ from pansharp.wald import (
     synthetic_scene,
     write_dataset,
 )
+from pansharp.wald import _degrade_taps, _scene_taps
 
 
 def _rms(a, b):
@@ -66,6 +69,21 @@ class TestDegrade:
         out = 8 * (side // 4) ** 2 * 8
         band = 8 * (side + 40) * side + 8 * (side // 4) * side
         assert peak <= out + band + (64 << 10), (peak, out + band)
+
+    def test_taps_are_built_once_and_read_only(self):
+        """degrade's tap rows are cached per (sensor, factor): the cached
+        rows equal fresh ones, and no caller can write to them."""
+        sensor = SENSORS["wv3"]
+        for factor in (2, 4):
+            pan_taps, band_taps = _degrade_taps(sensor, factor)
+            assert _degrade_taps(sensor, factor)[1] is band_taps
+            np.testing.assert_array_equal(
+                pan_taps, mtf_gaussian_taps(sensor.pan_nyquist_gain, factor))
+            np.testing.assert_array_equal(band_taps, np.stack(
+                [mtf_gaussian_taps(g, factor) for g in sensor.ms_nyquist_gains]))
+            for taps in (pan_taps, band_taps):
+                with pytest.raises(ValueError, match="read-only"):
+                    taps[..., 0] = 0.0
 
     def test_factor_scales_blur(self):
         # A x2 degrade uses a narrower kernel than x4, so it keeps more
@@ -243,7 +261,84 @@ class TestDatasetDirectory:
             read_manifest(tmp_path)
 
 
+def _stacked_scene(seed, sensor, ms_size, blur_taps):
+    """The synthetic scene built whole: the H x W x C world stacked, the
+    PAN its band mean and the MS its :func:`degrade`.  ``blur_taps(gain,
+    ratio)`` gives the taps of the octave and texture blurs."""
+    plane = (ms_size * sensor.ratio,) * 2
+    rng = SplitMix64(derive_seed(seed, "scene"))
+    structure = np.zeros(plane)
+    for gain, octave_ratio, amplitude in SCENE_OCTAVES:
+        layer = lowpass(rng.uniform_array(plane).astype(np.float64),
+                        blur_taps(gain, octave_ratio))
+        layer -= layer.mean()
+        layer /= np.abs(layer).max()
+        structure += amplitude * layer
+    structure = structure - structure.min()
+    structure /= structure.max()
+    world = np.empty(plane + (sensor.bands,))
+    for k in range(sensor.bands):
+        offset = rng.uniform(0.05, 0.15)
+        slope = rng.uniform(0.5, 0.8)
+        curve = rng.uniform(-0.25, 0.25)
+        texture = lowpass(rng.uniform_array(plane).astype(np.float64),
+                          blur_taps(0.4, 2))
+        texture -= texture.mean()
+        band = offset + slope * structure + curve * structure * (1.0 - structure)
+        world[:, :, k] = np.clip(band + 0.02 * texture, 0.0, 1.0)
+    return degrade(world, sensor, sensor.ratio), world.mean(axis=2)
+
+
 class TestSyntheticScene:
+    @pytest.mark.parametrize("name", ["wv3", "gf2"])
+    def test_matches_full_tap_reference(self, name):
+        """Trimming the scene blurs to their taps above 1e-10 of the peak
+        moves the scene by at most 1e-10 from the 41-tap one."""
+        sensor = SENSORS[name]
+        ms, pan = synthetic_scene(36, sensor, ms_size=32)
+        want_ms, want_pan = _stacked_scene(36, sensor, 32, mtf_gaussian_taps)
+        assert np.abs(ms.data - want_ms).max() <= 1e-10
+        assert np.abs(pan.data - want_pan).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", ["wv3", "gf2"])
+    def test_band_at_a_time_matches_stacked_world(self, name):
+        """With the same blur taps, degrading each band as it is made gives
+        the stacked world's degrade bit for bit; the PAN's running sum
+        differs from the band mean only in summation order."""
+        sensor = SENSORS[name]
+        ms, pan = synthetic_scene(37, sensor, ms_size=32)
+        want_ms, want_pan = _stacked_scene(37, sensor, 32, _scene_taps)
+        np.testing.assert_array_equal(ms.data, want_ms)
+        np.testing.assert_allclose(pan.data, want_pan, rtol=0,
+                                   atol=4 * np.finfo(np.float64).eps)
+
+    def test_scene_taps_keep_those_above_the_floor(self):
+        """Each scene blur keeps exactly its taps above 1e-10 of the peak:
+        the octaves 41, 31, 13 and 5 of 41, the 0.43-sigma texture 5."""
+        blurs = [(g, r) for g, r, _ in SCENE_OCTAVES] + [(0.4, 2)]
+        for gain, ratio in blurs:
+            full = mtf_gaussian_taps(gain, ratio)
+            kept = full[full >= 1e-10 * full.max()]
+            np.testing.assert_allclose(_scene_taps(gain, ratio),
+                                       kept / kept.sum(), rtol=1e-15)
+        assert [_scene_taps(*blur).size for blur in blurs] == [41, 31, 13, 5, 5]
+
+    def test_memory_is_a_few_planes_whatever_the_band_count(self):
+        """The scene holds a handful of full-resolution float64 planes, not
+        a stacked H x W x C world: the traced peak stays under 7 planes,
+        and 8 bands cost at most one plane more than 4."""
+        plane = 8 * (128 * 4) ** 2
+        peaks = {}
+        for name in ("gf2", "wv3"):
+            tracemalloc.start()
+            try:
+                synthetic_scene(38, SENSORS[name], ms_size=128)
+                peaks[name] = tracemalloc.get_traced_memory()[1] / plane
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 7.0, peaks
+        assert abs(peaks["wv3"] - peaks["gf2"]) <= 1.0, peaks
+
     def test_shapes_and_range(self):
         ms, pan = synthetic_scene(30, SENSORS["wv3"], ms_size=64)
         assert ms.data.shape == (64, 64, 8)
