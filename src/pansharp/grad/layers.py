@@ -9,7 +9,10 @@ shifted by dy rows.  That writes k times fewer column values per pixel
 than a Ci*k*k im2col buffer for the same FLOPs.  The buffer is rebuilt
 per chunk of whole images or, for large images, per band of padded input
 rows, so its size is bounded by ``_COL_BUDGET`` whatever the image size,
-and every padded row is lowered once.  Every lowered correlation has
+and every padded row is lowered once.  The input comes as channel groups,
+each copied into its own slab of the buffer, so ``conv2d`` over a channel
+``concat`` lowers the concat's parts in place and no concatenated feature
+map is built, forward or backward.  Every lowered correlation has
 stride 1.  The forward multiplies all k kernel rows stacked, (k*Co,
 Ci*k), by the whole chunk in one GEMM and adds the k row blocks of the
 product into the output, each shifted by its kernel row; the weight
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DTYPE, Tensor, _record
+from .tensor import DTYPE, Concat, Tensor, _record
 
 # Ceiling per chunk on its lowered rows plus the caller's block kept
 # alongside them (the forward's product), in float32 elements (8 MiB).  A
@@ -57,10 +60,13 @@ def _span(lo: int, n: int, size: int) -> tuple:
     return i0, i1
 
 
-def _columns(x: np.ndarray, k: int, padding: int, reserve: int = 0):
+def _columns(xs, k: int, padding: int, reserve: int = 0):
     """Yield ``(b0, b1, q0, q1, low, spare)``: the row lowering of padded
-    rows [q0, q1) of images [b0, b1) of x (B,Ci,H,W).
+    rows [q0, q1) of images [b0, b1) of the input x (B,Ci,H,W).
 
+    x comes as ``xs``, a sequence of channel groups (B,Ci_g,H,W) that
+    concatenated along the channel axis make it; each group is copied
+    into its own slab of channel rows, so a concatenated x is never built.
     Padded row q is input row ``q - padding`` of x zero-padded by
     ``padding``; output row r reads kernel row dy from padded row r + dy,
     so an image has ``Ho + k - 1`` padded rows.  ``low`` is (Ci*k,
@@ -78,14 +84,16 @@ def _columns(x: np.ndarray, k: int, padding: int, reserve: int = 0):
     faults), so ``low`` is overwritten by the next chunk: use it before
     advancing.
     """
-    batch, cin, h, wid = x.shape
-    ho, wo = _out_size(x.shape, k, padding)
+    batch, _, h, wid = xs[0].shape
+    ho, wo = _out_size(xs[0].shape, k, padding)
+    slabs = np.cumsum([0] + [x.shape[1] for x in xs])  # each group's channel rows
+    cin = int(slabs[-1])
     total = ho + k - 1  # padded rows per image
     per_row = cin * k * wo
     fit = _COL_BUDGET // (per_row + reserve * wo)  # padded rows per chunk
     rows = max(1, min(total, fit))
     images = max(1, min(batch, fit // total))
-    buf = np.empty((per_row + reserve * wo) * rows * images, dtype=x.dtype)
+    buf = np.empty((per_row + reserve * wo) * rows * images, dtype=xs[0].dtype)
     spare = buf[per_row * rows * images:]
     for b0 in range(0, batch, images):
         b1 = min(b0 + images, batch)
@@ -103,13 +111,15 @@ def _columns(x: np.ndarray, k: int, padding: int, reserve: int = 0):
                 dst[:, s0:s1, :, c1:] = 0
                 if s0 < s1 and c0 < c1:
                     y0, x0 = q0 + s0 - padding, c0 + dx - padding
-                    src = x[b0:b1, :, y0:y0 + s1 - s0, x0:x0 + c1 - c0]
-                    np.copyto(dst[:, s0:s1, :, c0:c1], src.transpose(1, 2, 0, 3))
+                    for x, g0, g1 in zip(xs, slabs[:-1], slabs[1:]):
+                        src = x[b0:b1, :, y0:y0 + s1 - s0, x0:x0 + c1 - c0]
+                        np.copyto(dst[g0:g1, s0:s1, :, c0:c1], src.transpose(1, 2, 0, 3))
             yield b0, b1, q0, q1, low.reshape(cin * k, -1), spare
 
 
-def _corr2d(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
-    """Raw stride-1 cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k).
+def _corr2d(xs, w: np.ndarray, padding: int) -> np.ndarray:
+    """Raw stride-1 cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k),
+    x given as ``_columns`` takes it: a sequence of channel groups.
 
     Each chunk of padded rows runs one GEMM: the kernel rows stacked, Co
     matrix rows each, times the chunk's lowered rows, so the product holds
@@ -123,10 +133,10 @@ def _corr2d(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
     ``_COL_BUDGET``.
     """
     cout, cin, k, _ = w.shape
-    ho, wo = _out_size(x.shape, k, padding)
+    ho, wo = _out_size(xs[0].shape, k, padding)
     stack = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k * cout, cin * k)
-    out = np.empty((x.shape[0], cout, ho, wo), dtype=DTYPE)
-    for b0, b1, q0, q1, low, spare in _columns(x, k, padding, k * cout):
+    out = np.empty((xs[0].shape[0], cout, ho, wo), dtype=DTYPE)
+    for b0, b1, q0, q1, low, spare in _columns(xs, k, padding, k * cout):
         prod = spare[:k * cout * low.shape[1]].reshape(k * cout, -1)
         np.matmul(stack, low, out=prod)
         prod = prod.reshape(k, cout, q1 - q0, b1 - b0, wo)
@@ -148,8 +158,9 @@ def _corr2d(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int) -> np.ndarray:
-    """Gradient wrt conv weights: correlate input with the output gradient.
+def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """Gradient wrt conv weights: correlate the input, given as channel
+    groups ``xs``, with the output gradient.
 
     Returns (g channels, x channels, k, k), one stride-1 window of the
     padded ``x`` per position of ``g``.  Each chunk adds, per kernel row
@@ -159,10 +170,10 @@ def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int) -> n
     row, zero-padded to the chunk's rows; it gave no steady gain and moved
     the gradient's bits (``BENCH_12.json``).
     """
-    cin = x.shape[1]
+    cin = sum(x.shape[1] for x in xs)
     cout, ho = g.shape[1:3]
     acc = np.zeros((k, cin * k, cout), dtype=DTYPE)
-    for b0, b1, q0, q1, low, _ in _columns(x, k, padding):
+    for b0, b1, q0, q1, low, _ in _columns(xs, k, padding):
         lo, hi = max(0, q0 - k + 1), min(ho, q1)  # output rows reading the chunk
         span = (b1 - b0) * g.shape[3]  # columns per row
         gmat = np.ascontiguousarray(g[b0:b1, :, lo:hi].transpose(1, 2, 0, 3))
@@ -179,9 +190,11 @@ def _corr2d_weight_grad(x: np.ndarray, g: np.ndarray, k: int, padding: int) -> n
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     """2-D convolution, stride 1, odd square kernel, zero padding.
 
-    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,).
+    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,).  A channel
+    ``concat`` is lowered straight from its parts, in the forward and in
+    the weight gradient, so its concatenated array is never built.
     """
-    if x.data.ndim != 4:
+    if len(x.shape) != 4:
         raise ValueError(f"conv2d: input must be 4-D (B,C,H,W), got shape {x.shape}")
     if w.data.ndim != 4:
         raise ValueError(f"conv2d: weight must be 4-D (Cout,Cin,k,k), got shape {w.shape}")
@@ -198,7 +211,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     if padding < 0:
         raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
 
-    out_data = _corr2d(x.data, w.data, padding)
+    xs = ([t.data for t in x.parts] if isinstance(x, Concat) and x.axis == 1
+          else [x.data])
+    out_data = _corr2d(xs, w.data, padding)
     out_data += b.data[None, :, None, None]
     out = Tensor(out_data)
     k = kh
@@ -207,11 +222,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            w.accumulate_grad(_corr2d_weight_grad(x.data, g, k, padding))
+            w.accumulate_grad(_corr2d_weight_grad(xs, g, k, padding))
         if x.requires_grad:
             # Full correlation with channel-swapped, spatially flipped weights.
             w_swap = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            x.accumulate_grad(_corr2d(g, w_swap, k - 1 - padding))
+            x.accumulate_grad(_corr2d([g], w_swap, k - 1 - padding))
 
     return _record(out, (x, w, b), backward_fn)
 

@@ -13,6 +13,7 @@ Each worker owns at most one active tape; nothing here is thread-safe.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,7 +92,7 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.shape, dtype=DTYPE)
         self.grad += g
 
     def zero_grad(self) -> None:
@@ -220,19 +221,63 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), backward_fn)
 
 
+class Concat(Tensor):
+    """The result of ``concat``: it keeps its parts and reports the
+    concatenated shape.  Its array is built, once, only when ``.data`` is
+    read; ``conv2d`` reads a channel concat's parts in place instead, so
+    the network never builds one."""
+
+    __slots__ = ("parts", "axis", "_shape", "_array")
+
+    def __init__(self, parts: tuple[Tensor, ...], axis: int, shape: tuple[int, ...]):
+        self.parts = parts
+        self.axis = axis
+        self._shape = shape
+        self._array: np.ndarray | None = None
+        self.grad = None
+        self.requires_grad = False
+        self.tape = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._array is None:
+            self._array = np.concatenate([t.data for t in self.parts], axis=self.axis)
+        return self._array
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._shape
+
+    @property
+    def size(self) -> int:
+        return math.prod(self._shape)
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
+    """Join tensors along ``axis``; a ``Concat`` that holds them.  Every
+    other axis must match, and so must the ranks."""
     if not tensors:
         raise ValueError("concat: need at least one tensor")
     first = tensors[0]
+    ndim = len(first.shape)
+    if not -ndim <= axis < ndim:
+        raise ValueError(f"concat: axis {axis} out of range for rank {ndim}")
+    axis %= ndim
     for i, t in enumerate(tensors[1:], start=1):
+        if len(t.shape) != ndim:
+            raise ValueError(
+                f"concat: input {i} has rank {len(t.shape)} but input 0 has "
+                f"rank {ndim}; shapes {t.shape} and {first.shape}"
+            )
         for ax, (d0, dt) in enumerate(zip(first.shape, t.shape)):
             if ax != axis and d0 != dt:
                 raise ValueError(
                     f"concat: input {i} differs from input 0 along axis {ax} "
                     f"({dt} vs {d0})"
                 )
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
+    shape = first.shape[:axis] + (sum(sizes),) + first.shape[axis + 1:]
+    out = Concat(tuple(tensors), axis, shape)
     offsets = np.cumsum([0] + sizes)
 
     def backward_fn(g: np.ndarray) -> None:

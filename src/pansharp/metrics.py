@@ -432,20 +432,3 @@ class EvalReport:
                     [row["method"], row["image"]]
                     + [format(row[name], ".6g") if name in row else ""
                        for name in METRIC_NAMES])
-
-    @classmethod
-    def read_csv(cls, path) -> "EvalReport":
-        report = cls()
-        with open(path, newline="") as handle:
-            lines = []
-            for line in handle:
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition(":")
-                    report.provenance[key.strip()] = value.strip()
-                else:
-                    lines.append(line)
-        for record in csv.DictReader(lines):
-            values = {name: float(record[name]) for name in METRIC_NAMES
-                      if record.get(name)}
-            report.add(record["method"], record["image"], **values)
-        return report

@@ -4,9 +4,12 @@ slow and loop-based so it cannot share bugs with the vectorized code."""
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from pansharp.grad import Tape, Tensor
+from pansharp.metrics import METRIC_NAMES, EvalReport
 
 
 def conv2d_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -96,3 +99,22 @@ def check_op_gradient(op, arrays: list[np.ndarray], wrt: int, h: float = 1e-3,
 
     numeric = numeric_gradient(run, arrays[wrt], h=h)
     return max_rel_error(analytic, numeric, floor=floor)
+
+
+def read_eval_csv(path) -> EvalReport:
+    """Parse a CSV that ``EvalReport.write_csv`` wrote: the ``#`` lines
+    into provenance, each row back through ``EvalReport.add``."""
+    report = EvalReport()
+    with open(path, newline="") as handle:
+        lines = []
+        for line in handle:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition(":")
+                report.provenance[key.strip()] = value.strip()
+            else:
+                lines.append(line)
+    for record in csv.DictReader(lines):
+        values = {name: float(record[name]) for name in METRIC_NAMES
+                  if record.get(name)}
+        report.add(record["method"], record["image"], **values)
+    return report

@@ -22,7 +22,7 @@ from pansharp.container import read_psr1, save_ms, write_psr1
 from pansharp.errors import ConfigError
 from pansharp.fusion import fuse
 from pansharp.imaging import MsImage, PanImage, get_sensor
-from pansharp.metrics import EvalReport, q2n
+from pansharp.metrics import q2n
 from pansharp.model import (
     TdnetConfig,
     init_params,
@@ -35,6 +35,7 @@ from pansharp.wald import (
     read_manifest,
     synthetic_scene,
 )
+from helpers import read_eval_csv
 
 
 SIM_ARGS = ["--set", "dataset.ms_size=160", "--set", "dataset.patch=32",
@@ -354,7 +355,7 @@ class TestEval:
         out = tmp_path / "report.csv"
         assert main(["eval", str(dataset_dir), str(ideal_fused_dir),
                      "--method", "oracle", "--out", str(out)]) == 0
-        report = EvalReport.read_csv(out)
+        report = read_eval_csv(out)
         plain = [r for r in report.rows if not r["image"].startswith("__")]
         assert len(plain) == 2
         for row in plain:
@@ -377,7 +378,7 @@ class TestEval:
         out = tmp_path / "report.csv"
         assert main(["eval", str(dataset_dir), str(exp_fused_dir),
                      "--out", str(out)]) == 0
-        report = EvalReport.read_csv(out)
+        report = read_eval_csv(out)
         plain = [r for r in report.rows if not r["image"].startswith("__")]
         mean = next(r for r in report.rows if r["image"] == "__mean")
         for metric in ("sam", "ergas", "scc", "q2n"):
@@ -390,7 +391,7 @@ class TestEval:
         assert main(["eval", str(dataset_dir), str(exp_fused_dir),
                      "--mode", "full", "--set", "metric.window=16",
                      "--out", str(out)]) == 0
-        report = EvalReport.read_csv(out)
+        report = read_eval_csv(out)
         row = next(r for r in report.rows if not r["image"].startswith("__"))
         assert set(row) >= {"d_lambda", "d_s", "qnr"}
         assert row["qnr"] == pytest.approx(
@@ -409,7 +410,7 @@ class TestEval:
         out = tmp_path / "report.csv"
         assert main(["eval", str(dataset_dir), str(exp_fused_dir),
                      "--set", "metric.window=16", "--out", str(out)]) == 0
-        report = EvalReport.read_csv(out)
+        report = read_eval_csv(out)
         assert report.provenance["window"] == "16"
         plain = [r for r in report.rows if not r["image"].startswith("__")]
         assert len(plain) == 2
@@ -429,7 +430,7 @@ class TestEval:
         out = tmp_path / "report.csv"
         assert main(["eval", str(dataset_dir), str(fused),
                      "--out", str(out), *val]) == 0
-        report = EvalReport.read_csv(out)
+        report = read_eval_csv(out)
         images = {r["image"] for r in report.rows
                   if not r["image"].startswith("__")}
         assert images == {str(i) for i in

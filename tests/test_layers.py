@@ -8,11 +8,13 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import pansharp.grad.layers as layers
+from pansharp.grad.tensor import Concat
 from pansharp.grad import (
     Tape,
     Tensor,
     avgpool2d,
     bilinear_upsample,
+    concat,
     conv2d,
     conv2d_transpose,
     maxpool2d,
@@ -79,12 +81,12 @@ class TestConv2d:
                    padding=-1)
 
 
-def _corr2d_reference(x, w, padding, stride):
-    """float64 einsum over every ``stride``-th window of the padded input."""
+def _corr2d_reference(x, w, padding):
+    """float64 einsum over every window of the padded input."""
     k = w.shape[-1]
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     xp = np.pad(x.astype(np.float64), pad)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
     return np.einsum("bchwij,ocij->bohw", win, w.astype(np.float64))
 
 
@@ -112,10 +114,11 @@ def _record_chunks(monkeypatch):
     chunks = []
     real = layers._columns
 
-    def recording(x, k, padding, reserve=0):
-        wo = x.shape[3] + 2 * padding - k + 1
-        for b0, b1, q0, q1, low, spare in real(x, k, padding, reserve):
-            assert low.shape == (x.shape[1] * k, (b1 - b0) * (q1 - q0) * wo)
+    def recording(xs, k, padding, reserve=0):
+        wo = xs[0].shape[3] + 2 * padding - k + 1
+        cin = sum(x.shape[1] for x in xs)
+        for b0, b1, q0, q1, low, spare in real(xs, k, padding, reserve):
+            assert low.shape == (cin * k, (b1 - b0) * (q1 - q0) * wo)
             assert spare.size >= reserve * (b1 - b0) * (q1 - q0) * wo
             chunks.append((b0, b1, q0, q1))
             yield b0, b1, q0, q1, low, spare
@@ -142,15 +145,15 @@ def _dilate(g, stride, ho, wo):
 
 class TestCorr2dTiling:
     """The lowered padded rows are cut into chunks of whole images or
-    bands of rows; every cut must give the untiled result.  The stride-2
-    cases compare every second row and column of the same output with a
-    strided reference."""
+    bands of rows; every cut must give the untiled result.  The input is
+    one array, or two channel groups that ``_columns`` copies into their
+    own slabs, as it does for a channel ``concat``."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2])
     @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (5, 0),
                                            (5, 2), (7, 0), (7, 3), (4, 1)])
-    def test_chunks_match_reference(self, monkeypatch, mode, stride, k, padding):
+    def test_chunks_match_reference(self, monkeypatch, mode, groups, k, padding):
         rng = np.random.default_rng(31)
         batch, cin, cout = 3, 2, 4
         x = rng.normal(size=(batch, cin, 15, 11)).astype(np.float32)
@@ -159,9 +162,9 @@ class TestCorr2dTiling:
         rows, budget = _chunk_budget(mode, cin, k, ho, wo, k * cout)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d(x, w, padding)[:, :, ::stride, ::stride]
+        got = layers._corr2d(np.split(x, groups, axis=1), w, padding)
 
-        np.testing.assert_allclose(got, _corr2d_reference(x, w, padding, stride),
+        np.testing.assert_allclose(got, _corr2d_reference(x, w, padding),
                                    rtol=1e-5, atol=1e-5)
         total = ho + k - 1
         assert chunks == _expected_chunks(mode, batch, total, rows)
@@ -187,7 +190,7 @@ class TestCorr2dTiling:
         outs = []
         for budget in (1 << 16, 1 << 18, 1 << 21, 1 << 28):
             monkeypatch.setattr(layers, "_COL_BUDGET", budget)
-            outs.append(layers._corr2d(x, w, padding))
+            outs.append(layers._corr2d([x], w, padding))
         for out in outs[1:]:
             np.testing.assert_array_equal(out, outs[0])
 
@@ -201,13 +204,60 @@ class TestCorr2dTiling:
         w = rng.normal(size=(16, 16, 7, 7)).astype(np.float32)
         tracemalloc.start()
         try:
-            out = layers._corr2d(x, w, 3)
+            out = layers._corr2d([x], w, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.shape == (1, 16, 192, 192)
         scratch = peak - out.nbytes
         assert scratch < 2 * layers._COL_BUDGET * 4, scratch
+
+
+def _conv_and_grads(make_x, w, b, r, padding):
+    """conv2d of ``make_x()``, made on the tape, then the backward of
+    sum(out * r): the output and the weight and bias gradients."""
+    wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape():
+        out = conv2d(make_x(), wt, bt, padding=padding)
+        loss = tensor_sum(mul(out, Tensor(r)))
+    loss.backward()
+    return [out.data, wt.grad, bt.grad]
+
+
+class TestConv2dOverConcat:
+    """conv2d lowers a channel concat straight from its parts; that must
+    give the bits of conv2d over the concatenated array, forward and
+    backward, and never build the concat's array."""
+
+    @pytest.mark.parametrize("mode", ["images", "bands"])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("widths", [(3, 5), (2, 4, 1)], ids=["3+5", "2+4+1"])
+    def test_bit_identical_to_the_concatenated_input(self, monkeypatch, mode, k, widths):
+        rng = np.random.default_rng(36)
+        batch, cout, padding = 3, 4, k // 2
+        parts = [rng.normal(size=(batch, c, 13, 9)).astype(np.float32) for c in widths]
+        cin = sum(widths)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
+        r = rng.normal(size=(batch, cout, 13, 9)).astype(np.float32)
+        _, budget = _chunk_budget(mode, cin, k, 13, 9, k * cout)
+        monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+
+        whole = Tensor(np.concatenate(parts, axis=1), requires_grad=True)
+        bounds = np.cumsum((0,) + widths)
+        want = _conv_and_grads(lambda: whole, w, b, r, padding)
+        want += [whole.grad[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+        def unbuilt(self):
+            raise AssertionError("the concat's array was built")
+
+        monkeypatch.setattr(Concat, "data", property(unbuilt))
+        leaves = [Tensor(p, requires_grad=True) for p in parts]
+        got = _conv_and_grads(lambda: concat(leaves), w, b, r, padding)
+        got += [t.grad for t in leaves]
+        assert len(got) == len(want) == 3 + len(widths)
+        for g, wnt in zip(got, want):
+            np.testing.assert_array_equal(g, wnt)
 
 
 def _weight_grad_reference(x, g, k, padding, stride):
@@ -240,7 +290,7 @@ class TestCorr2dWeightGrad:
         rows, budget = _chunk_budget(mode, cin, k, ho, wo, 0)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d_weight_grad(x, _dilate(g, stride, ho, wo), k, padding)
+        got = layers._corr2d_weight_grad([x], _dilate(g, stride, ho, wo), k, padding)
 
         assert got.shape == (cout, cin, k, k) and got.dtype == np.float32
         np.testing.assert_allclose(
@@ -261,7 +311,7 @@ class TestCorr2dWeightGrad:
         g = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
         tracemalloc.start()
         try:
-            gw = layers._corr2d_weight_grad(x, g, 7, 3)
+            gw = layers._corr2d_weight_grad([x], g, 7, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -25,6 +25,7 @@ from pansharp.metrics import (
     scc,
     uiqi,
 )
+from helpers import read_eval_csv
 
 
 def _fixture(seed, shape):
@@ -462,7 +463,7 @@ class TestEvalReport:
         report.add("exp", "img0", d_lambda=0.02, d_s=0.03, qnr=0.9506)
         path = tmp_path / "report.csv"
         report.write_csv(path)
-        back = EvalReport.read_csv(path)
+        back = read_eval_csv(path)
         assert back.provenance == {"seed": "17", "sensor": "gf2"}
         assert len(back.rows) == 3
         assert back.rows[0]["sam"] == pytest.approx(3.14159265, rel=1e-5)

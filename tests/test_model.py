@@ -3,6 +3,7 @@ checkpoint round-trips, and gradient verification against the
 double-precision reference forward."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,25 @@ class TestTdnetForward:
                                    params["level2.up.b"], padding=1), 2)
         expected = up2.data + np.repeat(pan_np, 4, axis=1)
         np.testing.assert_allclose(out.ms_hat.data, expected, atol=1e-6)
+
+    def test_scene_forward_memory_is_bounded(self):
+        """A default-width forward on a 256^2 PAN builds no concatenated
+        feature map: conv2d lowers each concat from its parts.  Building
+        them (level 2's three 38-channel branches alone make a 28.5 MiB
+        map beside its parts) peaked at 88 MiB traced; this one peaks at
+        64 MiB."""
+        cfg = TdnetConfig(bands=8)
+        params = init_params(cfg, seed=1)
+        lrms = Tensor(_rand(77, (1, 8, 64, 64)))
+        pan = Tensor(_rand(78, (1, 1, 256, 256)))
+        tracemalloc.start()
+        try:
+            out = tdnet_forward(lrms, pan, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.ms_hat.shape == (1, 8, 256, 256)
+        assert peak < 70 << 20, peak / 2**20
 
     def test_input_validation(self):
         cfg = TdnetConfig(bands=4, feature_width=8, mscb_width=3)

@@ -180,6 +180,20 @@ class TestPointwiseOps:
         with pytest.raises(ValueError, match="axis 2"):
             concat([Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 4, 3)))])
 
+    def test_concat_rank_mismatch_raises_at_the_call(self):
+        """The ranks are checked by concat itself: comparing the shapes
+        axis by axis alone would stop at the shorter one."""
+        with pytest.raises(ValueError, match="input 1 has rank 3 but input 0 has rank 4"):
+            concat([Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((1, 3, 3)))])
+
+    def test_concat_reports_its_shape_and_builds_its_array_once(self):
+        rng = np.random.default_rng(13)
+        parts = [rng.normal(size=(2, c, 3, 4)).astype(np.float32) for c in (1, 3)]
+        cat = concat([Tensor(p) for p in parts])
+        assert cat.shape == (2, 4, 3, 4) and cat.size == 96
+        np.testing.assert_array_equal(cat.data, np.concatenate(parts, axis=1))
+        assert cat.data is cat.data
+
 
 class TestL1Loss:
     def test_value_is_flat_mean(self):
