@@ -24,7 +24,6 @@ from .metrics import (
 from .model import (
     TdnetConfig,
     ablation_configs,
-    count_parameters,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -67,7 +66,6 @@ __all__ = [
     "reference_metrics",
     "TdnetConfig",
     "ablation_configs",
-    "count_parameters",
     "init_params",
     "load_checkpoint",
     "save_checkpoint",

@@ -299,6 +299,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
         from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
+        get_sensor(ms.sensor.name)  # a dataset must name a known sensor
         sensor, count, source = ms.sensor, 1, "rasters"
         scenes = [(ms, pan)]
     else:
@@ -325,7 +326,6 @@ def cmd_simulate(args, config: RunConfig) -> int:
         seed=config.get_int("dataset", "seed"),
         sensor=sensor.name,
         bands=sensor.bands,
-        ratio=sensor.ratio,
         splits=splits,
         provenance={
             "source": source,
@@ -403,10 +403,6 @@ def _tdnet_fuse(ms: MsImage, pan: PanImage, params,
                 model_config: TdnetConfig) -> MsImage:
     """Network fusion of one pair; output clamped to the radiometric range."""
     check_aligned(ms, pan)
-    if model_config.ratio != ms.sensor.ratio:
-        raise DataError(
-            f"checkpoint has ratio {model_config.ratio} but sensor "
-            f"{ms.sensor.name!r} has ratio {ms.sensor.ratio}")
     if ms.data.shape[2] != model_config.bands:
         raise DataError(
             f"checkpoint expects {model_config.bands} bands but the input "
@@ -496,8 +492,7 @@ def _score_set(dataset_dir, fused_dir, mode: str, window: int,
                 f"sample {sample_id}: fused shape {fused.shape} does not "
                 f"match reference {sample.gt.shape}")
         if mode == "reduced":
-            values = reference_metrics(sample.gt, fused, manifest.ratio,
-                                       window=window)
+            values = reference_metrics(sample.gt, fused, window=window)
         else:
             pan = PanImage(sample.pan.astype(np.float64), sensor)
             values = no_reference_metrics(fused, sample.lrms, pan,

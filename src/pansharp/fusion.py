@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError
 from .imaging import (
     INTERP23_MIN_SIZE,
+    RATIO,
     MsImage,
     PanImage,
     box_taps,
@@ -83,11 +84,10 @@ def pan_lowpass(pan: PanImage, config: MraConfig) -> np.ndarray:
     23-tap interpolation back up (so P_L sees exactly the resampling the
     MS image went through). box: plain uniform smoothing.
     """
-    ratio = pan.sensor.ratio
     if config.pan_lowpass_mode == "box":
-        return lowpass(pan.data, box_taps(ratio))
-    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, ratio)
-    return interp23(lowpass(pan.data, taps, ratio), ratio)
+        return lowpass(pan.data, box_taps(RATIO))
+    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, RATIO)
+    return interp23(lowpass(pan.data, taps, RATIO), RATIO)
 
 
 def band_match(pan_data: np.ndarray, pan_l: np.ndarray,
@@ -153,7 +153,7 @@ def injection_gain(ms_up: np.ndarray, pan_l: np.ndarray,
 
 def exp_baseline(ms: MsImage) -> np.ndarray:
     """Plain 23-tap upsampling to the panchromatic grid (no injection)."""
-    return interp23(ms.data, ms.sensor.ratio)
+    return interp23(ms.data, RATIO)
 
 
 def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig) -> np.ndarray:
@@ -163,7 +163,7 @@ def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig) -> np.ndarray:
     which may leave [0, 1]; :func:`fuse` clips it.
     """
     check_aligned(ms, pan)
-    ms_up = interp23(ms.data, ms.sensor.ratio)
+    ms_up = interp23(ms.data, RATIO)
     p_l = pan_lowpass(pan, config)
     if config.equalize and config.gain_mode == "hpm":
         p_bands, p_l_bands = band_match(pan.data, p_l, ms_up)

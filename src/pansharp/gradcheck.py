@@ -27,6 +27,7 @@ from . import grad as _engine
 from .errors import NumericError
 from .fusion import HPM_EPSILON
 from .grad import Tape, Tensor
+from .imaging import RATIO
 
 THRESHOLD = 1e-2
 FD_STEP = 1e-3
@@ -321,8 +322,8 @@ def reference_forward(lrms: np.ndarray, pan: np.ndarray, params,
 
     if config.gain_mode == "tmra_hpm":
         if config.levels == 1:
-            r = config.ratio
-            pan_lows = {"level1": _bilinear_ref(_avgpool_ref(pan, r), r)}
+            pan_lows = {"level1": _bilinear_ref(_avgpool_ref(pan, RATIO),
+                                                RATIO)}
         else:
             half = _avgpool_ref(pan, 2)
             pan_lows = {"level1": _bilinear_ref(_avgpool_ref(half, 2), 2),
@@ -385,7 +386,7 @@ def model_gradient_error(config=None, seed: int = 0) -> float:
     params = _model.init_params(config, seed)
     probe_seed = seed * 2 + 1
     rng = np.random.default_rng(probe_seed)
-    c, r = config.bands, config.ratio
+    c, r = config.bands, RATIO
     lrms_np = rng.random((1, c, 2, 2)).astype(np.float32)
     pan_np = rng.random((1, 1, 2 * r, 2 * r)).astype(np.float32)
     proj_full = rng.standard_normal((1, c, 2 * r, 2 * r))

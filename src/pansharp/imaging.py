@@ -17,14 +17,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
+#: PAN/MS resolution ratio of every supported sensor (WorldView-3,
+#: QuickBird, GaoFen-2) and of the reduced-resolution protocol.
+RATIO = 4
+
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """Acquisition model: band count, scale ratio, MTF gains, bit depth."""
+    """Acquisition model: band count, MTF gains, bit depth."""
 
     name: str
     bands: int
-    ratio: int
     ms_nyquist_gains: tuple[float, ...]
     pan_nyquist_gain: float
     bit_depth: int
@@ -32,8 +35,6 @@ class SensorSpec:
     def __post_init__(self):
         if self.bands not in (4, 8):
             raise ValueError(f"SensorSpec: bands must be 4 or 8, got {self.bands}")
-        if self.ratio < 2:
-            raise ValueError(f"SensorSpec: ratio must be >= 2, got {self.ratio}")
         if len(self.ms_nyquist_gains) != self.bands:
             raise ValueError(
                 f"SensorSpec: {len(self.ms_nyquist_gains)} MS gains for "
@@ -49,9 +50,9 @@ def _uniform(g: float, bands: int) -> tuple[float, ...]:
     return (g,) * bands
 
 SENSORS: dict[str, SensorSpec] = {
-    "wv3": SensorSpec("wv3", 8, 4, _uniform(0.35, 8), 0.15, 11),
-    "gf2": SensorSpec("gf2", 4, 4, _uniform(0.30, 4), 0.15, 10),
-    "qb": SensorSpec("qb", 4, 4, _uniform(0.34, 4), 0.15, 11),
+    "wv3": SensorSpec("wv3", 8, _uniform(0.35, 8), 0.15, 11),
+    "gf2": SensorSpec("gf2", 4, _uniform(0.30, 4), 0.15, 10),
+    "qb": SensorSpec("qb", 4, _uniform(0.34, 4), 0.15, 11),
 }
 
 
@@ -65,7 +66,7 @@ def get_sensor(name: str) -> SensorSpec:
 
 def generic_sensor(bands: int, bit_depth: int, name: str = "generic") -> SensorSpec:
     """Fallback spec for rasters whose sensor is not in the registry."""
-    return SensorSpec(name, bands, 4, _uniform(0.30, bands), 0.15, bit_depth)
+    return SensorSpec(name, bands, _uniform(0.30, bands), 0.15, bit_depth)
 
 
 @dataclass
@@ -118,13 +119,13 @@ def _check_range01(what: str, data: np.ndarray) -> None:
 
 
 def check_aligned(ms: MsImage, pan: PanImage) -> None:
-    """Require a PAN raster ``ratio`` times the MS grid, from the same sensor."""
-    ratio = ms.sensor.ratio
-    expected = (ms.data.shape[0] * ratio, ms.data.shape[1] * ratio)
+    """Require a PAN raster :data:`RATIO` times the MS grid, from the same
+    sensor."""
+    expected = (ms.data.shape[0] * RATIO, ms.data.shape[1] * RATIO)
     if pan.data.shape != expected:
         raise DataError(
             f"pan shape {pan.data.shape} does not match MS shape "
-            f"{ms.data.shape[:2]} at ratio {ratio} (expected {expected})")
+            f"{ms.data.shape[:2]} at ratio {RATIO} (expected {expected})")
     if pan.sensor.name != ms.sensor.name:
         raise DataError(
             f"sensor mismatch ({ms.sensor.name!r} vs {pan.sensor.name!r})")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .imaging import lowpass, mtf_gaussian_taps
+from .imaging import RATIO, lowpass, mtf_gaussian_taps
 
 METRIC_NAMES = ("sam", "ergas", "scc", "q2n", "d_lambda", "d_s", "qnr")
 
@@ -356,12 +356,13 @@ def qnr(d_lambda_value: float, d_s_value: float,
     return float((1.0 - d_lambda_value) ** alpha * (1.0 - d_s_value) ** beta)
 
 
-def reference_metrics(reference, estimate, ratio: int, window: int = 32) -> dict:
-    """All reduced-resolution scores of an estimate against ground truth;
-    ``window`` is the Q2^n block size."""
+def reference_metrics(reference, estimate, window: int = 32) -> dict:
+    """All reduced-resolution scores of an estimate against ground truth,
+    ERGAS at :data:`~pansharp.imaging.RATIO`; ``window`` is the Q2^n block
+    size."""
     return {
         "sam": sam(reference, estimate),
-        "ergas": ergas(reference, estimate, ratio),
+        "ergas": ergas(reference, estimate, RATIO),
         "scc": scc(reference, estimate),
         "q2n": q2n(reference, estimate, window),
     }

@@ -46,6 +46,7 @@ from .grad import (
     scale,
     sigmoid,
 )
+from .imaging import RATIO
 
 UPSAMPLE_MODES = ("pixel_shuffle", "bilinear", "deconv")
 GAIN_MODES = ("learned_attention", "tmra_hpm")
@@ -65,13 +66,12 @@ class TdnetConfig:
 
     ``mscb_width`` is the per-kernel channel count inside the multi-scale
     block; the default of 38 puts the 8-band parameter count near 5.5e5.
-    ``levels=1`` collapses the model to a single ×``ratio`` stage driven by
-    the full-resolution detail map only. Code that differs by level reads
-    :attr:`stages`.
+    ``levels=1`` collapses the model to a single ×:data:`RATIO` stage
+    driven by the full-resolution detail map only. Code that differs by
+    level reads :attr:`stages`.
     """
 
     bands: int
-    ratio: int = 4
     feature_width: int = 64
     mscb_kernels: tuple[int, ...] = (3, 5, 7)
     mscb_width: int = 38
@@ -87,13 +87,6 @@ class TdnetConfig:
             raise ValueError(f"bands must be >= 1, got {self.bands}")
         if self.levels not in (1, 2):
             raise ValueError(f"levels must be 1 or 2, got {self.levels}")
-        if self.levels == 2 and self.ratio != 4:
-            raise ValueError(
-                f"a two-level model implies two x2 stages, so ratio must be 4 "
-                f"(got {self.ratio})"
-            )
-        if self.ratio not in (2, 4):
-            raise ValueError(f"ratio must be 2 or 4, got {self.ratio}")
         if not self.mscb_kernels:
             raise ValueError("mscb_kernels must be nonempty")
         for k in self.mscb_kernels:
@@ -115,8 +108,9 @@ class TdnetConfig:
 
     @property
     def stage_scale(self) -> int:
-        """Upsampling factor of each stage (2 for two stages, else ratio)."""
-        return 2 if self.levels == 2 else self.ratio
+        """Upsampling factor of each stage (2 for two stages, else
+        :data:`RATIO`)."""
+        return 2 if self.levels == 2 else RATIO
 
     @property
     def stages(self) -> tuple[tuple[str, int], ...]:
@@ -139,17 +133,23 @@ class TdnetOutput:
 
 
 def config_to_dict(config: TdnetConfig) -> dict:
+    """The checkpoint's config record; it also names the ratio, always
+    :data:`RATIO`."""
     payload = dataclasses.asdict(config)
     payload["mscb_kernels"] = list(config.mscb_kernels)
+    payload["ratio"] = RATIO
     return payload
 
 
 def config_from_dict(payload: dict) -> TdnetConfig:
+    kwargs = dict(payload)
+    ratio = kwargs.pop("ratio", RATIO)
+    if ratio != RATIO:
+        raise ValueError(f"ratio is {ratio!r}, not {RATIO}")
     known = {f.name for f in dataclasses.fields(TdnetConfig)}
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(kwargs) - known)
     if unknown:
         raise ValueError(f"unknown model config keys: {', '.join(unknown)}")
-    kwargs = dict(payload)
     if "mscb_kernels" in kwargs:
         kwargs["mscb_kernels"] = tuple(int(k) for k in kwargs["mscb_kernels"])
     return TdnetConfig(**kwargs)
@@ -218,10 +218,6 @@ def init_params(config: TdnetConfig, seed: int = 0) -> dict[str, Tensor]:
             data = kaiming_uniform(rng, shape, fan_in)
         params[name] = Tensor(data, requires_grad=True)
     return params
-
-
-def count_parameters(params: dict[str, Tensor]) -> int:
-    return sum(t.size for t in params.values())
 
 
 # -- forward blocks --------------------------------------------------------
@@ -300,7 +296,7 @@ def tmra_injection(ms_up: Tensor, pan_l, d: Tensor) -> Tensor:
 def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
          config: TdnetConfig, level: str = "level1", *,
          pan_low: Tensor | None = None) -> Tensor:
-    """Upsample ×2 (or ×ratio) and inject the detail map through a gain.
+    """Upsample by the stage scale and inject the detail map through a gain.
 
     The learned gain is a sigmoid gate over the concatenated inputs. With
     ``use_mrab`` off the detail map is added directly; in ``tmra_hpm``
@@ -365,10 +361,10 @@ def tdnet_forward(lrms: Tensor, pan: Tensor, params: dict[str, Tensor],
             f"tdnet_forward: pan shape {pan.shape} does not pair with "
             f"lrms shape {lrms.shape}"
         )
-    r = config.ratio
-    if pan.shape[2] != r * lrms.shape[2] or pan.shape[3] != r * lrms.shape[3]:
+    if (pan.shape[2] != RATIO * lrms.shape[2]
+            or pan.shape[3] != RATIO * lrms.shape[3]):
         raise ValueError(
-            f"tdnet_forward: pan dims {pan.shape[2:]} must be {r}x the "
+            f"tdnet_forward: pan dims {pan.shape[2:]} must be {RATIO}x the "
             f"lrms dims {lrms.shape[2:]}"
         )
 

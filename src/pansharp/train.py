@@ -166,10 +166,6 @@ def train(data_dir, model_config: TdnetConfig,
         raise DataError(
             f"dataset has {manifest.bands} bands but the model expects "
             f"{model_config.bands}")
-    if manifest.ratio != model_config.ratio:
-        raise DataError(
-            f"dataset has ratio {manifest.ratio} but the model expects "
-            f"{model_config.ratio}")
 
     params = init_params(model_config, seed=cfg.seed)
     ordered = [params[name] for name in params]
@@ -282,6 +278,6 @@ def ablation_suite(data_dir, base_config: TdnetConfig,
             out = tdnet_forward(lrms, pan, result.params, variant)
             fused = out.ms_hat.data[0].transpose(1, 2, 0)
             report.add(name, str(sample.id),
-                       **reference_metrics(sample.gt, fused, variant.ratio))
+                       **reference_metrics(sample.gt, fused))
     report.add_aggregates()
     return report

@@ -32,6 +32,7 @@ from .container import read_psr1, write_psr1
 from .errors import DataError
 from .grad.rng import SplitMix64, derive_seed
 from .imaging import (
+    RATIO,
     MsImage,
     PanImage,
     SensorSpec,
@@ -104,7 +105,7 @@ class SamplePair:
         patch = self.gt.shape[0]
         expected = {
             "pan": (patch, patch),
-            "lrms": (patch // 4, patch // 4, self.gt.shape[2]),
+            "lrms": (patch // RATIO, patch // RATIO, self.gt.shape[2]),
             "gt_d": (patch // 2, patch // 2, self.gt.shape[2]),
         }
         for name, shape in expected.items():
@@ -129,24 +130,23 @@ def make_samples(ms_full: MsImage, pan_full: PanImage,
     if stride is None:
         stride = patch
     sensor = ms_full.sensor
-    ratio = sensor.ratio
     check_aligned(ms_full, pan_full)
     height, width = ms_full.data.shape[:2]
     if patch > height or patch > width:
         raise DataError(
             f"patch {patch} exceeds image bounds {height}x{width}")
-    if patch % 4:
-        raise DataError(f"patch size {patch} must be divisible by 4")
+    if patch % RATIO:
+        raise DataError(f"patch size {patch} must be divisible by {RATIO}")
     samples = []
     for i in range(0, height - patch + 1, stride):
         for j in range(0, width - patch + 1, stride):
             gt = ms_full.data[i:i + patch, j:j + patch]
-            pan_patch = pan_full.data[i * ratio:(i + patch) * ratio,
-                                      j * ratio:(j + patch) * ratio]
+            pan_patch = pan_full.data[i * RATIO:(i + patch) * RATIO,
+                                      j * RATIO:(j + patch) * RATIO]
             samples.append(SamplePair(
                 id=len(samples),
-                pan=degrade(pan_patch, sensor, ratio).astype(np.float32),
-                lrms=degrade(gt, sensor, 4).astype(np.float32),
+                pan=degrade(pan_patch, sensor, RATIO).astype(np.float32),
+                lrms=degrade(gt, sensor, RATIO).astype(np.float32),
                 gt=gt.astype(np.float32),
                 gt_d=degrade(gt, sensor, 2).astype(np.float32),
             ))
@@ -177,12 +177,14 @@ def split(ids, seed: int = 0) -> dict:
 
 @dataclass
 class DatasetManifest:
-    """Replay record for a simulated dataset directory."""
+    """Replay record for a simulated dataset directory.
+
+    Its JSON also records the resolution ratio, always :data:`RATIO`.
+    """
 
     seed: int
     sensor: str
     bands: int
-    ratio: int
     splits: dict
     provenance: dict = field(default_factory=dict)
 
@@ -205,7 +207,7 @@ class DatasetManifest:
             "seed": self.seed,
             "sensor": self.sensor,
             "bands": self.bands,
-            "ratio": self.ratio,
+            "ratio": RATIO,
             "splits": {name: list(map(int, self.splits[name]))
                        for name in SPLIT_NAMES},
             "provenance": self.provenance,
@@ -227,24 +229,26 @@ class DatasetManifest:
                 raise DataError(
                     f"malformed manifest: {key!r} is a "
                     f"{type(payload[key]).__name__}, not a {kind.__name__}")
-        for key in ("bands", "ratio"):
-            if payload[key] < 1:
-                raise DataError(f"malformed manifest: {key!r} is {payload[key]}")
+        bands, ratio = payload["bands"], payload["ratio"]
+        if bands < 1:
+            raise DataError(f"malformed manifest: 'bands' is {bands}")
+        if ratio != RATIO:
+            raise DataError(
+                f"malformed manifest: 'ratio' is {ratio}, not {RATIO}")
         for name, ids in payload["splits"].items():
             if not (isinstance(ids, list) and all(isinstance(i, int) for i in ids)):
                 raise DataError(
                     f"malformed manifest: split {name!r} must be a list of "
                     f"sample ids")
         return cls(seed=payload["seed"], sensor=payload["sensor"],
-                   bands=payload["bands"], ratio=payload["ratio"],
-                   splits=payload["splits"],
+                   bands=payload["bands"], splits=payload["splits"],
                    provenance=payload.get("provenance", {}))
 
 
 def write_dataset(directory, samples, manifest: DatasetManifest) -> None:
     """Write ``manifest.json`` and one PSR1 raster per sample role."""
-    os.makedirs(directory, exist_ok=True)
     sensor = get_sensor(manifest.sensor)
+    os.makedirs(directory, exist_ok=True)
     known = set(manifest.all_ids)
     missing = known - {sample.id for sample in samples}
     if missing:
@@ -305,7 +309,7 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     PAN resolution; each band maps it through its own random radiometric
     response (plus a faint band-specific texture), and the PAN plane is
     the band average of that high-resolution world.  The MS image is the
-    world degraded by the sensor ratio (the taps of :func:`degrade`), so
+    world degraded by :data:`RATIO` (the taps of :func:`degrade`), so
     the pair behaves like an aligned acquisition with genuine PAN-only
     detail.
 
@@ -317,8 +321,7 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     """
     if ms_size % 4:
         raise DataError(f"ms_size {ms_size} must be divisible by 4")
-    ratio = sensor.ratio
-    plane = (ms_size * ratio, ms_size * ratio)
+    plane = (ms_size * RATIO, ms_size * RATIO)
     rng = SplitMix64(derive_seed(seed, "scene"))
     structure = np.zeros(plane)
     for gain, octave_ratio, amplitude in SCENE_OCTAVES:
@@ -335,7 +338,7 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     structure -= structure.min()
     structure /= structure.max()
 
-    band_taps = _degrade_taps(sensor, ratio)[1]
+    band_taps = _degrade_taps(sensor, RATIO)[1]
     texture_taps = _scene_taps(0.4, 2)
     pan = np.zeros(plane)
     ms = np.empty((ms_size, ms_size, sensor.bands))
@@ -359,7 +362,7 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
         del texture
         np.clip(band, 0.0, 1.0, out=band)
         pan += band
-        ms[:, :, k] = lowpass(band, band_taps[k], ratio)
+        ms[:, :, k] = lowpass(band, band_taps[k], RATIO)
         del band
     pan /= sensor.bands
     return MsImage(ms, sensor), PanImage(pan, sensor)

@@ -47,7 +47,6 @@ from pansharp.metrics import (
 )
 from pansharp.model import (
     TdnetConfig,
-    count_parameters,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -90,7 +89,7 @@ def _write_demo_dataset(directory, scene_seed: int, ms_size: int,
     samples = make_samples(ms, pan, patch=patch, stride=patch)
     ids = [s.id for s in samples]
     manifest = DatasetManifest(
-        seed=scene_seed, sensor="wv3", bands=8, ratio=4,
+        seed=scene_seed, sensor="wv3", bands=8,
         splits=splits if splits is not None else split(ids, seed=4),
         provenance={})
     write_dataset(directory, samples, manifest)
@@ -200,7 +199,7 @@ def test_criterion_02_metric_oracles():
     errors["d_s"] = abs(d_s(fused, lrms, pan, window=16) - total / 4)
 
     worst = max(errors.values())
-    ideal = reference_metrics(x, x, 4)
+    ideal = reference_metrics(x, x)
     ideals_exact = (ideal["sam"] == 0.0 and ideal["ergas"] == 0.0
                     and ideal["scc"] == 1.0 and ideal["q2n"] == 1.0
                     and qnr(0.0, 0.0) == 1.0)
@@ -293,7 +292,7 @@ def test_criterion_05_classic_ordering():
 
 
 def test_criterion_06_parameter_count():
-    count = count_parameters(init_params(TdnetConfig(bands=8)))
+    count = sum(t.size for t in init_params(TdnetConfig(bands=8)).values())
     ok = 4.4e5 <= count <= 6.6e5
     _report(6, ok, f"default 8-band network: {count} trainable parameters "
                    f"(window [4.4e5, 6.6e5])")
@@ -312,7 +311,7 @@ def test_criterion_07_training_smoke(tmp_path):
     samples = make_samples(ms, pan, patch=16, stride=16)
     ids = [s.id for s in samples]
     assert len(ids) == 64
-    manifest = DatasetManifest(seed=11, sensor="wv3", bands=8, ratio=4,
+    manifest = DatasetManifest(seed=11, sensor="wv3", bands=8,
                                splits={"train": ids, "val": [], "test": []},
                                provenance={})
     write_dataset(data_dir, samples, manifest)

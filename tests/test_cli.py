@@ -3,6 +3,7 @@ artifacts, CLI/library parity, and the exit-code contract."""
 
 import configparser
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -79,7 +80,7 @@ class TestRunConfig:
             "[metric]\nwindow = 32\n\n"
             "[model]\nbands = auto\nfeature_width = 64\n"
             "gain_mode = learned_attention\nlevels = 2\n"
-            "mscb_kernels = 3,5,7\nmscb_width = 38\nratio = 4\n"
+            "mscb_kernels = 3,5,7\nmscb_width = 38\n"
             "upsample_mode = pixel_shuffle\nuse_mrab = true\n"
             "use_pan_branch = true\n\n"
             "[sensor]\nname = wv3\n\n"
@@ -129,6 +130,11 @@ class TestRunConfig:
             cfg.model_config()
         cfg = RunConfig.load(overrides=["model.bands=4"])
         assert cfg.model_config(default_bands=8).bands == 4
+
+    def test_ratio_is_not_a_config_key(self, tmp_path):
+        """The PAN/MS ratio is fixed at 4, so ``model.ratio`` is unknown."""
+        assert main(["simulate", "--out", str(tmp_path / "d"),
+                     "--set", "model.ratio=4"]) == 2
 
     def test_seed_flag_touches_both_seeds(self):
         cfg = RunConfig.load(seed=17)
@@ -224,6 +230,21 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == \
             f"error: dataset.{key} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    def test_unknown_raster_sensor_is_data_error(self, tmp_path, capsys):
+        """Rasters naming a sensor outside the registry are refused before
+        any sample is cut, and no output directory is left behind."""
+        rng = np.random.default_rng(3)
+        ms_path, pan_path = tmp_path / "ms.psr1", tmp_path / "pan.psr1"
+        write_psr1(ms_path, rng.random((32, 32, 8)), "pleiades", 11)
+        write_psr1(pan_path, rng.random((128, 128)), "pleiades", 11)
+        out = tmp_path / "x"
+        rc = main(["simulate", str(ms_path), str(pan_path), "--out", str(out),
+                   *SIM_ARGS])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "pleiades" in err and rc == 3
         assert not out.exists()
 
     def test_single_input_is_config_error(self, tmp_path):
@@ -554,6 +575,18 @@ def small_patch_dir(tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def ratio_two_dir(tmp_path_factory, dataset_dir):
+    """The CLI dataset with its manifest edited to declare ratio 2."""
+    directory = tmp_path_factory.mktemp("ratio-two") / "dataset"
+    shutil.copytree(dataset_dir, directory)
+    manifest = directory / "manifest.json"
+    text = manifest.read_text()
+    assert text.count('"ratio": 4') == 1
+    manifest.write_text(text.replace('"ratio": 4', '"ratio": 2'))
+    return directory
+
+
 class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, dataset_dir, tmp_path):
@@ -628,17 +661,34 @@ class TestExitCodes:
 
     def test_tdnet_checkpoint_ratio_not_sensor_ratio(self, pair_paths,
                                                      tmp_path, capsys):
-        assert self._tdnet_exit(capsys, tmp_path, *pair_paths,
-                                levels=1, ratio=2) == 3
+        """A checkpoint whose config declares ratio 2 is a data error."""
+        def ratio_two(blob, name_at, name_len):
+            at = blob.index(b'"ratio": 4')
+            blob[at:at + 10] = b'"ratio": 2'
 
-    def test_train_model_ratio_not_dataset_ratio(self, dataset_dir, tmp_path,
-                                                 capsys):
-        rc = main(["train", str(dataset_dir), "--out", str(tmp_path / "t"),
-                   "--set", "model.levels=1", "--set", "model.ratio=2",
+        method = _crafted_checkpoint(tmp_path / "ratio.ckpt", ratio_two)
+        assert self._fuse_exit(capsys, tmp_path, *pair_paths, method) == 3
+
+    def test_train_model_ratio_not_dataset_ratio(self, ratio_two_dir,
+                                                 tmp_path, capsys):
+        rc = main(["train", str(ratio_two_dir), "--out", str(tmp_path / "t"),
                    "--set", "train.epochs=1", *SMALL_MODEL])
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "ratio" in err and rc == 3
+
+    @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
+    def test_manifest_ratio_not_four(self, command, ratio_two_dir, tmp_path,
+                                     capsys):
+        """Every command that reads a dataset refuses a manifest declaring
+        ratio 2; ``eval`` used to score it with twice the ERGAS."""
+        args = {"fuse": ["fuse", str(ratio_two_dir), "--method", "exp"],
+                "train": ["train", str(ratio_two_dir)],
+                "eval": ["eval", str(ratio_two_dir), str(tmp_path)]}[command]
+        rc = main([*args, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'ratio' is 2" in err and rc == 3
 
     @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
     def test_corrupt_manifest(self, command, tmp_path, capsys):

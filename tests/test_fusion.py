@@ -20,6 +20,7 @@ from pansharp.fusion import (
     pan_lowpass,
 )
 from pansharp.imaging import (
+    RATIO,
     SENSORS,
     MsImage,
     PanImage,
@@ -59,7 +60,7 @@ class TestPanLowpass:
         ms, pan = _smooth_pair()
         p_l = pan_lowpass(pan, MraConfig("box", "unit"))
         i, j = 20, 30
-        half = pan.sensor.ratio
+        half = RATIO
         want = pan.data[i - half:i + half + 1, j - half:j + half + 1].mean()
         assert p_l[i, j] == pytest.approx(want, abs=1e-12)
 
@@ -160,7 +161,7 @@ class TestMraFuse:
     def test_exp_is_plain_interp(self):
         ms, pan = _smooth_pair()
         np.testing.assert_array_equal(
-            exp_baseline(ms), interp23(ms.data, ms.sensor.ratio))
+            exp_baseline(ms), interp23(ms.data, RATIO))
 
     def test_constant_pan_degenerates_to_exp(self, monkeypatch):
         """When P equals P_L the detail plane vanishes for every method."""

@@ -6,6 +6,7 @@ import pytest
 from pansharp import imaging
 from pansharp.errors import DataError
 from pansharp.imaging import (
+    RATIO,
     MsImage,
     PanImage,
     SENSORS,
@@ -63,13 +64,14 @@ class TestSensorSpec:
         assert SENSORS["gf2"].bands == 4 and SENSORS["gf2"].bit_depth == 10
         assert SENSORS["qb"].bands == 4 and SENSORS["qb"].bit_depth == 11
         for spec in SENSORS.values():
-            assert spec.ratio == 4 and spec.pan_nyquist_gain == 0.15
+            assert spec.pan_nyquist_gain == 0.15
+        assert RATIO == 4
 
     def test_validation(self):
         with pytest.raises(ValueError, match="bands"):
-            SensorSpec("x", 3, 4, (0.3,) * 3, 0.15, 11)
+            SensorSpec("x", 3, (0.3,) * 3, 0.15, 11)
         with pytest.raises(ValueError, match="gain"):
-            SensorSpec("x", 4, 4, (0.3, 0.3, 1.5, 0.3), 0.15, 11)
+            SensorSpec("x", 4, (0.3, 0.3, 1.5, 0.3), 0.15, 11)
         with pytest.raises(DataError, match="unknown sensor"):
             get_sensor("landsat")
 

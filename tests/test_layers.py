@@ -134,15 +134,6 @@ def _expected_chunks(mode, batch, total, rows):
             for b in range(batch) for q0 in range(0, total, rows)]
 
 
-def _dilate(g, stride, ho, wo):
-    """g spread over a zero (ho, wo) map at every ``stride``-th position:
-    the output gradient of a stride-``stride`` correlation as a stride-1
-    one, whose zeros add nothing to the weight gradient."""
-    gd = np.zeros(g.shape[:2] + (ho, wo), g.dtype)
-    gd[:, :, ::stride, ::stride] = g
-    return gd
-
-
 class TestCorr2dTiling:
     """The lowered padded rows are cut into chunks of whole images or
     bands of rows; every cut must give the untiled result.  The input is
@@ -260,41 +251,39 @@ class TestConv2dOverConcat:
             np.testing.assert_array_equal(g, wnt)
 
 
-def _weight_grad_reference(x, g, k, padding, stride):
-    """float64 einsum of every ``stride``-th window of the padded input
-    with g."""
+def _weight_grad_reference(x, g, k, padding):
+    """float64 einsum of every window of the padded input with g."""
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     xp = np.pad(x.astype(np.float64), pad)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
     return np.einsum("bchwij,bohw->ocij", win, g.astype(np.float64))
 
 
 class TestCorr2dWeightGrad:
     """The weight gradient multiplies g against the forward's column
-    chunks; every cut must give the unchunked float64 result.  A stride-2
-    weight gradient is checked as the stride-1 one of the zero-dilated
-    output gradient."""
+    chunks; every cut must give the unchunked float64 result.  The input
+    is one array, or two channel groups, as for a channel ``concat``."""
 
     @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2])
     @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (4, 0),
                                            (4, 1), (5, 0), (5, 2), (7, 0),
                                            (7, 3)])
-    def test_chunks_match_reference(self, monkeypatch, mode, stride, k, padding):
+    def test_chunks_match_reference(self, monkeypatch, mode, groups, k, padding):
         rng = np.random.default_rng(33)
         batch, cin, cout = 3, 2, 4
         x = rng.normal(size=(batch, cin, 15, 11)).astype(np.float32)
         ho, wo = 15 + 2 * padding - k + 1, 11 + 2 * padding - k + 1
-        g = rng.normal(size=(batch, cout, (ho - 1) // stride + 1,
-                             (wo - 1) // stride + 1)).astype(np.float32)
+        g = rng.normal(size=(batch, cout, ho, wo)).astype(np.float32)
         rows, budget = _chunk_budget(mode, cin, k, ho, wo, 0)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d_weight_grad([x], _dilate(g, stride, ho, wo), k, padding)
+        got = layers._corr2d_weight_grad(np.split(x, groups, axis=1), g, k,
+                                         padding)
 
         assert got.shape == (cout, cin, k, k) and got.dtype == np.float32
         np.testing.assert_allclose(
-            got, _weight_grad_reference(x, g, k, padding, stride),
+            got, _weight_grad_reference(x, g, k, padding),
             rtol=1e-5, atol=1e-5)
         total = ho + k - 1
         assert chunks == _expected_chunks(mode, batch, total, rows)

@@ -445,7 +445,7 @@ def test_window_below_one_rejected(metric, window):
 class TestReferenceBundle:
     def test_keys_and_ideal_values(self):
         x = _fixture(90, (32, 32, 4))
-        scores = reference_metrics(x, x, 4)
+        scores = reference_metrics(x, x)
         assert set(scores) == {"sam", "ergas", "scc", "q2n"}
         assert scores["sam"] == 0.0
         assert scores["ergas"] == 0.0

@@ -15,7 +15,6 @@ from pansharp.model import (
     ablation_configs,
     config_from_dict,
     config_to_dict,
-    count_parameters,
     init_params,
     load_checkpoint,
     mrab,
@@ -27,6 +26,10 @@ from pansharp.model import (
     tdnet_loss,
     tmra_injection,
 )
+
+
+def _count(params):
+    return sum(t.size for t in params.values())
 
 
 def _rand(seed, shape, low=0.0, high=1.0):
@@ -53,7 +56,6 @@ class TestTdnetConfig:
     def test_defaults(self):
         """The stock 8-band configuration matches the documented defaults."""
         cfg = TdnetConfig(bands=8)
-        assert cfg.ratio == 4
         assert cfg.feature_width == 64
         assert cfg.mscb_kernels == (3, 5, 7)
         assert cfg.mscb_width == 38
@@ -61,10 +63,6 @@ class TestTdnetConfig:
         assert cfg.use_mrab and cfg.use_pan_branch
         assert cfg.levels == 2
         assert cfg.gain_mode == "learned_attention"
-
-    def test_two_levels_require_ratio_four(self):
-        with pytest.raises(ValueError, match="ratio must be 4"):
-            TdnetConfig(bands=4, ratio=2)
 
     def test_kernel_validation(self):
         with pytest.raises(ValueError, match="odd"):
@@ -90,6 +88,17 @@ class TestTdnetConfig:
         cfg = TdnetConfig(bands=4, mscb_width=7, upsample_mode="deconv")
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    def test_ratio_recorded_and_checked(self):
+        """The config record names ratio 4; any other ratio is refused,
+        and a record without one loads as ratio 4."""
+        payload = config_to_dict(TdnetConfig(bands=4))
+        assert payload["ratio"] == 4
+        del payload["ratio"]
+        assert config_from_dict(payload) == TdnetConfig(bands=4)
+        payload["ratio"] = 2
+        with pytest.raises(ValueError, match="ratio is 2, not 4"):
+            config_from_dict(payload)
+
     def test_unknown_key_rejected(self):
         payload = config_to_dict(TdnetConfig(bands=4))
         payload["kernel_count"] = 3
@@ -106,19 +115,19 @@ class TestParameters:
         expected = 134768 + 11062 * width
         assert expected == 555124
         params = init_params(TdnetConfig(bands=8))
-        assert count_parameters(params) == expected
+        assert _count(params) == expected
 
     def test_count_inside_target_window(self):
         """8-band default lands in the 5.5e5 +/- 20% window."""
-        n = count_parameters(init_params(TdnetConfig(bands=8)))
+        n = _count(init_params(TdnetConfig(bands=8)))
         assert 4.4e5 <= n <= 6.6e5
 
     def test_variants_shrink_count_monotonically(self):
         base = TdnetConfig(bands=8)
         cfgs = ablation_configs(base)
-        full = count_parameters(init_params(base))
+        full = _count(init_params(base))
         for name in ("wo-mrab", "sscb", "wo-pan-branch", "tdnet-minus"):
-            assert count_parameters(init_params(cfgs[name])) < full, name
+            assert _count(init_params(cfgs[name])) < full, name
 
     def test_init_is_deterministic(self):
         cfg = TdnetConfig(bands=4, feature_width=8, mscb_width=3)
@@ -162,9 +171,9 @@ class TestPanBranch:
         assert d_half.shape == (1, 8, 32, 32)
 
     @pytest.mark.parametrize("use_pan_branch", [True, False])
-    @pytest.mark.parametrize("levels, ratio", [(1, 4), (1, 2), (2, 4)])
-    def test_one_map_per_stage_on_its_grid(self, levels, ratio, use_pan_branch):
-        cfg = TdnetConfig(bands=3, feature_width=4, mscb_width=2, ratio=ratio,
+    @pytest.mark.parametrize("levels", [1, 2], ids=["1-4", "2-4"])  # levels-ratio
+    def test_one_map_per_stage_on_its_grid(self, levels, use_pan_branch):
+        cfg = TdnetConfig(bands=3, feature_width=4, mscb_width=2,
                           levels=levels, use_pan_branch=use_pan_branch)
         details = pan_details(Tensor(_rand(4, (2, 1, 16, 16))),
                               init_params(cfg, seed=1), cfg)
@@ -328,8 +337,8 @@ class TestMscb:
         x = Tensor(_rand(32, (1, 4, 10, 10)))
         d = Tensor(_rand(33, (1, 4, 10, 10)))
         assert mscb(x, d, params, cfg, "level1").shape == x.shape
-        assert (count_parameters(init_params(cfg))
-                < count_parameters(init_params(self.CFG)))
+        assert (_count(init_params(cfg))
+                < _count(init_params(self.CFG)))
 
     def test_shape_mismatch_rejected(self):
         params = init_params(self.CFG, seed=6)

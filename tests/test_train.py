@@ -51,7 +51,7 @@ def dataset_dir(tmp_path_factory):
     ms, pan = synthetic_scene(21, sensor, ms_size=160)
     samples = make_samples(ms, pan, patch=32, stride=32)
     splits = split([s.id for s in samples], seed=4)
-    manifest = DatasetManifest(seed=21, sensor="wv3", bands=8, ratio=4,
+    manifest = DatasetManifest(seed=21, sensor="wv3", bands=8,
                                splits=splits)
     directory = tmp_path_factory.mktemp("dataset")
     write_dataset(directory, samples, manifest)
@@ -287,7 +287,7 @@ class TestTrain:
     def test_empty_training_split_rejected(self, dataset_dir, tmp_path):
         manifest = read_manifest(dataset_dir)
         ids = manifest.all_ids
-        bad = DatasetManifest(seed=0, sensor="wv3", bands=8, ratio=4,
+        bad = DatasetManifest(seed=0, sensor="wv3", bands=8,
                               splits={"train": [], "val": ids, "test": []})
         directory = tmp_path / "empty-train"
         samples = [load_sample(dataset_dir, i) for i in ids]

@@ -9,6 +9,7 @@ import pytest
 from pansharp.errors import DataError
 from pansharp.grad.rng import SplitMix64, derive_seed
 from pansharp.imaging import (
+    RATIO,
     SENSORS,
     lowpass,
     mtf_gaussian_taps,
@@ -185,7 +186,7 @@ class TestSplit:
 
 class TestManifest:
     def _manifest(self, n=8, seed=21):
-        return DatasetManifest(seed=seed, sensor="gf2", bands=4, ratio=4,
+        return DatasetManifest(seed=seed, sensor="gf2", bands=4,
                                splits=split(range(n), seed=seed),
                                provenance={"scene": "synthetic"})
 
@@ -196,12 +197,12 @@ class TestManifest:
 
     def test_rejects_overlapping_splits(self):
         with pytest.raises(DataError, match="overlap"):
-            DatasetManifest(seed=0, sensor="gf2", bands=4, ratio=4,
+            DatasetManifest(seed=0, sensor="gf2", bands=4,
                             splits={"train": [0, 1], "val": [1], "test": [2]})
 
     def test_rejects_missing_split(self):
         with pytest.raises(DataError, match="missing"):
-            DatasetManifest(seed=0, sensor="gf2", bands=4, ratio=4,
+            DatasetManifest(seed=0, sensor="gf2", bands=4,
                             splits={"train": [0], "val": [1]})
 
     def test_malformed_json(self):
@@ -213,11 +214,12 @@ class TestManifest:
         (lambda payload: payload.pop("seed"), "missing 'seed'"),
         (lambda payload: payload.update(ratio="4"), "'ratio' is a str"),
         (lambda payload: payload.update(ratio=0), "'ratio' is 0"),
+        (lambda payload: payload.update(ratio=2), "'ratio' is 2, not 4"),
         (lambda payload: payload.update(splits=[1, 2]), "'splits' is a list"),
         (lambda payload: payload["splits"].update(train=5), "split 'train'"),
         (lambda payload: payload["splits"].update(val=[[1]]), "split 'val'"),
-    ], ids=["missing-key", "str-ratio", "zero-ratio", "array-splits",
-            "int-split", "nested-split"])
+    ], ids=["missing-key", "str-ratio", "zero-ratio", "two-ratio",
+            "array-splits", "int-split", "nested-split"])
     def test_corrupt_payload_is_data_error(self, edit, problem):
         payload = json.loads(self._manifest().to_json())
         edit(payload)
@@ -230,7 +232,7 @@ class TestDatasetDirectory:
         ms, pan = synthetic_scene(seed, SENSORS["gf2"], ms_size=128)
         samples = make_samples(ms, pan)
         manifest = DatasetManifest(
-            seed=seed, sensor="gf2", bands=4, ratio=4,
+            seed=seed, sensor="gf2", bands=4,
             splits=split([sample.id for sample in samples], seed=seed),
             provenance={"scene": "synthetic", "ms_size": "128"})
         write_dataset(tmp_path / "data", samples, manifest)
@@ -260,12 +262,19 @@ class TestDatasetDirectory:
         with pytest.raises(DataError, match="cannot read manifest"):
             read_manifest(tmp_path)
 
+    def test_unknown_sensor_writes_nothing(self, tmp_path):
+        manifest = DatasetManifest(seed=0, sensor="pleiades", bands=4,
+                                   splits=split(range(4), seed=0))
+        with pytest.raises(DataError, match="unknown sensor 'pleiades'"):
+            write_dataset(tmp_path / "data", [], manifest)
+        assert not (tmp_path / "data").exists()
+
 
 def _stacked_scene(seed, sensor, ms_size, blur_taps):
     """The synthetic scene built whole: the H x W x C world stacked, the
     PAN its band mean and the MS its :func:`degrade`.  ``blur_taps(gain,
     ratio)`` gives the taps of the octave and texture blurs."""
-    plane = (ms_size * sensor.ratio,) * 2
+    plane = (ms_size * RATIO,) * 2
     rng = SplitMix64(derive_seed(seed, "scene"))
     structure = np.zeros(plane)
     for gain, octave_ratio, amplitude in SCENE_OCTAVES:
@@ -286,7 +295,7 @@ def _stacked_scene(seed, sensor, ms_size, blur_taps):
         texture -= texture.mean()
         band = offset + slope * structure + curve * structure * (1.0 - structure)
         world[:, :, k] = np.clip(band + 0.02 * texture, 0.0, 1.0)
-    return degrade(world, sensor, sensor.ratio), world.mean(axis=2)
+    return degrade(world, sensor, RATIO), world.mean(axis=2)
 
 
 class TestSyntheticScene:
