@@ -298,8 +298,13 @@ def cmd_simulate(args, config: RunConfig) -> int:
     if args.inputs:
         from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
+        registered = get_sensor(ms.sensor.name)  # a dataset must name a known sensor
+        if registered != ms.sensor:
+            raise DataError(
+                f"{args.inputs[0]}: a {registered.name} raster has "
+                f"{registered.bands} bands of {registered.bit_depth} bits, "
+                f"this one {ms.sensor.bands} of {ms.sensor.bit_depth}")
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
-        get_sensor(ms.sensor.name)  # a dataset must name a known sensor
         sensor, count, source = ms.sensor, 1, "rasters"
         scenes = [(ms, pan)]
     else:
@@ -437,13 +442,15 @@ def cmd_fuse(args, config: RunConfig) -> int:
         raise ConfigError("--method is required for fuse")
     method, checkpoint = _parse_method(args.method)
     loaded = load_checkpoint(checkpoint) if method == "tdnet" else None
-    os.makedirs(out, exist_ok=True)
 
+    # Every input is read and checked before --out is made, so a refused
+    # run leaves no directory behind.
     if len(args.inputs) == 2:
         from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
         fused = _fuse_pair(method, ms, pan, loaded)
+        os.makedirs(out, exist_ok=True)
         save_ms(os.path.join(out, "fused.psr1"), fused)
         _write_preview(os.path.join(out, "preview.ppm"), fused.data)
         print(f"fused 1 pair with {method} -> {out}/fused.psr1")
@@ -452,6 +459,7 @@ def cmd_fuse(args, config: RunConfig) -> int:
         sensor = get_sensor(manifest.sensor)
         split_name = config.get("dataset", "split")
         ids = _split_ids(manifest, split_name)
+        os.makedirs(out, exist_ok=True)
         for sample_id in ids:
             sample = load_sample(args.inputs[0], sample_id)
             ms = MsImage(sample.lrms, sensor)

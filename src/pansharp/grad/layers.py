@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DTYPE, Concat, Tensor, _record
+from .tensor import DTYPE, Concat, Tensor, _grad_slot, _record
 
 # Ceiling per chunk on its lowered rows plus the caller's block kept
 # alongside them (the forward's product), in float32 elements (8 MiB).  A
@@ -216,17 +216,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     out_data = _corr2d(xs, w.data, padding)
     out_data += b.data[None, :, None, None]
     out = Tensor(out_data)
-    k = kh
+    k, w_data = kh, w.data
+    sx, sw, sb = _grad_slot(x), _grad_slot(w), _grad_slot(b)
 
     def backward_fn(g: np.ndarray) -> None:
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            w.accumulate_grad(_corr2d_weight_grad(xs, g, k, padding))
-        if x.requires_grad:
+        if sb is not None:
+            sb.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        if sw is not None:
+            sw.accumulate_grad(_corr2d_weight_grad(xs, g, k, padding))
+        if sx is not None:
             # Full correlation with channel-swapped, spatially flipped weights.
-            w_swap = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            x.accumulate_grad(_corr2d([g], w_swap, k - 1 - padding))
+            w_swap = np.ascontiguousarray(w_data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            sx.accumulate_grad(_corr2d([g], w_swap, k - 1 - padding))
 
     return _record(out, (x, w, b), backward_fn)
 
@@ -241,11 +242,12 @@ def _gather(t: Tensor, index: np.ndarray) -> Tensor:
     """t's values at the flat ``index``, where index ``t.size`` reads 0.
     The backward scatter-adds g back onto the entries read."""
     out = Tensor(np.append(t.data.ravel(), DTYPE(0))[index])
+    st, size, shape = t.slot, t.size, t.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        acc = np.zeros(t.size + 1, DTYPE)
+        acc = np.zeros(size + 1, DTYPE)
         np.add.at(acc, index, g)
-        t.accumulate_grad(acc[:-1].reshape(t.shape))
+        st.accumulate_grad(acc[:-1].reshape(shape))
 
     return _record(out, (t,), backward_fn)
 
@@ -301,13 +303,14 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
             if i or j:
                 np.maximum(x.data[:, :, i::k, j::k], out_data, out=out_data)
     out = Tensor(out_data)
+    sx, x_data = x.slot, x.data
 
     def backward_fn(g: np.ndarray) -> None:
-        idx = _window_split(x.data, k).argmax(axis=-1)  # the first maximal entry
+        idx = _window_split(x_data, k).argmax(axis=-1)  # the first maximal entry
         gw = np.zeros((batch, ch, h // k, w // k, k * k), DTYPE)
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
         gw = gw.reshape(batch, ch, h // k, w // k, k, k)
-        x.accumulate_grad(
+        sx.accumulate_grad(
             gw.transpose(0, 1, 2, 4, 3, 5).reshape(batch, ch, h, w))
 
     return _record(out, (x,), backward_fn)
@@ -320,10 +323,11 @@ def avgpool2d(x: Tensor, k: int) -> Tensor:
         raise ValueError(f"avgpool2d: spatial dims {h}x{w} not divisible by {k}")
     out = Tensor(_window_split(x.data, k).mean(axis=-1))
     inv = DTYPE(1.0 / (k * k))
+    sx = x.slot
 
     def backward_fn(g: np.ndarray) -> None:
         gx = np.repeat(np.repeat(g * inv, k, axis=2), k, axis=3)
-        x.accumulate_grad(gx)
+        sx.accumulate_grad(gx)
 
     return _record(out, (x,), backward_fn)
 
@@ -339,11 +343,12 @@ def pixel_shuffle(x: Tensor, s: int) -> Tensor:
     c_out = ch // (s * s)
     v = x.data.reshape(batch, c_out, s, s, h, w)
     out = Tensor(v.transpose(0, 1, 4, 2, 5, 3).reshape(batch, c_out, h * s, w * s))
+    sx = x.slot
 
     def backward_fn(g: np.ndarray) -> None:
         gv = g.reshape(batch, c_out, h, s, w, s)
-        x.accumulate_grad(
-            np.ascontiguousarray(gv.transpose(0, 1, 3, 5, 2, 4)).reshape(x.shape))
+        sx.accumulate_grad(
+            np.ascontiguousarray(gv.transpose(0, 1, 3, 5, 2, 4)).reshape(batch, ch, h, w))
 
     return _record(out, (x,), backward_fn)
 
@@ -371,9 +376,10 @@ def bilinear_upsample(x: Tensor, s: int) -> Tensor:
     mh = _bilinear_matrix(h, s)
     mw = _bilinear_matrix(w, s)
     out = Tensor(np.einsum("ph,bchw,qw->bcpq", mh, x.data, mw, optimize=True))
+    sx = x.slot
 
     def backward_fn(g: np.ndarray) -> None:
-        x.accumulate_grad(
+        sx.accumulate_grad(
             np.einsum("ph,bcpq,qw->bchw", mh, g, mw, optimize=True).astype(DTYPE))
 
     return _record(out, (x,), backward_fn)

@@ -4,9 +4,17 @@ A Tensor wraps an ndarray plus an optional gradient buffer. Differentiable
 operations run eagerly and, while a Tape is active, append a backward
 closure to it. The tape's record order is execution order, which is a
 topological order of the graph by construction; ``backward(loss)`` walks it
-once in reverse, accumulating gradients into ``.grad`` (grads add up across
-calls until explicitly reset), and then empties it: a tape serves one
-backward pass, and a second one on it raises.
+once in reverse and empties it as it goes: a tape serves one backward pass,
+and a second one on it raises.
+
+Only leaves (tensors no recorded op produced: parameters and inputs) carry
+``.grad`` after ``backward``; their gradients add up across calls until
+explicitly reset. A recorded op's output gets a gradient slot instead, which
+the tape holds and which is emptied as soon as the walk has passed it back to
+the op's inputs, so intermediates and the loss have ``.grad is None``. Each
+backward closure keeps its inputs' slots plus exactly the arrays it reads,
+not the input or output Tensors, so an activation lives only as long as some
+backward still needs it.
 
 Each worker owns at most one active tape; nothing here is thread-safe.
 """
@@ -27,7 +35,7 @@ class Tape:
     _stack: list["Tape"] = []
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._nodes: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -45,7 +53,8 @@ class Tape:
         return cls._stack[-1] if cls._stack else None
 
     def record(self, out: "Tensor", backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._nodes.append((out, backward_fn))
+        out._slot = _Slot(out.shape)
+        self._nodes.append((out._slot, backward_fn))
         out.requires_grad = True
         out.tape = self
 
@@ -59,26 +68,45 @@ class Tape:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
         loss.accumulate_grad(np.ones_like(loss.data))
         # Reverse execution order; every recorded operation is visited once.
-        for out, backward_fn in reversed(self._nodes):
-            if out.grad is not None:
-                backward_fn(out.grad)
-        # Dropping the nodes breaks the cycle tape -> node -> tensor.tape,
-        # so the step's activations and closures are freed now rather than
-        # by the cyclic collector.
-        self._nodes.clear()
+        # Popping a node drops its closure and the arrays only it read, and
+        # its output's gradient leaves the slot before the closure runs, so
+        # each is freed once the closure has used it.
+        nodes = self._nodes
+        while nodes:
+            slot, backward_fn = nodes.pop()
+            g, slot.grad = slot.grad, None
+            if g is not None:
+                backward_fn(g)
         self._consumed = True
+
+
+class _Slot:
+    """The gradient of one recorded op's output: what the tape and the
+    backward closures hold in place of the output Tensor."""
+
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, dtype=DTYPE)
+        self.grad += g
 
 
 class Tensor:
     """float32 array with an optional accumulated gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "tape", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.tape: Tape | None = None
+        self._slot: _Slot | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -90,10 +118,16 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def slot(self) -> "_Slot | Tensor":
+        """Where this tensor's gradient accumulates: the slot its recorded
+        op got, or, for a leaf, the tensor itself.  A property, because a
+        stored ``self`` would make every tensor a reference cycle that only
+        the cyclic collector frees."""
+        return self if self._slot is None else self._slot
+
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros(self.shape, dtype=DTYPE)
-        self.grad += g
+        _Slot.accumulate_grad(self.slot, g)  # a leaf is its own slot
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -130,6 +164,11 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
+def _grad_slot(t: Tensor) -> "_Slot | Tensor | None":
+    """The slot a backward adds t's gradient into; None if t needs none."""
+    return t.slot if t.requires_grad else None
+
+
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
         for axis, (da, db) in enumerate(zip(a.shape, b.shape)):
@@ -147,12 +186,13 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
     out = Tensor(a.data + b.data)
+    sa, sb = _grad_slot(a), _grad_slot(b)
 
     def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
+        if sa is not None:
+            sa.accumulate_grad(g)
+        if sb is not None:
+            sb.accumulate_grad(g)
 
     return _record(out, (a, b), backward_fn)
 
@@ -160,12 +200,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("mul", a, b)
     out = Tensor(a.data * b.data)
+    sa, sb, a_data, b_data = _grad_slot(a), _grad_slot(b), a.data, b.data
 
     def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
+        if sa is not None:
+            sa.accumulate_grad(g * b_data)
+        if sb is not None:
+            sb.accumulate_grad(g * a_data)
 
     return _record(out, (a, b), backward_fn)
 
@@ -173,37 +214,43 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def divide_by_constant(x: Tensor, denom: np.ndarray) -> Tensor:
     """x / denom with denom held constant; gradient is g / denom."""
     out = Tensor(x.data / denom)
+    sx = x.slot
 
     def backward_fn(g: np.ndarray) -> None:
-        x.accumulate_grad(g / denom)
+        sx.accumulate_grad(g / denom)
 
     return _record(out, (x,), backward_fn)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * DTYPE(s))
+    sa = a.slot
 
     def backward_fn(g: np.ndarray) -> None:
-        a.accumulate_grad(g * DTYPE(s))
+        sa.accumulate_grad(g * DTYPE(s))
 
     return _record(out, (a,), backward_fn)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(dtype=np.float64))
+    sa, shape = a.slot, a.shape
 
     def backward_fn(g: np.ndarray) -> None:
-        a.accumulate_grad(np.broadcast_to(g, a.shape).astype(DTYPE))
+        sa.accumulate_grad(np.broadcast_to(g, shape).astype(DTYPE))
 
     return _record(out, (a,), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
-    # fmax maps NaN and -0.0 to +0.0, as a masked select would.
+    # fmax maps NaN and -0.0 to +0.0, as a masked select would, so the
+    # output is positive exactly where the input is: the backward reads the
+    # output, which the next op usually keeps anyway, and not the input.
     out = Tensor(np.fmax(a.data, 0))
+    sa, y = a.slot, out.data
 
     def backward_fn(g: np.ndarray) -> None:
-        a.accumulate_grad(g * (a.data > 0))  # gradient is zero at exactly 0
+        sa.accumulate_grad(g * (y > 0))  # gradient is zero at exactly 0
 
     return _record(out, (a,), backward_fn)
 
@@ -214,9 +261,10 @@ def sigmoid(a: Tensor) -> Tensor:
     e = np.exp(-np.abs(a.data))
     s = np.where(a.data >= 0, DTYPE(1), e) / (1 + e)
     out = Tensor(s)
+    sa = a.slot
 
     def backward_fn(g: np.ndarray) -> None:
-        a.accumulate_grad(g * s * (1.0 - s))
+        sa.accumulate_grad(g * s * (1.0 - s))
 
     return _record(out, (a,), backward_fn)
 
@@ -237,6 +285,7 @@ class Concat(Tensor):
         self.grad = None
         self.requires_grad = False
         self.tape = None
+        self._slot = None
 
     @property
     def data(self) -> np.ndarray:
@@ -279,13 +328,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     shape = first.shape[:axis] + (sum(sizes),) + first.shape[axis + 1:]
     out = Concat(tuple(tensors), axis, shape)
     offsets = np.cumsum([0] + sizes)
+    slots = [_grad_slot(t) for t in tensors]
 
     def backward_fn(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            if slot is not None:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(index)])
+                slot.accumulate_grad(g[tuple(index)])
 
     return _record(out, tuple(tensors), backward_fn)
 
@@ -301,12 +351,13 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     out = Tensor(np.abs(diff).mean())
     sign = np.sign(diff).astype(DTYPE)
     inv_n = DTYPE(1.0 / diff.size)
+    s_pred, s_target = _grad_slot(pred), _grad_slot(target)
 
     def backward_fn(g: np.ndarray) -> None:
-        if pred.requires_grad:
-            pred.accumulate_grad(g * sign * inv_n)
-        if target.requires_grad:
-            target.accumulate_grad(-g * sign * inv_n)
+        if s_pred is not None:
+            s_pred.accumulate_grad(g * sign * inv_n)
+        if s_target is not None:
+            s_target.accumulate_grad(-g * sign * inv_n)
 
     return _record(out, (pred, target), backward_fn)
 

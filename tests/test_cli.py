@@ -247,6 +247,24 @@ class TestSimulate:
         assert "pleiades" in err and rc == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("bands,bit_depth", [(4, 11), (8, 12)])
+    def test_raster_mislabelling_a_sensor_is_data_error(self, tmp_path, capsys,
+                                                        bands, bit_depth):
+        """A raster labelled ``wv3`` must have wv3's 8 bands of 11 bits; one
+        that does not is refused rather than simulated under wv3's name
+        with a generic sensor's MTF, and no directory is written."""
+        rng = np.random.default_rng(4)
+        ms_path, pan_path = tmp_path / "ms.psr1", tmp_path / "pan.psr1"
+        write_psr1(ms_path, rng.random((32, 32, bands)), "wv3", bit_depth)
+        write_psr1(pan_path, rng.random((128, 128)), "wv3", bit_depth)
+        out = tmp_path / "x"
+        rc = main(["simulate", str(ms_path), str(pan_path), "--out", str(out),
+                   *SIM_ARGS])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "wv3" in err and rc == 3
+        assert not out.exists()
+
     def test_single_input_is_config_error(self, tmp_path):
         rc = main(["simulate", "lonely.psr1", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -607,12 +625,12 @@ class TestExitCodes:
 
     def _fuse_exit(self, capsys, tmp_path, ms_path, pan_path, method):
         """Exit code of a fuse run; a corrupt input must end it with a
-        one-line error, not a traceback, and with no fused raster."""
+        one-line error, not a traceback, and with no --out directory."""
         rc = main(["fuse", str(ms_path), str(pan_path), "--method", method,
                    "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert not (tmp_path / "out" / "fused.psr1").exists()
+        assert not (tmp_path / "out").exists()
         return rc
 
     def test_checkpoint_dim_beyond_file_size(self, pair_paths, tmp_path,
@@ -681,7 +699,8 @@ class TestExitCodes:
     def test_manifest_ratio_not_four(self, command, ratio_two_dir, tmp_path,
                                      capsys):
         """Every command that reads a dataset refuses a manifest declaring
-        ratio 2; ``eval`` used to score it with twice the ERGAS."""
+        ratio 2, and leaves no --out behind; ``eval`` used to score it with
+        twice the ERGAS, and ``fuse`` to leave an empty --out directory."""
         args = {"fuse": ["fuse", str(ratio_two_dir), "--method", "exp"],
                 "train": ["train", str(ratio_two_dir)],
                 "eval": ["eval", str(ratio_two_dir), str(tmp_path)]}[command]
@@ -689,6 +708,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "'ratio' is 2" in err and rc == 3
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
     def test_corrupt_manifest(self, command, tmp_path, capsys):

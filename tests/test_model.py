@@ -3,6 +3,7 @@ checkpoint round-trips, and gradient verification against the
 double-precision reference forward."""
 
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -492,6 +493,61 @@ class TestTdnetForward:
             tracemalloc.stop()
         assert out.ms_hat.shape == (1, 8, 256, 256)
         assert peak < 70 << 20, peak / 2**20
+
+    def test_training_step_memory_is_bounded(self):
+        """One default-width step at batch 8 on 64^2 PAN patches: the
+        backward frees each gradient once used, and each op keeps only the
+        arrays its backward reads.  Keeping every output and every
+        intermediate gradient until the walk ended peaked at 289 MiB
+        traced; this one peaks at 101 MiB, against 134 MiB for the forward
+        alone when it kept every output."""
+        cfg = TdnetConfig(bands=8)
+        params = init_params(cfg, seed=1)
+        lrms = Tensor(_rand(79, (8, 8, 16, 16)))
+        pan = Tensor(_rand(80, (8, 1, 64, 64)))
+        gt = Tensor(_rand(81, (8, 8, 64, 64)))
+        gt_d = Tensor(_rand(82, (8, 8, 32, 32)))
+        tracemalloc.start()
+        try:
+            with Tape():
+                loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg), gt, gt_d)
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad is not None for t in params.values())
+        assert peak < 110 << 20, peak / 2**20
+
+    def test_forward_and_step_leave_no_reference_cycles(self):
+        """With the cyclic collector off, a forward without a tape and a
+        taped training step free everything they made: no tensor, slot or
+        closure sits in a reference cycle."""
+        cfg = TdnetConfig(bands=4, feature_width=8, mscb_width=3)
+        params = init_params(cfg, seed=2)
+        lrms = Tensor(_rand(83, (2, 4, 8, 8)))
+        pan = Tensor(_rand(84, (2, 1, 32, 32)))
+        gt = Tensor(_rand(85, (2, 4, 32, 32)))
+        gt_d = Tensor(_rand(86, (2, 4, 16, 16)))
+        current = []
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                tdnet_forward(lrms, pan, params, cfg)
+                for t in params.values():
+                    t.zero_grad()
+                with Tape():
+                    loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg),
+                                      gt, gt_d)
+                loss.backward()
+                del loss
+                current.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # Less than one output map; a cycle in every tensor kept the whole
+        # step, 2.5 MiB an iteration.
+        assert current[-1] - current[0] < gt.data.nbytes, current
 
     def test_input_validation(self):
         cfg = TdnetConfig(bands=4, feature_width=8, mscb_width=3)

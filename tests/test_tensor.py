@@ -83,6 +83,25 @@ class TestTapeMechanics:
         activation = x.data.nbytes
         assert current[-1] - current[0] < activation / 4, current
 
+    def test_only_leaves_keep_gradients(self):
+        """After backward, leaves that need a gradient carry ``.grad``; the
+        intermediates and the loss do not, their gradients having been freed
+        as the walk passed them on."""
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        with Tape():
+            h = relu(conv2d(x, w, b, padding=1))
+            c = concat([h, scale(h, 2.0)])
+            m = mul(c, c)
+            loss = m.sum()
+        loss.backward()
+        assert w.grad is not None and b.grad is not None
+        assert x.grad is None
+        for t in (h, c, m, loss):
+            assert t.grad is None
+
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with Tape():
@@ -129,6 +148,22 @@ class TestPointwiseOps:
             y = relu(x).sum()
         y.backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
+    def test_relu_gradient_on_edge_values(self):
+        """The backward masks by the output, which is positive exactly
+        where the input is, NaN, -0.0 and the infinities included, so the
+        gradient is the input-masked one bit for bit."""
+        x = np.array([np.nan, -0.0, 0.0, -np.inf, np.inf, -1.5, 2.5],
+                     dtype=np.float32)
+        up = np.array([-2.0, 3.0, -4.0, 5.0, -6.0, 7.0, -8.0], np.float32)
+        t = Tensor(x, requires_grad=True)
+        with Tape():
+            loss = mul(relu(t), Tensor(up)).sum()
+        loss.backward()
+        want = np.zeros_like(x)
+        want += up * (x > 0)
+        np.testing.assert_array_equal(t.grad.view(np.uint32), want.view(np.uint32))
+        np.testing.assert_array_equal(t.grad, [0, 0, 0, 0, -6, 0, -8])
 
     def test_relu_forward_on_edge_values(self):
         """NaN and -0.0 map to +0.0 and the infinities pass as a masked
