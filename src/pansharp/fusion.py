@@ -8,7 +8,10 @@ P - P_L with some low-pass P_L, scale it by a per-band gain G, and add:
 
 Choosing P_L and G yields the familiar family: plain upsampling (EXP),
 box-smoothed intensity modulation (SFIM), and the sensor-matched Gaussian
-pyramid with unit, ratio, or regression gains.
+pyramid with unit, ratio, or regression gains.  A band's gain and match
+read only that band and the shared P_L, so one loop adds each band's
+detail into the upsampled MS in place: every method peaks where plain
+upsampling does.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ class MraConfig:
 
     ``equalize`` radiometrically matches the panchromatic plane to each
     band (global mean/std affine, estimated against the band's low-pass)
-    before extracting details.  Without it, multiplicative injection
+    before extracting details and computing the gain, whatever the gain
+    rule.  Without it, multiplicative injection
     rescales every band by the same per-pixel factor and so cannot move
     the spectral angle; matching makes the modulation band-aware, which
     is what lets the Gaussian-pyramid method improve on plain
@@ -90,70 +94,38 @@ def pan_lowpass(pan: PanImage, config: MraConfig) -> np.ndarray:
     return interp23(lowpass(pan.data, taps, RATIO), RATIO)
 
 
-def band_match(pan_data: np.ndarray, pan_l: np.ndarray,
-               ms_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine-match the PAN plane and its low-pass to each band.
-
-    Per band the scale is std(band) / std(P_L) and the offset aligns the
-    means, estimated against the low-pass so the matched P_L shares the
-    band's radiometry.  A (near-)constant low-pass leaves the planes
-    unchanged: there is no detail to rescale.
-
-    Returns matched (P, P_L) stacks shaped H x W x C.
-    """
-    h, w = pan_data.shape
-    c = ms_up.shape[2]
-    matched = np.empty((h, w, c))
-    matched_low = np.empty((h, w, c))
+def band_match(pan_l: np.ndarray, band: np.ndarray) -> tuple[float, float]:
+    """Affine map ``(scale, offset)`` matching the PAN plane to one band:
+    std(band) / std(P_L) and the offset that aligns the means, estimated
+    against the low-pass so the matched P_L shares the band's radiometry.
+    A (near-)constant low-pass gives ``(1.0, 0.0)``: no detail to rescale."""
     mu_p = pan_l.mean()
     var_p = np.mean((pan_l - mu_p) ** 2)
-    for k in range(c):
-        if var_p < 1e-12:
-            scale, offset = 1.0, 0.0
-        else:
-            band = ms_up[:, :, k]
-            scale = band.std() / np.sqrt(var_p)
-            offset = band.mean() - scale * mu_p
-        matched[:, :, k] = scale * pan_data + offset
-        matched_low[:, :, k] = scale * pan_l + offset
-    return matched, matched_low
+    if var_p < 1e-12:
+        return 1.0, 0.0
+    scale = band.std() / np.sqrt(var_p)
+    return scale, band.mean() - scale * mu_p
 
 
-def injection_gain(ms_up: np.ndarray, pan_l: np.ndarray,
-                   config: MraConfig) -> np.ndarray:
-    """Per-band, per-pixel gain G applied to the detail plane.
-
-    ``pan_l`` is the low-pass plane, either a single H x W raster or a
-    per-band H x W x C stack (after :func:`band_match`).
-    """
-    h, w, c = ms_up.shape
+def injection_gain(band: np.ndarray, pan_l: np.ndarray,
+                   config: MraConfig) -> float | np.ndarray:
+    """Gain G applied to one band's detail plane: ``1.0`` (unit), the
+    plane ``band / max(P_L, HPM_EPSILON)`` (hpm) or the band's global
+    least-squares slope on P_L (regression)."""
     if config.gain_mode == "unit":
-        return np.ones((h, w, c))
+        return 1.0
     if config.gain_mode == "hpm":
         # High-pass modulation: gain proportional to local band intensity.
-        low = pan_l if pan_l.ndim == 3 else pan_l[:, :, None]
-        return ms_up / np.maximum(low, HPM_EPSILON)
-    # Global per-band least-squares slope of ms_up on pan_l.
-    gains = np.empty((h, w, c))
-    p = pan_l.ravel()
-    p_centered = p - p.mean()
+        return band / np.maximum(pan_l, HPM_EPSILON)
+    p_centered = pan_l.ravel() - pan_l.mean()
     var = np.mean(p_centered ** 2)
-    for k in range(c):
-        if var < 1e-12:
-            warnings.warn(
-                "injection_gain: pan low-pass is constant; falling back to "
-                "unit gain for regression", RuntimeWarning, stacklevel=2)
-            slope = 1.0
-        else:
-            m = ms_up[:, :, k].ravel()
-            slope = np.mean(p_centered * (m - m.mean())) / var
-        gains[:, :, k] = slope
-    return gains
-
-
-def exp_baseline(ms: MsImage) -> np.ndarray:
-    """Plain 23-tap upsampling to the panchromatic grid (no injection)."""
-    return interp23(ms.data, RATIO)
+    if var < 1e-12:
+        warnings.warn(
+            "injection_gain: pan low-pass is constant; falling back to "
+            "unit gain for regression", RuntimeWarning, stacklevel=2)
+        return 1.0
+    m = band.ravel()
+    return np.mean(p_centered * (m - m.mean())) / var
 
 
 def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig) -> np.ndarray:
@@ -163,22 +135,23 @@ def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig) -> np.ndarray:
     which may leave [0, 1]; :func:`fuse` clips it.
     """
     check_aligned(ms, pan)
-    ms_up = interp23(ms.data, RATIO)
+    fused = interp23(ms.data, RATIO)
     p_l = pan_lowpass(pan, config)
-    if config.equalize and config.gain_mode == "hpm":
-        p_bands, p_l_bands = band_match(pan.data, p_l, ms_up)
-        detail = p_bands - p_l_bands
-        gain_source = p_l_bands
-    else:
-        detail = (pan.data - p_l)[:, :, None]
-        gain_source = p_l
-    return ms_up + injection_gain(ms_up, gain_source, config) * detail
+    low, d = p_l, pan.data - p_l
+    for k in range(fused.shape[2]):
+        band = fused[:, :, k]
+        if config.equalize:
+            scale, offset = band_match(p_l, band)
+            low = scale * p_l + offset
+            d = (scale * pan.data + offset) - low
+        band += injection_gain(band, low, config) * d
+    return fused
 
 
 def fuse(method: str, ms: MsImage, pan: PanImage) -> MsImage:
-    """Run one of the named classical methods (see METHODS), clipped to
-    the radiometric range [0, 1].  An MS grid below ``INTERP23_MIN_SIZE``
-    on either axis is a :class:`DataError`."""
+    """Run one of the named classical methods (see METHODS), clipped to the
+    radiometric range [0, 1].  An MS grid below ``INTERP23_MIN_SIZE`` on
+    either axis, or a PAN raster not aligned with it, is a DataError."""
     if method not in METHODS:
         raise DataError(f"unknown fusion method {method!r}; known: {sorted(METHODS)}")
     height, width = ms.data.shape[:2]
@@ -186,6 +159,7 @@ def fuse(method: str, ms: MsImage, pan: PanImage) -> MsImage:
         raise DataError(
             f"MS raster is {height}x{width}; the 23-tap interpolator needs at "
             f"least {INTERP23_MIN_SIZE}x{INTERP23_MIN_SIZE}")
+    check_aligned(ms, pan)
     config = METHODS[method]
-    fused = exp_baseline(ms) if config is None else mra_fuse(ms, pan, config)
-    return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor)
+    fused = interp23(ms.data, RATIO) if config is None else mra_fuse(ms, pan, config)
+    return MsImage(np.clip(fused, 0.0, 1.0, out=fused), ms.sensor)

@@ -271,25 +271,19 @@ def _upsample(x: Tensor, params: dict[str, Tensor], level: str, s: int,
     return pixel_shuffle(_conv_layer(params, f"{level}.up", x), s)
 
 
-def tmra_injection(ms_up: Tensor, pan_l, d: Tensor) -> Tensor:
+def tmra_injection(ms_up: Tensor, pan_l: Tensor, d: Tensor) -> Tensor:
     """Ratio-gain injection: ms_up + (ms_up / max(pan_l, HPM_EPSILON)) * d.
 
-    ``pan_l`` is a smoothed PAN raster treated as a constant — it may be a
-    Tensor or plain array, single-channel (broadcast across bands) or
-    per-band. Gradients flow through both ``ms_up`` factors and ``d``.
+    ``pan_l`` is the smoothed PAN raster, one channel (B, 1, H, W) that
+    broadcasts across the bands, held constant. Gradients flow through
+    both ``ms_up`` factors and ``d``.
     """
-    low = pan_l.data if isinstance(pan_l, Tensor) else np.asarray(pan_l, dtype=DTYPE)
-    if low.ndim != 4:
-        raise ValueError(f"tmra_injection: pan_l must be 4-D, got shape {low.shape}")
-    if low.shape[1] == 1 and ms_up.shape[1] != 1:
-        low = np.repeat(low, ms_up.shape[1], axis=1)
-    if low.shape != ms_up.shape:
+    b, _, h, w = ms_up.shape
+    if pan_l.shape != (b, 1, h, w):
         raise ValueError(
-            f"tmra_injection: pan_l shape {low.shape} does not match "
-            f"ms_up shape {ms_up.shape}"
-        )
-    denom = np.maximum(low, DTYPE(HPM_EPSILON))
-    gain = divide_by_constant(ms_up, denom)
+            f"tmra_injection: pan_l shape {pan_l.shape} does not match "
+            f"{(b, 1, h, w)}, the 4-D single channel of ms_up {ms_up.shape}")
+    gain = divide_by_constant(ms_up, np.maximum(pan_l.data, DTYPE(HPM_EPSILON)))
     return ms_up + gain * d
 
 

@@ -243,7 +243,7 @@ def test_criterion_04_mra_degeneracy(monkeypatch):
             out = np.clip(mra_fuse(ms, pan, config), 0.0, 1.0)
             degenerate.append((name, np.array_equal(out, baseline)))
     monkeypatch.setattr(pansharp.fusion, "injection_gain",
-                        lambda ms_up, pan_l, config: np.zeros((64, 64, 8)))
+                        lambda band, pan_l, config: 0.0)
     zero_gain = mra_fuse(ms, pan, MraConfig("mtf_glp", "hpm"))
     zero_ok = np.array_equal(zero_gain, interp23(ms.data, 4))
     ok = all(flag for _, flag in degenerate) and zero_ok

@@ -21,7 +21,7 @@ from pansharp.cli import (
 )
 from pansharp.container import read_psr1, save_ms, write_psr1
 from pansharp.errors import ConfigError
-from pansharp.fusion import fuse
+from pansharp.fusion import METHODS, fuse
 from pansharp.imaging import MsImage, PanImage, get_sensor
 from pansharp.metrics import q2n
 from pansharp.model import (
@@ -668,14 +668,27 @@ class TestExitCodes:
         return self._fuse_exit(capsys, tmp_path, ms_path, pan_path,
                                f"tdnet:{path}")
 
-    def test_tdnet_pan_not_ratio_times_ms(self, tmp_path, capsys):
-        """A 48x48 PAN beside a 16x16 MS is a data error for the network,
-        as it is for the classic methods."""
+    @staticmethod
+    def _pan_not_ratio_times_ms(tmp_path):
+        """A 48x48 PAN beside a 16x16 MS."""
         rng = np.random.default_rng(9)
         ms_path, pan_path = tmp_path / "ms.psr1", tmp_path / "pan.psr1"
         write_psr1(ms_path, rng.random((16, 16, 8)), "wv3", 11)
         write_psr1(pan_path, rng.random((48, 48)), "wv3", 11)
-        assert self._tdnet_exit(capsys, tmp_path, ms_path, pan_path) == 3
+        return ms_path, pan_path
+
+    def test_tdnet_pan_not_ratio_times_ms(self, tmp_path, capsys):
+        """A PAN not 4x the MS grid is a data error for the network, as it
+        is for the classic methods."""
+        pair = self._pan_not_ratio_times_ms(tmp_path)
+        assert self._tdnet_exit(capsys, tmp_path, *pair) == 3
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_classic_pan_not_ratio_times_ms(self, method, tmp_path, capsys):
+        """Every classic method refuses the misaligned pair, plain
+        upsampling (exp) too, though it never reads the PAN."""
+        pair = self._pan_not_ratio_times_ms(tmp_path)
+        assert self._fuse_exit(capsys, tmp_path, *pair, method) == 3
 
     def test_tdnet_checkpoint_ratio_not_sensor_ratio(self, pair_paths,
                                                      tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Classical fusion family: formula checks, degeneracies, gain oracles."""
 
+import tracemalloc
 from contextlib import nullcontext
 from functools import partial
 
@@ -13,7 +14,6 @@ from pansharp.fusion import (
     METHODS,
     band_match,
     MraConfig,
-    exp_baseline,
     fuse,
     injection_gain,
     mra_fuse,
@@ -78,51 +78,39 @@ class TestBandMatch:
         pan = rng.uniform(0.1, 0.9, (24, 24))
         p_l = rng.uniform(0.1, 0.9, (24, 24))
         ms_up = rng.uniform(0.05, 0.6, (24, 24, 4))
-        matched, matched_low = band_match(pan, p_l, ms_up)
         for k in range(4):
             band = ms_up[:, :, k]
-            assert matched_low[:, :, k].mean() == pytest.approx(
-                band.mean(), abs=1e-12)
-            assert matched_low[:, :, k].std() == pytest.approx(
-                band.std(), rel=1e-12)
+            scale, offset = band_match(p_l, band)
+            matched, matched_low = scale * pan + offset, scale * p_l + offset
+            assert matched_low.mean() == pytest.approx(band.mean(), abs=1e-12)
+            assert matched_low.std() == pytest.approx(band.std(), rel=1e-12)
             # Both planes get the same affine map, so details rescale
             # linearly: (P - P_L) * std(band) / std(P_L).
             expect = (pan - p_l) * band.std() / p_l.std()
-            np.testing.assert_allclose(
-                matched[:, :, k] - matched_low[:, :, k], expect, atol=1e-12)
+            np.testing.assert_allclose(matched - matched_low, expect, atol=1e-12)
 
     def test_constant_lowpass_leaves_planes_unchanged(self):
         pan = np.full((8, 8), 0.5)
         ms_up = np.random.default_rng(55).uniform(0, 1, (8, 8, 4))
-        matched, matched_low = band_match(pan, pan.copy(), ms_up)
         for k in range(4):
-            np.testing.assert_array_equal(matched[:, :, k], pan)
-            np.testing.assert_array_equal(matched_low[:, :, k], pan)
+            assert band_match(pan, ms_up[:, :, k]) == (1.0, 0.0)
 
 
 class TestInjectionGain:
     def test_unit(self):
-        g = injection_gain(np.zeros((4, 4, 4)), np.zeros((4, 4)), MraConfig())
-        np.testing.assert_array_equal(g, 1.0)
-
-    def test_hpm_accepts_per_band_lowpass_stack(self):
-        rng = np.random.default_rng(56)
-        ms_up = rng.uniform(0.2, 0.9, (5, 5, 4))
-        low = rng.uniform(0.1, 0.9, (5, 5, 4))
-        g = injection_gain(ms_up, low, MraConfig(gain_mode="hpm"))
-        np.testing.assert_allclose(g, ms_up / np.maximum(low, 1e-4), rtol=1e-15)
+        assert injection_gain(np.zeros((4, 4)), np.zeros((4, 4)), MraConfig()) == 1.0
 
     def test_hpm_formula(self):
         rng = np.random.default_rng(51)
         ms_up = rng.uniform(0.2, 0.9, (5, 5, 4))
         p_l = rng.uniform(0.1, 0.9, (5, 5))
         p_l[0, 0] = 1e-7  # below epsilon: denominator is clamped
-        g = injection_gain(ms_up, p_l, MraConfig(gain_mode="hpm"))
         for k in range(4):
+            g = injection_gain(ms_up[:, :, k], p_l, MraConfig(gain_mode="hpm"))
             for i in range(5):
                 for j in range(5):
                     want = ms_up[i, j, k] / max(p_l[i, j], 1e-4)
-                    assert g[i, j, k] == pytest.approx(want, rel=1e-12)
+                    assert g[i, j] == pytest.approx(want, rel=1e-12)
 
     def test_regression_matches_polyfit(self):
         rng = np.random.default_rng(52)
@@ -130,16 +118,19 @@ class TestInjectionGain:
         ms_up = np.stack([0.5 * p_l + 0.1 * rng.uniform(0, 1, (16, 16)),
                           -0.3 * p_l + 0.4], axis=2)
         ms_up = np.concatenate([ms_up, ms_up], axis=2)  # 4 bands
-        g = injection_gain(ms_up, p_l, MraConfig(gain_mode="regression"))
         for k in range(4):
+            g = injection_gain(ms_up[:, :, k], p_l,
+                               MraConfig(gain_mode="regression"))
             slope = np.polyfit(p_l.ravel(), ms_up[:, :, k].ravel(), 1)[0]
-            np.testing.assert_allclose(g[:, :, k], slope, rtol=1e-8)
+            np.testing.assert_allclose(g, slope, rtol=1e-8)
 
     def test_regression_degenerate_falls_back_to_unit(self):
         ms_up = np.random.default_rng(53).uniform(0, 1, (8, 8, 4))
-        with pytest.warns(RuntimeWarning, match="unit gain"):
-            g = injection_gain(ms_up, np.full((8, 8), 0.5), MraConfig(gain_mode="regression"))
-        np.testing.assert_array_equal(g, 1.0)
+        for k in range(4):
+            with pytest.warns(RuntimeWarning, match="unit gain"):
+                g = injection_gain(ms_up[:, :, k], np.full((8, 8), 0.5),
+                                   MraConfig(gain_mode="regression"))
+            assert g == 1.0
 
 
 class TestMraFuse:
@@ -161,7 +152,7 @@ class TestMraFuse:
     def test_exp_is_plain_interp(self):
         ms, pan = _smooth_pair()
         np.testing.assert_array_equal(
-            exp_baseline(ms), interp23(ms.data, RATIO))
+            fuse("exp", ms, pan).data, np.clip(interp23(ms.data, RATIO), 0, 1))
 
     def test_constant_pan_degenerates_to_exp(self, monkeypatch):
         """When P equals P_L the detail plane vanishes for every method."""
@@ -188,9 +179,43 @@ class TestMraFuse:
     def test_zero_gain_degenerates_to_interp(self, monkeypatch):
         ms, pan = _smooth_pair()
         monkeypatch.setattr(pansharp.fusion, "injection_gain",
-                            lambda ms_up, pan_l, config: np.zeros((64, 64, 4)))
+                            lambda band, pan_l, config: 0.0)
         raw = mra_fuse(ms, pan, MraConfig("mtf_glp", "hpm"))
         np.testing.assert_array_equal(raw, interp23(ms.data, 4))
+
+    def test_equalize_applies_to_unit_gain(self):
+        """Matching the PAN to each band rescales its detail by the band's
+        std(band) / std(P_L), whatever the gain rule."""
+        ms, pan = _smooth_pair()
+        config = MraConfig("mtf_glp", "unit", equalize=True)
+        got = mra_fuse(ms, pan, config)
+        ms_up, p_l = interp23(ms.data, RATIO), pan_lowpass(pan, config)
+        for k in range(ms_up.shape[2]):
+            scale = ms_up[:, :, k].std() / p_l.std()
+            np.testing.assert_allclose(
+                got[:, :, k], ms_up[:, :, k] + scale * (pan.data - p_l),
+                atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_memory_peaks_where_plain_upsampling_does(self, n):
+        """Each band's detail is added into the upsampled MS in place, so
+        no MRA method builds an H x W x C stack beside its output: every
+        one peaks within 5% of plain upsampling (exp).  Whole-stack
+        matched planes, details and gains put glp-hpm at 2.4x exp."""
+        sensor = SENSORS["wv3"]
+        rng = np.random.default_rng(n)
+        ms = MsImage(rng.uniform(0, 1, (n, n, sensor.bands)), sensor)
+        pan = PanImage(rng.uniform(0, 1, (RATIO * n, RATIO * n)), sensor)
+        peaks = {}
+        for name in METHODS:
+            tracemalloc.start()
+            try:
+                fuse(name, ms, pan)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(peak <= 1.05 * peaks["exp"] for peak in peaks.values()), \
+            {name: round(peak / peaks["exp"], 2) for name, peak in peaks.items()}
 
     def test_sfim_equals_intensity_modulation(self):
         """SFIM in MRA form equals ms_up * P / P_box when P_box > epsilon."""
