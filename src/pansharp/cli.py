@@ -416,7 +416,7 @@ def _tdnet_fuse(ms: MsImage, pan: PanImage, params,
     pan_t = Tensor(pan.data[None, None].astype(np.float32))
     out = tdnet_forward(lrms, pan_t, params, model_config)
     fused = out.ms_hat.data[0].transpose(1, 2, 0).astype(np.float64)
-    return MsImage(np.clip(fused, 0.0, 1.0), ms.sensor)
+    return MsImage(np.clip(fused, 0.0, 1.0, out=fused), ms.sensor)
 
 
 def _fuse_pair(method: str, ms: MsImage, pan: PanImage, loaded) -> MsImage:

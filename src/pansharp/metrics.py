@@ -303,13 +303,13 @@ def _fusion_ratio(fused: np.ndarray, lrms: np.ndarray, window: int) -> int:
     return ratio
 
 
-def d_lambda(fused, lrms, window: int = 32, p: float = 1.0) -> float:
+def d_lambda(fused, lrms, window: int = 32) -> float:
     """Spectral distortion: drift of inter-band UIQI across scales.
 
     Compares the UIQI of every ordered band pair of the fused image
     (windows of ``window``) against the same pair of the original
     low-resolution bands (windows scaled down by the ratio), averaging
-    ``|difference| ** p`` and taking the ``1/p`` root.
+    ``|difference|``: the standard QNR's exponent p = 1.
     """
     f = _as_bands(fused)
     m = _as_bands(lrms)
@@ -320,17 +320,17 @@ def d_lambda(fused, lrms, window: int = 32, p: float = 1.0) -> float:
     q_f = _band_pair_uiqi(f, window).mean(axis=0)
     q_m = _band_pair_uiqi(m, window // ratio).mean(axis=0)
     drift = np.abs(q_f - q_m)[np.triu_indices(bands, 1)]
-    total = np.sum(2.0 * drift ** p)
-    return float((total / (bands * (bands - 1))) ** (1.0 / p))
+    return float(np.sum(2.0 * drift) / (bands * (bands - 1)))
 
 
-def d_s(fused, lrms, pan, window: int = 32, q: float = 1.0) -> float:
+def d_s(fused, lrms, pan, window: int = 32) -> float:
     """Spatial distortion: drift of band-to-pan UIQI across scales.
 
     The panchromatic plane is degraded to the low resolution with its
     sensor's modulation-transfer-function blur followed by decimation;
     each fused band is compared against the full pan, each original band
-    against the degraded pan, and ``|difference| ** q`` is averaged.
+    against the degraded pan, and ``|difference|`` is averaged: the
+    standard QNR's exponent q = 1.
     ``pan`` must be a pan image wrapper so the sensor blur is known.
     """
     f = _as_bands(fused)
@@ -346,14 +346,14 @@ def d_s(fused, lrms, pan, window: int = 32, q: float = 1.0) -> float:
     for k in range(f.shape[2]):
         q_f = uiqi(f[:, :, k], pan_data, window)
         q_m = uiqi(m[:, :, k], pan_low, window // ratio)
-        total += abs(q_f - q_m) ** q
-    return float((total / f.shape[2]) ** (1.0 / q))
+        total += abs(q_f - q_m)
+    return float(total / f.shape[2])
 
 
-def qnr(d_lambda_value: float, d_s_value: float,
-        alpha: float = 1.0, beta: float = 1.0) -> float:
-    """Quality with no reference: ``(1 - D_lambda)^a * (1 - D_s)^b``."""
-    return float((1.0 - d_lambda_value) ** alpha * (1.0 - d_s_value) ** beta)
+def qnr(d_lambda_value: float, d_s_value: float) -> float:
+    """Quality with no reference: ``(1 - D_lambda) * (1 - D_s)``, the
+    standard QNR's exponents alpha = beta = 1."""
+    return float((1.0 - d_lambda_value) * (1.0 - d_s_value))
 
 
 def reference_metrics(reference, estimate, window: int = 32) -> dict:

@@ -10,8 +10,11 @@ refines the result with a multi-scale convolution block (MSCB) that mixes
 
 Everything is expressed over :class:`~pansharp.grad.Tensor`, so a forward
 pass run under an active :class:`~pansharp.grad.Tape` is differentiable in
-every parameter. Parameters live in a flat ``{name: Tensor}`` dict whose
-canonical order is fixed by :func:`parameter_plan`.
+every parameter. Without a tape, the blocks whose maps are 64 channels
+wide at full resolution (the PAN branch, the gates and the MSCBs) run in
+row bands, with the same bits as one pass. Parameters live in a flat
+``{name: Tensor}`` dict whose canonical order is fixed by
+:func:`parameter_plan`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .fusion import HPM_EPSILON
 from .grad import (
     DTYPE,
     SplitMix64,
+    Tape,
     Tensor,
     avgpool2d,
     bilinear_upsample,
@@ -58,6 +62,14 @@ _U32 = struct.Struct("<I")
 
 #: PAN-branch projection producing the detail map of a stage, by its pooling.
 _DETAIL_LAYERS = {1: "pan.detail_full", 2: "pan.detail_half"}
+
+# Output rows per band of a block whose intermediates are wide maps, when
+# no tape records; a multiple of every stage pool.  Each band recomputes a
+# halo of a few rows: at 128 rows a default-width forward on a 256^2 PAN
+# does 3.4% more conv work and peaks at 39 MiB traced instead of 64 (on a
+# 1024^2 PAN, 218 MiB instead of 1 GiB).  64 rows peak at 29 MiB, for more
+# recompute.
+_BAND_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -228,13 +240,53 @@ def _conv_layer(params: dict[str, Tensor], name: str, x: Tensor) -> Tensor:
     return conv2d(x, w, params[f"{name}.b"], padding=w.shape[2] // 2)
 
 
+def _reach(params: dict[str, Tensor], *names: str) -> int:
+    """Rows a chain of the named conv layers reads beyond an output row."""
+    return sum(params[f"{name}.w"].shape[2] // 2 for name in names)
+
+
+def _in_row_bands(block, inputs: tuple[Tensor, ...], halo: int):
+    """``block(*inputs)``, computed over row bands when no tape records.
+
+    The inputs share one grid of H rows; ``block`` returns a Tensor or a
+    list of them, each on that grid pooled by a factor dividing ``halo``
+    and :data:`_BAND_ROWS`.  Bands start on multiples of ``_BAND_ROWS``,
+    read ``halo`` more rows each side, clipped at the image edge, and
+    write their own rows into one output per result.  With ``halo`` at
+    least the block's reach, a band's rows see the windows of one whole
+    pass, and the conv engine sums an output alike whatever its chunking,
+    so the bits are the same.  Under a tape the block runs whole: the
+    closures would keep every band's activations, and the weight
+    gradients would be summed band by band.
+    """
+    height = inputs[0].shape[2]
+    if Tape.active() is not None or height <= _BAND_ROWS:
+        return block(*inputs)
+    outs = None
+    for r0 in range(0, height, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, height)
+        lo, hi = max(0, r0 - halo), min(height, r1 + halo)
+        result = block(*(Tensor(x.data[:, :, lo:hi]) for x in inputs))
+        parts = [result] if isinstance(result, Tensor) else result
+        if outs is None:
+            pools = [(hi - lo) // part.shape[2] for part in parts]
+            outs = [np.empty(part.shape[:2] + (height // pool,) + part.shape[3:],
+                             DTYPE) for part, pool in zip(parts, pools)]
+        for out, part, pool in zip(outs, parts, pools):
+            out[:, :, r0 // pool:r1 // pool] = \
+                part.data[:, :, (r0 - lo) // pool:(r1 - lo) // pool]
+    tensors = [Tensor(out) for out in outs]
+    return tensors[0] if isinstance(result, Tensor) else tensors
+
+
 def pan_details(pan: Tensor, params: dict[str, Tensor],
                 config: TdnetConfig) -> list[Tensor]:
     """One per-band detail map per stage, on that stage's output grid.
 
     With the PAN branch: shared features, max-pooled to the stage's grid
-    and projected to the bands. Without it: the PAN block-averaged to the
-    grid and repeated across bands.
+    and projected to the bands, in row bands of the PAN when no tape
+    records. Without it: the PAN block-averaged to the grid and repeated
+    across bands.
     """
     if pan.data.ndim != 4 or pan.shape[1] != 1:
         raise ValueError(f"pan_details: expected a (B,1,H,W) input, got {pan.shape}")
@@ -245,16 +297,30 @@ def pan_details(pan: Tensor, params: dict[str, Tensor],
     if not config.use_pan_branch:
         return [Tensor(np.repeat(avgpool2d(pan, pool).data, config.bands, axis=1))
                 for _, pool in config.stages]
-    feats = relu(_conv_layer(params, "pan.entry", pan))
-    body = _conv_layer(params, "pan.res2",
-                       relu(_conv_layer(params, "pan.res1", feats)))
-    shared = relu(feats + body)
-    # Finest first, as parameter_plan orders them: coarsest first raised
-    # the peak RSS of a default-width fuse of a 256² PAN by 6 MiB (4%).
-    finest_first = [_conv_layer(params, _DETAIL_LAYERS[pool],
-                                maxpool2d(shared, pool) if pool > 1 else shared)
-                    for _, pool in reversed(config.stages)]
-    return finest_first[::-1]
+
+    def trunk(pan: Tensor) -> Tensor:
+        feats = relu(_conv_layer(params, "pan.entry", pan))
+        return feats + _conv_layer(params, "pan.res2",
+                                   relu(_conv_layer(params, "pan.res1", feats)))
+
+    def branch(pan: Tensor) -> list[Tensor]:
+        # The residual sum outlives its terms, so the relu holds two wide
+        # maps, not four, and the projections only shared.
+        shared = relu(trunk(pan))
+        # Finest first, as parameter_plan orders them; on a 256^2 PAN the
+        # other order gives the same traced peak, in bands or in one.
+        finest_first = [_conv_layer(params, _DETAIL_LAYERS[pool],
+                                    maxpool2d(shared, pool) if pool > 1 else shared)
+                        for _, pool in reversed(config.stages)]
+        return finest_first[::-1]
+
+    # A detail row at pool p reads p PAN rows per row of its projection's
+    # reach; a band must start on a pooling window, so the halo is rounded
+    # up to the coarsest pool.
+    coarsest = config.stages[0][1]
+    reach = _reach(params, "pan.entry", "pan.res1", "pan.res2") + max(
+        pool * _reach(params, _DETAIL_LAYERS[pool]) for _, pool in config.stages)
+    return _in_row_bands(branch, (pan,), -(-reach // coarsest) * coarsest)
 
 
 def _upsample(x: Tensor, params: dict[str, Tensor], level: str, s: int,
@@ -316,9 +382,14 @@ def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
         if pan_low is None:
             raise ValueError("mrab: tmra_hpm mode needs the smoothed PAN raster")
         return tmra_injection(ms_up, pan_low, d)
-    hidden = relu(_conv_layer(params, f"{level}.gate1", concat([ms_up, d])))
-    gain = sigmoid(_conv_layer(params, f"{level}.gate2", hidden))
-    return ms_up + gain * d
+
+    def gated(ms_up: Tensor, d: Tensor) -> Tensor:
+        hidden = relu(_conv_layer(params, f"{level}.gate1", concat([ms_up, d])))
+        gain = sigmoid(_conv_layer(params, f"{level}.gate2", hidden))
+        return ms_up + gain * d
+
+    return _in_row_bands(gated, (ms_up, d),
+                         _reach(params, f"{level}.gate1", f"{level}.gate2"))
 
 
 def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
@@ -332,10 +403,17 @@ def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
         raise ValueError(
             f"mscb: fused input {x.shape} and detail map {d.shape} must match"
         )
-    h = relu(_conv_layer(params, f"{level}.mix.entry", concat([x, d])))
-    branches = [_conv_layer(params, f"{level}.mix.k{k}", h)
-                for k in config.mscb_kernels]
-    return _conv_layer(params, f"{level}.mix.blend", concat(branches)) + x
+
+    def refined(x: Tensor, d: Tensor) -> Tensor:
+        h = relu(_conv_layer(params, f"{level}.mix.entry", concat([x, d])))
+        branches = [_conv_layer(params, f"{level}.mix.k{k}", h)
+                    for k in config.mscb_kernels]
+        del h  # the blend reads only the branches
+        return _conv_layer(params, f"{level}.mix.blend", concat(branches)) + x
+
+    halo = (_reach(params, f"{level}.mix.entry", f"{level}.mix.blend")
+            + max(config.mscb_kernels) // 2)
+    return _in_row_bands(refined, (x, d), halo)
 
 
 def tdnet_forward(lrms: Tensor, pan: Tensor, params: dict[str, Tensor],

@@ -402,7 +402,6 @@ class TestNoReference:
     def test_qnr_arithmetic(self):
         assert qnr(0.0, 0.0) == 1.0
         assert qnr(0.0209, 0.0219) == pytest.approx(0.95765771, abs=1e-7)
-        assert qnr(0.1, 0.2, alpha=2.0) == pytest.approx(0.81 * 0.8, rel=1e-12)
 
     def test_d_lambda_degenerate_windows_among_ordinary_ones(self):
         fused, lrms, _ = self._trio()

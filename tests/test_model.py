@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pansharp import model
 from pansharp.errors import DataError
 from pansharp.grad import Tape, Tensor, conv2d, l1_loss, pixel_shuffle
 from pansharp.model import (
@@ -468,24 +469,77 @@ class TestTdnetForward:
         expected = up2.data + np.repeat(pan_np, 4, axis=1)
         np.testing.assert_allclose(out.ms_hat.data, expected, atol=1e-6)
 
-    def test_scene_forward_memory_is_bounded(self):
-        """A default-width forward on a 256^2 PAN builds no concatenated
-        feature map: conv2d lowers each concat from its parts.  Building
-        them (level 2's three 38-channel branches alone make a 28.5 MiB
-        map beside its parts) peaked at 88 MiB traced; this one peaks at
-        64 MiB."""
+    @staticmethod
+    def _scene_forward_peak(side):
+        """Traced peak of one default-width forward on a side^2 PAN."""
         cfg = TdnetConfig(bands=8)
         params = init_params(cfg, seed=1)
-        lrms = Tensor(_rand(77, (1, 8, 64, 64)))
-        pan = Tensor(_rand(78, (1, 1, 256, 256)))
+        lrms = Tensor(_rand(77, (1, 8, side // 4, side // 4)))
+        pan = Tensor(_rand(78, (1, 1, side, side)))
         tracemalloc.start()
         try:
             out = tdnet_forward(lrms, pan, params, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.ms_hat.shape == (1, 8, 256, 256)
-        assert peak < 70 << 20, peak / 2**20
+        assert out.ms_hat.shape == (1, 8, side, side)
+        return peak
+
+    def test_scene_forward_memory_is_bounded(self):
+        """A default-width forward on a 256^2 PAN builds no concatenated
+        feature map, and runs its 64-channel full-resolution blocks in row
+        bands.  Building the concats (level 2's three 38-channel branches
+        alone make a 28.5 MiB map beside its parts) peaked at 88 MiB
+        traced, whole-height blocks at 64 MiB; this one peaks at 40 MiB."""
+        peak = self._scene_forward_peak(256)
+        assert peak < 48 << 20, peak / 2**20
+
+    def test_scene_forward_memory_grows_with_the_thin_maps_only(self):
+        """At a 512^2 PAN the wide maps stay one band high: 86 MiB traced,
+        where whole-height blocks peaked at 256 MiB."""
+        peak = self._scene_forward_peak(512)
+        assert peak < 100 << 20, peak / 2**20
+
+    @pytest.mark.parametrize("rows", [16, 24, 32])
+    def test_row_bands_are_bit_identical(self, monkeypatch, rows):
+        """Every variant's outputs are the same bits in bands of 16, 24 or
+        32 rows as in one band, on an 80^2 PAN: interior, edge and
+        remainder bands, at both stage grids."""
+        base = TdnetConfig(bands=4, feature_width=8, mscb_width=3)
+        lrms = Tensor(_rand(87, (2, 4, 20, 20)))
+        pan = Tensor(_rand(88, (2, 1, 80, 80)))
+        for name, cfg in ablation_configs(base).items():
+            params = init_params(cfg, seed=5)
+            monkeypatch.setattr(model, "_BAND_ROWS", 80)
+            whole = tdnet_forward(lrms, pan, params, cfg)
+            monkeypatch.setattr(model, "_BAND_ROWS", rows)
+            banded = tdnet_forward(lrms, pan, params, cfg)
+            np.testing.assert_array_equal(banded.ms_hat.data, whole.ms_hat.data,
+                                          err_msg=name)
+            if cfg.levels == 2:
+                np.testing.assert_array_equal(banded.ms_hat_d.data,
+                                              whole.ms_hat_d.data, err_msg=name)
+
+    def test_taped_forward_runs_as_one_band(self, monkeypatch):
+        """Under a tape the blocks run whole, so a PAN taller than a band
+        gives the same parameter gradients, bit for bit."""
+        cfg = TdnetConfig(bands=4, feature_width=8, mscb_width=3)
+        lrms = Tensor(_rand(89, (1, 4, 12, 12)))
+        pan = Tensor(_rand(90, (1, 1, 48, 48)))
+        gt = Tensor(_rand(91, (1, 4, 48, 48)))
+        gt_d = Tensor(_rand(92, (1, 4, 24, 24)))
+
+        def grads():
+            params = init_params(cfg, seed=6)
+            with Tape():
+                loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg), gt, gt_d)
+            loss.backward()
+            return {name: t.grad for name, t in params.items()}
+
+        expected = grads()
+        monkeypatch.setattr(model, "_BAND_ROWS", 16)
+        for name, grad in grads().items():
+            np.testing.assert_array_equal(grad, expected[name], err_msg=name)
 
     def test_training_step_memory_is_bounded(self):
         """One default-width step at batch 8 on 64^2 PAN patches: the
