@@ -28,8 +28,8 @@ from .errors import ConfigError, DataError, NumericError
 from .fusion import METHODS, fuse
 from .grad import Tensor
 from .gradcheck import run_gradcheck
-from .imaging import MsImage, PanImage, check_aligned, get_sensor
-from .metrics import EvalReport, no_reference_metrics, reference_metrics
+from .imaging import RATIO, MsImage, PanImage, check_aligned, get_sensor
+from .metrics import WINDOW, EvalReport, no_reference_metrics, reference_metrics
 from .model import TdnetConfig, load_checkpoint, tdnet_forward
 from .train import SCHEDULE_PRESETS, TrainConfig, manifest_hash, train
 from .wald import (
@@ -48,10 +48,10 @@ def _config_defaults(cls) -> dict:
     section = {}
     for field in dataclasses.fields(cls):
         name, default = field.name, field.default
+        if name == "bands":
+            continue  # always the dataset's
         if name == "betas":
             section["beta1"], section["beta2"] = map(str, default)
-        elif name == "bands":
-            section[name] = "auto"
         elif name == "lr_schedule":
             section[name] = next(preset for preset, schedule
                                  in SCHEDULE_PRESETS.items() if schedule == default)
@@ -66,8 +66,8 @@ def _config_defaults(cls) -> dict:
 
 #: Every recognized configuration key with its default (as written in a
 #: config file).  ``model`` and ``train`` are the TdnetConfig and
-#: TrainConfig fields (``betas`` as ``beta1``/``beta2``); ``model.bands =
-#: auto`` means "take the band count from the sensor or dataset".
+#: TrainConfig fields (``betas`` as ``beta1``/``beta2``), except the band
+#: count, which always comes from the dataset.
 CONFIG_SCHEMA: dict = {
     "sensor": {
         "name": "wv3",
@@ -84,7 +84,7 @@ CONFIG_SCHEMA: dict = {
     "model": _config_defaults(TdnetConfig),
     "train": _config_defaults(TrainConfig),
     "metric": {
-        "window": "32",
+        "window": str(WINDOW),
     },
 }
 
@@ -205,16 +205,8 @@ class RunConfig:
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def model_config(self, default_bands: int | None = None) -> TdnetConfig:
-        raw_bands = self.get("model", "bands")
-        if raw_bands == "auto":
-            if default_bands is None:
-                raise ConfigError(
-                    "model.bands is 'auto' but no sensor or dataset "
-                    "provides a band count")
-            bands = default_bands
-        else:
-            bands = self.get_int("model", "bands")
+    def model_config(self, bands: int) -> TdnetConfig:
+        """The network for a dataset of ``bands`` bands."""
         try:
             kernels = tuple(int(k) for k in
                             self.get("model", "mscb_kernels").split(","))
@@ -357,7 +349,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
 def cmd_train(args, config: RunConfig) -> int:
     out = _require_out(args)
     manifest = read_manifest(args.dataset)
-    model_config = config.model_config(default_bands=manifest.bands)
+    model_config = config.model_config(manifest.bands)
     train_config = config.train_config()
     result = train(args.dataset, model_config, train_config, out_dir=out)
     config.echo(out)
@@ -490,6 +482,10 @@ def _load_fused(fused_dir, sample_id: int) -> np.ndarray:
 
 def _score_set(dataset_dir, fused_dir, mode: str, window: int,
                split_name: str, method: str, report: EvalReport) -> None:
+    if mode == "full" and window % RATIO:
+        raise ConfigError(
+            f"metric.window {window} must be a multiple of the ratio {RATIO} "
+            f"in full mode")
     manifest = read_manifest(dataset_dir)
     sensor = get_sensor(manifest.sensor)
     for sample_id in _split_ids(manifest, split_name):
@@ -577,8 +573,7 @@ def cmd_compare(args, config: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, config: RunConfig) -> int:
-    rows = run_gradcheck(include_model=True,
-                         seed=config.get_int("train", "seed"))
+    rows = run_gradcheck(seed=config.get_int("train", "seed"))
     failures = 0
     for row in rows:
         status = "PASS" if row.passed else "FAIL"

@@ -109,9 +109,9 @@ def load_pan(path: str | Path, sensor: SensorSpec) -> PanImage:
 # -- previews -------------------------------------------------------------
 
 
-def percentile_stretch(band: np.ndarray, lo: float = 2.0, hi: float = 98.0) -> np.ndarray:
-    """Clip to the [lo, hi] percentile range and rescale to [0, 1]."""
-    low, high = np.percentile(band, [lo, hi])
+def percentile_stretch(band: np.ndarray) -> np.ndarray:
+    """Clip to the 2nd-98th percentile range and rescale to [0, 1]."""
+    low, high = np.percentile(band, [2.0, 98.0])
     if high <= low:
         return np.zeros_like(band, dtype=np.float64)
     return np.clip((band - low) / (high - low), 0.0, 1.0)

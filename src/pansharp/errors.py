@@ -23,9 +23,10 @@ class NumericError(PansharpError):
 
 
 class TrainingDiverged(NumericError):
-    """Training hit a non-finite loss; carries epoch/batch for diagnosis."""
+    """Training hit a non-finite loss; carries epoch/batch for diagnosis,
+    ``batch`` None when it was the validation loss."""
 
-    def __init__(self, message: str, epoch: int, batch: int):
+    def __init__(self, message: str, epoch: int, batch: int | None):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch

@@ -91,7 +91,7 @@ def pan_lowpass(pan: PanImage, config: MraConfig) -> np.ndarray:
     if config.pan_lowpass_mode == "box":
         return lowpass(pan.data, box_taps(RATIO))
     taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, RATIO)
-    return interp23(lowpass(pan.data, taps, RATIO), RATIO)
+    return interp23(lowpass(pan.data, taps, RATIO))
 
 
 def band_match(pan_l: np.ndarray, band: np.ndarray) -> tuple[float, float]:
@@ -135,7 +135,7 @@ def mra_fuse(ms: MsImage, pan: PanImage, config: MraConfig) -> np.ndarray:
     which may leave [0, 1]; :func:`fuse` clips it.
     """
     check_aligned(ms, pan)
-    fused = interp23(ms.data, RATIO)
+    fused = interp23(ms.data)
     p_l = pan_lowpass(pan, config)
     low, d = p_l, pan.data - p_l
     for k in range(fused.shape[2]):
@@ -161,5 +161,5 @@ def fuse(method: str, ms: MsImage, pan: PanImage) -> MsImage:
             f"least {INTERP23_MIN_SIZE}x{INTERP23_MIN_SIZE}")
     check_aligned(ms, pan)
     config = METHODS[method]
-    fused = interp23(ms.data, RATIO) if config is None else mra_fuse(ms, pan, config)
+    fused = interp23(ms.data) if config is None else mra_fuse(ms, pan, config)
     return MsImage(np.clip(fused, 0.0, 1.0, out=fused), ms.sensor)

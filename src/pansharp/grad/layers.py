@@ -190,7 +190,7 @@ def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int) -> np.ndarray:
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     """2-D convolution, stride 1, odd square kernel, zero padding.
 
-    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,).  A channel
+    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,).  A
     ``concat`` is lowered straight from its parts, in the forward and in
     the weight gradient, so its concatenated array is never built.
     """
@@ -211,8 +211,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
     if padding < 0:
         raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
 
-    xs = ([t.data for t in x.parts] if isinstance(x, Concat) and x.axis == 1
-          else [x.data])
+    xs = [t.data for t in x.parts] if isinstance(x, Concat) else [x.data]
     out_data = _corr2d(xs, w.data, padding)
     out_data += b.data[None, :, None, None]
     out = Tensor(out_data)

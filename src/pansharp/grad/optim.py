@@ -1,5 +1,5 @@
-"""Adam optimizer with bias correction, matching the training recipe
-(betas (0.9, 0.999), eps 1e-8, weight decay off by default)."""
+"""Adam optimizer with bias correction, eps 1e-8; the betas and weight
+decay come from the training recipe (``TrainConfig``)."""
 
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-              weight_decay: float = 0.0) -> None:
+              betas: tuple[float, float], weight_decay: float) -> None:
     """One in-place Adam update over params (order must match the state)."""
     if len(params) != len(state.m):
         raise ValueError(
@@ -41,4 +40,4 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float,
         v += DTYPE(1.0 - b2) * np.square(g)
         m_hat = m / DTYPE(corr1)
         v_hat = v / DTYPE(corr2)
-        p.data -= DTYPE(lr) * m_hat / (np.sqrt(v_hat) + DTYPE(eps))
+        p.data -= DTYPE(lr) * m_hat / (np.sqrt(v_hat) + DTYPE(1e-8))

@@ -272,14 +272,13 @@ def sigmoid(a: Tensor) -> Tensor:
 class Concat(Tensor):
     """The result of ``concat``: it keeps its parts and reports the
     concatenated shape.  Its array is built, once, only when ``.data`` is
-    read; ``conv2d`` reads a channel concat's parts in place instead, so
-    the network never builds one."""
+    read; ``conv2d`` reads the parts in place instead, so the network
+    never builds one."""
 
-    __slots__ = ("parts", "axis", "_shape", "_array")
+    __slots__ = ("parts", "_shape", "_array")
 
-    def __init__(self, parts: tuple[Tensor, ...], axis: int, shape: tuple[int, ...]):
+    def __init__(self, parts: tuple[Tensor, ...], shape: tuple[int, ...]):
         self.parts = parts
-        self.axis = axis
         self._shape = shape
         self._array: np.ndarray | None = None
         self.grad = None
@@ -290,7 +289,7 @@ class Concat(Tensor):
     @property
     def data(self) -> np.ndarray:
         if self._array is None:
-            self._array = np.concatenate([t.data for t in self.parts], axis=self.axis)
+            self._array = np.concatenate([t.data for t in self.parts], axis=1)
         return self._array
 
     @property
@@ -302,16 +301,13 @@ class Concat(Tensor):
         return math.prod(self._shape)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    """Join tensors along ``axis``; a ``Concat`` that holds them.  Every
-    other axis must match, and so must the ranks."""
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along the channel axis, 1; a ``Concat`` that holds
+    them.  Every other axis must match, and so must the ranks."""
     if not tensors:
         raise ValueError("concat: need at least one tensor")
     first = tensors[0]
     ndim = len(first.shape)
-    if not -ndim <= axis < ndim:
-        raise ValueError(f"concat: axis {axis} out of range for rank {ndim}")
-    axis %= ndim
     for i, t in enumerate(tensors[1:], start=1):
         if len(t.shape) != ndim:
             raise ValueError(
@@ -319,23 +315,21 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
                 f"rank {ndim}; shapes {t.shape} and {first.shape}"
             )
         for ax, (d0, dt) in enumerate(zip(first.shape, t.shape)):
-            if ax != axis and d0 != dt:
+            if ax != 1 and d0 != dt:
                 raise ValueError(
                     f"concat: input {i} differs from input 0 along axis {ax} "
                     f"({dt} vs {d0})"
                 )
-    sizes = [t.shape[axis] for t in tensors]
-    shape = first.shape[:axis] + (sum(sizes),) + first.shape[axis + 1:]
-    out = Concat(tuple(tensors), axis, shape)
+    sizes = [t.shape[1] for t in tensors]
+    shape = first.shape[:1] + (sum(sizes),) + first.shape[2:]
+    out = Concat(tuple(tensors), shape)
     offsets = np.cumsum([0] + sizes)
     slots = [_grad_slot(t) for t in tensors]
 
     def backward_fn(g: np.ndarray) -> None:
         for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
             if slot is not None:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                slot.accumulate_grad(g[tuple(index)])
+                slot.accumulate_grad(g[:, lo:hi])
 
     return _record(out, tuple(tensors), backward_fn)
 

@@ -153,7 +153,7 @@ def _check_sigmoid() -> float:
 
 def _check_concat() -> float:
     return _op_fd_error(
-        lambda t: _engine.concat(t, axis=1),
+        lambda t: _engine.concat(t),
         [_gauss(18, (1, 2, 3, 3)), _gauss(19, (1, 4, 3, 3)),
          _gauss(20, (1, 1, 3, 3))], h=FD_STEP_LINEAR)
 
@@ -436,9 +436,8 @@ def model_gradient_error(config=None, seed: int = 0) -> float:
     return worst
 
 
-def run_gradcheck(include_model: bool = True, seed: int = 0) -> list[GradCheckRow]:
+def run_gradcheck(seed: int = 0) -> list[GradCheckRow]:
     """Sweep every registered op, then the full model; one row each."""
     rows = [GradCheckRow(name, check()) for name, check in OP_CHECKS.items()]
-    if include_model:
-        rows.append(GradCheckRow("tdnet_forward", model_gradient_error(seed=seed)))
+    rows.append(GradCheckRow("tdnet_forward", model_gradient_error(seed=seed)))
     return rows

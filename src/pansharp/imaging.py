@@ -64,7 +64,7 @@ def get_sensor(name: str) -> SensorSpec:
             f"unknown sensor {name!r}; known: {sorted(SENSORS)}") from None
 
 
-def generic_sensor(bands: int, bit_depth: int, name: str = "generic") -> SensorSpec:
+def generic_sensor(bands: int, bit_depth: int, name: str) -> SensorSpec:
     """Fallback spec for rasters whose sensor is not in the registry."""
     return SensorSpec(name, bands, _uniform(0.30, bands), 0.15, bit_depth)
 
@@ -86,10 +86,6 @@ class MsImage:
                 f"{self.sensor.name!r} has {self.sensor.bands}")
         _check_range01("MsImage", self.data)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
 
 @dataclass
 class PanImage:
@@ -103,10 +99,6 @@ class PanImage:
         if self.data.ndim != 2:
             raise DataError(f"PanImage: expected H x W data, got shape {self.data.shape}")
         _check_range01("PanImage", self.data)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
 
 def _check_range01(what: str, data: np.ndarray) -> None:
@@ -279,21 +271,18 @@ def _upsample2_axis(arr: np.ndarray, axis: int, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def interp23(image: np.ndarray, factor: int) -> np.ndarray:
-    """Upsample by a power-of-two factor as repeated x2 stages.
+def interp23(image: np.ndarray) -> np.ndarray:
+    """Upsample by :data:`RATIO` as two x2 stages.
 
     Each stage zero-interleaves (samples at even offsets) then applies the
     separable 23-tap half-band filter along both spatial axes, computed
     as its two polyphase branches.
     """
-    if factor < 2 or factor & (factor - 1):
-        raise ValueError(f"interp23: factor must be a power of two >= 2, got {factor}")
     out = np.asarray(image, dtype=np.float64)
     if out.ndim not in (2, 3):
         raise ValueError(f"interp23: expected 2-D or 3-D image, got shape {out.shape}")
     taps = interp23_taps()
-    stages = factor.bit_length() - 1
-    for _ in range(stages):
+    for _ in range(RATIO.bit_length() - 1):  # RATIO = 2 ** stages
         out = _upsample2_axis(out, 0, taps)
         out = _upsample2_axis(out, 1, taps)
     return out

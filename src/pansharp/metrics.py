@@ -14,8 +14,8 @@ No-reference metrics (full resolution):
 * :func:`d_s`      -- spatial distortion versus the panchromatic plane.
 * :func:`qnr`      -- combined quality-with-no-reference score.
 
-All metrics take float arrays shaped ``(H, W)`` or ``(H, W, C)``; image
-wrapper objects with a ``.data`` attribute are unwrapped automatically.
+All metrics take float arrays shaped ``(H, W)`` or ``(H, W, C)``, except
+the PAN of :func:`d_s`, a :class:`~pansharp.imaging.PanImage`.
 Identical inputs score exactly 0.0 (sam, ergas) or exactly 1.0 (scc,
 uiqi, q2n): the expressions are grouped so the ideal value is reached
 without floating-point residue.
@@ -34,6 +34,10 @@ from .imaging import RATIO, lowpass, mtf_gaussian_taps
 
 METRIC_NAMES = ("sam", "ergas", "scc", "q2n", "d_lambda", "d_s", "qnr")
 
+#: Default side of the non-overlapping windows of Q2^n and QNR, in pixels
+#: of the fused image.
+WINDOW = 32
+
 #: 3x3 high-pass kernel used by :func:`scc` to isolate spatial detail.
 LAPLACIAN_KERNEL = np.array(
     [[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]])
@@ -41,8 +45,7 @@ LAPLACIAN_KERNEL = np.array(
 
 def _as_bands(image) -> np.ndarray:
     """Return image data as a float64 ``(H, W, C)`` array."""
-    data = getattr(image, "data", image)
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(image, dtype=np.float64)
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
@@ -74,11 +77,12 @@ def sam(reference, estimate) -> float:
     return float(np.mean(angles))
 
 
-def ergas(reference, estimate, ratio: int) -> float:
-    """Relative global synthesis error for a given resolution ratio.
+def ergas(reference, estimate) -> float:
+    """Relative global synthesis error at the resolution ratio
+    :data:`~pansharp.imaging.RATIO`.
 
     Averages per-band mean squared error normalised by the squared band
-    mean of the reference, then scales by ``100 / ratio``.
+    mean of the reference, then scales by ``100 / RATIO``.
     """
     x = _as_bands(reference)
     y = _as_bands(estimate)
@@ -87,7 +91,7 @@ def ergas(reference, estimate, ratio: int) -> float:
     if np.any(means == 0.0):
         raise DataError("reference has a zero-mean band; ergas is undefined")
     mse = np.mean((x - y) ** 2, axis=(0, 1))
-    return float(100.0 / ratio * np.sqrt(np.mean(mse / means ** 2)))
+    return float(100.0 / RATIO * np.sqrt(np.mean(mse / means ** 2)))
 
 
 def scc(reference, estimate) -> float:
@@ -183,7 +187,7 @@ def _band_pair_uiqi(z: np.ndarray, window: int) -> np.ndarray:
     return quality
 
 
-def uiqi(reference, estimate, window: int = 32) -> float:
+def uiqi(reference, estimate, window: int) -> float:
     """Universal image quality index over non-overlapping windows.
 
     Operates on a single band.  Windows are tiled with stride equal to
@@ -192,8 +196,8 @@ def uiqi(reference, estimate, window: int = 32) -> float:
     denominator scores 1.0 when the two windows are bitwise identical
     and 0.0 otherwise.  Identical inputs give exactly 1.0.
     """
-    a = np.asarray(getattr(reference, "data", reference), dtype=np.float64)
-    b = np.asarray(getattr(estimate, "data", estimate), dtype=np.float64)
+    a = np.asarray(reference, dtype=np.float64)
+    b = np.asarray(estimate, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise DataError("uiqi expects single-band 2-D arrays")
     _check_same_shape(a, b)
@@ -241,7 +245,7 @@ def _cd_structure(n: int) -> np.ndarray:
     return structure
 
 
-def q2n(reference, estimate, window: int = 32) -> float:
+def q2n(reference, estimate, window: int) -> float:
     """Hypercomplex quality index for multiband stacks.
 
     Each pixel's band vector is treated as one hypercomplex number; the
@@ -288,42 +292,42 @@ def q2n(reference, estimate, window: int = 32) -> float:
     return float(np.mean(quality))
 
 
-def _fusion_ratio(fused: np.ndarray, lrms: np.ndarray, window: int) -> int:
+def _check_fusion_pair(fused: np.ndarray, lrms: np.ndarray, window: int) -> None:
+    """Require a fused stack :data:`RATIO` times ``lrms`` with its bands,
+    and a window that the ratio divides."""
     if fused.shape[2] != lrms.shape[2]:
         raise DataError(
             f"band counts differ: {fused.shape[2]} vs {lrms.shape[2]}")
-    ratio, rem = divmod(fused.shape[0], lrms.shape[0])
-    if rem or fused.shape[1] != lrms.shape[1] * ratio:
+    if fused.shape[:2] != (RATIO * lrms.shape[0], RATIO * lrms.shape[1]):
         raise DataError(
-            f"fused shape {fused.shape[:2]} is not an integer multiple "
-            f"of the low-resolution shape {lrms.shape[:2]}")
-    if window % ratio:
+            f"fused shape {fused.shape[:2]} is not {RATIO}x the "
+            f"low-resolution shape {lrms.shape[:2]}")
+    if window % RATIO:
         raise DataError(
-            f"window {window} is not divisible by the ratio {ratio}")
-    return ratio
+            f"window {window} is not divisible by the ratio {RATIO}")
 
 
-def d_lambda(fused, lrms, window: int = 32) -> float:
+def d_lambda(fused, lrms, window: int) -> float:
     """Spectral distortion: drift of inter-band UIQI across scales.
 
     Compares the UIQI of every ordered band pair of the fused image
     (windows of ``window``) against the same pair of the original
-    low-resolution bands (windows scaled down by the ratio), averaging
+    low-resolution bands (windows scaled down by :data:`RATIO`), averaging
     ``|difference|``: the standard QNR's exponent p = 1.
     """
     f = _as_bands(fused)
     m = _as_bands(lrms)
-    ratio = _fusion_ratio(f, m, window)
+    _check_fusion_pair(f, m, window)
     bands = f.shape[2]
     if bands < 2:
         raise DataError("spectral distortion needs at least two bands")
     q_f = _band_pair_uiqi(f, window).mean(axis=0)
-    q_m = _band_pair_uiqi(m, window // ratio).mean(axis=0)
+    q_m = _band_pair_uiqi(m, window // RATIO).mean(axis=0)
     drift = np.abs(q_f - q_m)[np.triu_indices(bands, 1)]
     return float(np.sum(2.0 * drift) / (bands * (bands - 1)))
 
 
-def d_s(fused, lrms, pan, window: int = 32) -> float:
+def d_s(fused, lrms, pan, window: int) -> float:
     """Spatial distortion: drift of band-to-pan UIQI across scales.
 
     The panchromatic plane is degraded to the low resolution with its
@@ -331,21 +335,22 @@ def d_s(fused, lrms, pan, window: int = 32) -> float:
     each fused band is compared against the full pan, each original band
     against the degraded pan, and ``|difference|`` is averaged: the
     standard QNR's exponent q = 1.
-    ``pan`` must be a pan image wrapper so the sensor blur is known.
+    ``pan`` is a :class:`~pansharp.imaging.PanImage`, so the sensor blur is
+    known.
     """
     f = _as_bands(fused)
     m = _as_bands(lrms)
-    ratio = _fusion_ratio(f, m, window)
+    _check_fusion_pair(f, m, window)
     pan_data = np.asarray(pan.data, dtype=np.float64)
     if pan_data.shape != f.shape[:2]:
         raise DataError(
             f"pan shape {pan_data.shape} does not match fused {f.shape[:2]}")
-    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, ratio)
-    pan_low = lowpass(pan_data, taps, ratio)
+    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, RATIO)
+    pan_low = lowpass(pan_data, taps, RATIO)
     total = 0.0
     for k in range(f.shape[2]):
         q_f = uiqi(f[:, :, k], pan_data, window)
-        q_m = uiqi(m[:, :, k], pan_low, window // ratio)
+        q_m = uiqi(m[:, :, k], pan_low, window // RATIO)
         total += abs(q_f - q_m)
     return float(total / f.shape[2])
 
@@ -356,19 +361,18 @@ def qnr(d_lambda_value: float, d_s_value: float) -> float:
     return float((1.0 - d_lambda_value) * (1.0 - d_s_value))
 
 
-def reference_metrics(reference, estimate, window: int = 32) -> dict:
-    """All reduced-resolution scores of an estimate against ground truth,
-    ERGAS at :data:`~pansharp.imaging.RATIO`; ``window`` is the Q2^n block
-    size."""
+def reference_metrics(reference, estimate, window: int = WINDOW) -> dict:
+    """All reduced-resolution scores of an estimate against ground truth;
+    ``window`` is the Q2^n block size."""
     return {
         "sam": sam(reference, estimate),
-        "ergas": ergas(reference, estimate, RATIO),
+        "ergas": ergas(reference, estimate),
         "scc": scc(reference, estimate),
         "q2n": q2n(reference, estimate, window),
     }
 
 
-def no_reference_metrics(fused, lrms, pan, window: int = 32) -> dict:
+def no_reference_metrics(fused, lrms, pan, window: int = WINDOW) -> dict:
     """All full-resolution scores of a fused product, no ground truth."""
     dl = d_lambda(fused, lrms, window)
     ds = d_s(fused, lrms, pan, window)

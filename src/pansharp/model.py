@@ -354,7 +354,7 @@ def tmra_injection(ms_up: Tensor, pan_l: Tensor, d: Tensor) -> Tensor:
 
 
 def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
-         config: TdnetConfig, level: str = "level1", *,
+         config: TdnetConfig, level: str, *,
          pan_low: Tensor | None = None) -> Tensor:
     """Upsample by the stage scale and inject the detail map through a gain.
 
@@ -393,7 +393,7 @@ def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
 
 
 def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
-         config: TdnetConfig, level: str = "level1") -> Tensor:
+         config: TdnetConfig, level: str) -> Tensor:
     """Multi-scale refinement: parallel odd kernels over shared features.
 
     concat(x, d) -> entry conv + relu -> one conv per kernel size ->
@@ -454,7 +454,7 @@ def tdnet_forward(lrms: Tensor, pan: Tensor, params: dict[str, Tensor],
 
 
 def tdnet_loss(out: TdnetOutput, gt: Tensor, gt_d: Tensor | None,
-               gamma: float = 0.4) -> Tensor:
+               gamma: float) -> Tensor:
     """gamma * l1(half-res output, gt_d) + (1 - gamma) * l1(full output, gt);
     a single-level output has only the full term, whatever gamma and gt_d."""
     if not 0.0 <= gamma <= 1.0:

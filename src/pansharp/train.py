@@ -67,14 +67,20 @@ class TrainConfig:
         starts = [start for start, _ in schedule]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError(f"lr_schedule epochs must increase: {starts}")
-        if any(lr <= 0 for _, lr in schedule):
-            raise ValueError("learning rates must be positive")
+        if not all(0.0 < lr < math.inf for _, lr in schedule):
+            raise ValueError(
+                f"learning rates must be positive and finite: {schedule}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        betas = (float(self.betas[0]), float(self.betas[1]))
+        object.__setattr__(self, "betas", betas)
+        if not all(0.0 <= beta < 1.0 for beta in betas):
+            raise ValueError(f"betas must lie in [0, 1), got {betas}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        object.__setattr__(self, "betas",
-                           (float(self.betas[0]), float(self.betas[1])))
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,8 @@ def _batch_tensors(samples: list) -> tuple:
     return Tensor(lrms), Tensor(pan), Tensor(gt), Tensor(gt_d)
 
 
-def validate(samples: list, params, config: TdnetConfig, gamma: float = 0.4,
-             batch_size: int = TrainConfig.batch_size) -> float:
+def validate(samples: list, params, config: TdnetConfig, gamma: float,
+             batch_size: int) -> float:
     """Mean dual-scale loss per sample over a split, in batches of
     ``batch_size``, no gradient recording."""
     if not samples:
@@ -156,7 +162,8 @@ def train(data_dir, model_config: TdnetConfig,
     Writes ``final.ckpt``, ``best.ckpt`` (lowest validation loss),
     optional periodic checkpoints, and ``loss_log.csv`` under ``out_dir``
     when given.  Aborts with :class:`TrainingDiverged` on a non-finite
-    loss, identifying the offending epoch and batch.
+    training loss, identifying the offending epoch and batch, or on a
+    non-finite validation loss, before that epoch's checkpoints.
     """
     cfg = train_config or TrainConfig()
     manifest, train_samples, val_samples = _load_splits(data_dir)
@@ -211,6 +218,10 @@ def train(data_dir, model_config: TdnetConfig,
         if val_samples:
             val_loss = validate(val_samples, params, model_config, cfg.gamma,
                                 cfg.batch_size)
+            if not math.isfinite(val_loss):
+                raise TrainingDiverged(
+                    f"non-finite validation loss {val_loss} at epoch {epoch}",
+                    epoch=epoch, batch=None)
         else:
             val_loss = math.nan
         log.append(LogRow(epoch, train_loss, val_loss, lr))
@@ -276,7 +287,9 @@ def ablation_suite(data_dir, base_config: TdnetConfig,
         for sample in test_samples:
             lrms, pan, _, _ = _batch_tensors([sample])
             out = tdnet_forward(lrms, pan, result.params, variant)
-            fused = out.ms_hat.data[0].transpose(1, 2, 0)
+            # Clipped to the radiometric range, as ``pansharp fuse`` writes it.
+            fused = np.clip(out.ms_hat.data[0].transpose(1, 2, 0)
+                            .astype(np.float64), 0.0, 1.0)
             report.add(name, str(sample.id),
                        **reference_metrics(sample.gt, fused))
     report.add_aggregates()

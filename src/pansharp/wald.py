@@ -50,7 +50,7 @@ SAMPLE_ROLES = ("pan", "lrms", "gt", "gtd")
 SPLIT_RATIOS = (0.7, 0.2, 0.1)
 
 
-def degrade(image, sensor: SensorSpec, factor: int) -> np.ndarray:
+def degrade(image: np.ndarray, sensor: SensorSpec, factor: int) -> np.ndarray:
     """Blur with the sensor's MTF-matched Gaussian, then decimate.
 
     2-D input uses the PAN Nyquist gain; 3-D input uses the per-band
@@ -59,7 +59,7 @@ def degrade(image, sensor: SensorSpec, factor: int) -> np.ndarray:
     The blur sigma is matched to the requested ``factor``, so a x2
     degrade uses a narrower kernel than a x4 one.
     """
-    data = np.asarray(getattr(image, "data", image), dtype=np.float64)
+    data = np.asarray(image, dtype=np.float64)
     if data.ndim not in (2, 3):
         raise DataError(f"expected a 2-D or 3-D raster, got shape {data.shape}")
     if data.shape[0] % factor or data.shape[1] % factor:
@@ -113,10 +113,6 @@ class SamplePair:
                 raise DataError(
                     f"sample {self.id}: {name} has shape "
                     f"{getattr(self, name).shape}, expected {shape}")
-
-    @property
-    def bands(self) -> int:
-        return self.gt.shape[2]
 
 
 def make_samples(ms_full: MsImage, pan_full: PanImage,

@@ -78,7 +78,7 @@ class TestRunConfig:
             "[dataset]\nms_size = 512\npatch = 64\nscenes = 1\nseed = 0\n"
             "split = test\nsplit_seed = 0\nstride = 64\n\n"
             "[metric]\nwindow = 32\n\n"
-            "[model]\nbands = auto\nfeature_width = 64\n"
+            "[model]\nfeature_width = 64\n"
             "gain_mode = learned_attention\nlevels = 2\n"
             "mscb_kernels = 3,5,7\nmscb_width = 38\n"
             "upsample_mode = pixel_shuffle\nuse_mrab = true\n"
@@ -123,13 +123,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="lr_schedule"):
             cfg.lr_schedule()
 
-    def test_model_config_band_sources(self):
-        cfg = RunConfig.load()
-        assert cfg.model_config(default_bands=8).bands == 8
-        with pytest.raises(ConfigError, match="auto"):
-            cfg.model_config()
-        cfg = RunConfig.load(overrides=["model.bands=4"])
-        assert cfg.model_config(default_bands=8).bands == 4
+    def test_model_config_band_sources(self, dataset_dir, tmp_path):
+        """The band count is the dataset's; ``model.bands`` is unknown."""
+        assert RunConfig.load().model_config(8).bands == 8
+        assert main(["train", str(dataset_dir), "--out", str(tmp_path / "t"),
+                     "--set", "model.bands=4"]) == 2
+        assert not (tmp_path / "t").exists()
 
     def test_ratio_is_not_a_config_key(self, tmp_path):
         """The PAN/MS ratio is fixed at 4, so ``model.ratio`` is unknown."""
@@ -494,6 +493,23 @@ class TestEval:
             assert rc == 2
             assert err == f"error: metric.window must be >= 1, got {window}\n"
 
+    def test_full_mode_window_off_the_ratio_is_config_error(
+            self, dataset_dir, exp_fused_dir, tmp_path, capsys):
+        """No data can make a window of 30 divide by the ratio 4, so full
+        mode refuses it as a config error; reduced mode accepts it."""
+        report = tmp_path / "report.csv"
+        for command in (["eval", "--out", str(report)], ["compare"]):
+            rc = main([command[0], str(dataset_dir), str(exp_fused_dir),
+                       *command[1:], "--mode", "full",
+                       "--set", "metric.window=30"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err == ("error: metric.window 30 must be a multiple of "
+                           "the ratio 4 in full mode\n")
+        assert not report.exists()
+        assert main(["eval", str(dataset_dir), str(exp_fused_dir),
+                     "--out", str(report), "--set", "metric.window=30"]) == 0
+
 
 class TestCompare:
     def test_metric_window_reaches_q2n_column(self, dataset_dir,
@@ -614,6 +630,24 @@ class TestExitCodes:
                    "--set", "train.epochs=2", "--set", "train.batch_size=8",
                    *SMALL_MODEL])
         assert rc == 4
+
+    @pytest.mark.parametrize("setting", [
+        "lr_schedule=0:nan", "lr_schedule=0:inf", "lr_schedule=0:0.001,1:nan",
+        "beta1=1.0", "beta1=-0.5", "beta2=1.5", "beta2=nan",
+        "weight_decay=-0.1", "weight_decay=nan", "weight_decay=inf"])
+    def test_spoilt_optimizer_setting_is_config_error(self, setting,
+                                                      dataset_dir, tmp_path,
+                                                      capsys):
+        """Each of these used to train: a NaN or infinite rate or a beta of
+        1.5 or -0.5 exited 0 with non-finite checkpoints, a beta1 of 1.0
+        divided by zero and exited 4."""
+        rc = main(["train", str(dataset_dir), "--out", str(tmp_path / "t"),
+                   "--set", f"train.{setting}", "--set", "train.epochs=1",
+                   *SMALL_MODEL])
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid train config: ")
+        assert err.count("\n") == 1 and rc == 2, err
+        assert not (tmp_path / "t").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "d"),

@@ -48,7 +48,7 @@ class TestCleanSweep:
     def test_all_rows_pass(self):
         """Fresh engine: every op and the full network stay under 1e-2."""
         start = time.monotonic()
-        rows = run_gradcheck(include_model=True, seed=0)
+        rows = run_gradcheck(seed=0)
         elapsed = time.monotonic() - start
         assert [r.name for r in rows] == EXPECTED_OPS + ["tdnet_forward"]
         for row in rows:
@@ -56,8 +56,8 @@ class TestCleanSweep:
         assert elapsed < 60.0
 
     def test_sweep_is_deterministic(self):
-        a = run_gradcheck(include_model=False)
-        b = run_gradcheck(include_model=False)
+        a = run_gradcheck()
+        b = run_gradcheck()
         assert [(r.name, r.max_rel_error) for r in a] == \
                [(r.name, r.max_rel_error) for r in b]
 

@@ -532,7 +532,8 @@ class TestTdnetForward:
         def grads():
             params = init_params(cfg, seed=6)
             with Tape():
-                loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg), gt, gt_d)
+                loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg), gt, gt_d,
+                                  gamma=0.4)
             loss.backward()
             return {name: t.grad for name, t in params.items()}
 
@@ -557,7 +558,8 @@ class TestTdnetForward:
         tracemalloc.start()
         try:
             with Tape():
-                loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg), gt, gt_d)
+                loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg), gt, gt_d,
+                                  gamma=0.4)
             loss.backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -585,7 +587,7 @@ class TestTdnetForward:
                     t.zero_grad()
                 with Tape():
                     loss = tdnet_loss(tdnet_forward(lrms, pan, params, cfg),
-                                      gt, gt_d)
+                                      gt, gt_d, gamma=0.4)
                 loss.backward()
                 del loss
                 current.append(tracemalloc.get_traced_memory()[0])

@@ -2,6 +2,7 @@
 dataset, divergence abort, checkpoint artifacts, and the variant suite."""
 
 import csv
+import importlib
 import math
 import os
 import subprocess
@@ -42,6 +43,8 @@ from pansharp.wald import (
 )
 
 MODEL = TdnetConfig(bands=8, feature_width=8, mscb_width=3)
+# The module, which the package's ``train`` function shadows as an attribute.
+TRAIN_MODULE = importlib.import_module("pansharp.train")
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,15 @@ class TestTrainConfig:
             TrainConfig(lr_schedule=((5, 1e-3),))
         with pytest.raises(ValueError, match="positive"):
             TrainConfig(lr_schedule=((0, -1e-3),))
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(lr_schedule=((0, 1e-3), (5, rate)))
+        for betas in ((1.0, 0.999), (-0.5, 0.999), (0.9, 1.5), (0.9, math.nan)):
+            with pytest.raises(ValueError, match="betas"):
+                TrainConfig(betas=betas)
+        for decay in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="weight_decay"):
+                TrainConfig(weight_decay=decay)
         with pytest.raises(ValueError, match="gamma"):
             TrainConfig(gamma=1.5)
         with pytest.raises(ValueError, match="epochs"):
@@ -116,18 +128,19 @@ class TestValidate:
             id=0, pan=sample.pan, lrms=sample.lrms,
             gt=out.ms_hat.data[0].transpose(1, 2, 0),
             gt_d=out.ms_hat_d.data[0].transpose(1, 2, 0))
-        assert validate([echo], params, MODEL, gamma=0.4) == 0.0
+        assert validate([echo], params, MODEL, gamma=0.4, batch_size=32) == 0.0
 
     def test_empty_split_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            validate([], init_params(MODEL, seed=3), MODEL)
+            validate([], init_params(MODEL, seed=3), MODEL, gamma=0.4,
+                     batch_size=32)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, dataset_dir, batch_size):
         """Without the check, 0 raised from range() and -1 returned 0.0."""
         sample = load_sample(dataset_dir, 0)
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            validate([sample], init_params(MODEL, seed=3), MODEL,
+            validate([sample], init_params(MODEL, seed=3), MODEL, gamma=0.4,
                      batch_size=batch_size)
 
     def test_matches_batched_loss(self, dataset_dir):
@@ -137,7 +150,7 @@ class TestValidate:
         samples = [load_sample(dataset_dir, i)
                    for i in manifest.splits["val"]]
         params = init_params(MODEL, seed=5)
-        per_sample = validate(samples, params, MODEL, gamma=0.4)
+        per_sample = validate(samples, params, MODEL, gamma=0.4, batch_size=32)
         lrms = Tensor(np.stack([s.lrms.transpose(2, 0, 1) for s in samples]))
         pan = Tensor(np.stack([s.pan[None] for s in samples]))
         gt = Tensor(np.stack([s.gt.transpose(2, 0, 1) for s in samples]))
@@ -263,8 +276,8 @@ class TestTrain:
                           lr_schedule=((0, 1e-3),))
         result = train(dataset_dir, MODEL, cfg, out_dir=tmp_path)
         loaded, _ = load_checkpoint(tmp_path / "final.ckpt")
-        before = validate(val, result.params, MODEL, gamma=0.4)
-        after = validate(val, loaded, MODEL, gamma=0.4)
+        before = validate(val, result.params, MODEL, gamma=0.4, batch_size=32)
+        after = validate(val, loaded, MODEL, gamma=0.4, batch_size=32)
         assert before == after
 
     def test_periodic_checkpoints(self, dataset_dir, tmp_path):
@@ -283,6 +296,19 @@ class TestTrain:
             train(dataset_dir, MODEL, cfg)
         assert "batch" in str(info.value)
         assert info.value.epoch >= 0 and info.value.batch >= 0
+
+    def test_non_finite_validation_loss_aborts(self, dataset_dir, tmp_path,
+                                               monkeypatch):
+        """A non-finite validation loss stops the run before that epoch's
+        checkpoints, where it used to leave NaN ones behind."""
+        monkeypatch.setattr(TRAIN_MODULE, "validate",
+                            lambda *args, **kwargs: math.nan)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=1,
+                          lr_schedule=((0, 1e-3),), checkpoint_every=1)
+        with pytest.raises(TrainingDiverged, match="validation") as info:
+            train(dataset_dir, MODEL, cfg, out_dir=tmp_path)
+        assert info.value.epoch == 0 and info.value.batch is None
+        assert os.listdir(tmp_path) == []
 
     def test_empty_training_split_rejected(self, dataset_dir, tmp_path):
         manifest = read_manifest(dataset_dir)
@@ -324,3 +350,20 @@ class TestAblationSuite:
                     assert math.isfinite(row[metric])
             assert any(r["image"] == "__mean" for r in report.rows
                        if r["method"] == name)
+
+    def test_scores_the_clipped_output(self, dataset_dir, monkeypatch):
+        """The variants are scored on what ``pansharp fuse`` writes: the
+        network output clipped to [0, 1]."""
+        scored, score = [], TRAIN_MODULE.reference_metrics
+
+        def capture(reference, estimate, *args, **kwargs):
+            scored.append(np.asarray(estimate))
+            return score(reference, estimate, *args, **kwargs)
+
+        monkeypatch.setattr(TRAIN_MODULE, "reference_metrics", capture)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=7,
+                          lr_schedule=((0, 1e-3),))
+        ablation_suite(dataset_dir, MODEL, cfg)
+        assert len(scored) == 9 * len(read_manifest(dataset_dir).splits["test"])
+        for fused in scored:
+            assert fused.min() >= 0.0 and fused.max() <= 1.0

@@ -369,7 +369,7 @@ class TestSyntheticScene:
         from scipy import ndimage
         ms, pan = synthetic_scene(33, SENSORS["gf2"], ms_size=64)
         hp_pan = ndimage.correlate(pan.data, LAPLACIAN_KERNEL)[1:-1, 1:-1]
-        smooth = interp23(pan.data[::4, ::4], 4)
+        smooth = interp23(pan.data[::4, ::4])
         hp_smooth = ndimage.correlate(smooth, LAPLACIAN_KERNEL)[1:-1, 1:-1]
         assert hp_pan.std() > 2.0 * hp_smooth.std()
 
