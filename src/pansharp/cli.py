@@ -486,6 +486,10 @@ def _score_set(dataset_dir, fused_dir, mode: str, window: int,
         raise ConfigError(
             f"metric.window {window} must be a multiple of the ratio {RATIO} "
             f"in full mode")
+    if mode == "full" and window < 2 * RATIO:
+        raise ConfigError(
+            f"metric.window {window} must be at least {2 * RATIO} in full "
+            f"mode, so each low-resolution window is 2x2 or more")
     manifest = read_manifest(dataset_dir)
     sensor = get_sensor(manifest.sensor)
     for sample_id in _split_ids(manifest, split_name):

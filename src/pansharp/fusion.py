@@ -31,7 +31,7 @@ from .imaging import (
     check_aligned,
     interp23,
     lowpass,
-    mtf_gaussian_taps,
+    sensor_taps,
 )
 
 PAN_LOWPASS_MODES = ("mtf_glp", "box")
@@ -90,7 +90,7 @@ def pan_lowpass(pan: PanImage, config: MraConfig) -> np.ndarray:
     """
     if config.pan_lowpass_mode == "box":
         return lowpass(pan.data, box_taps(RATIO))
-    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, RATIO)
+    taps = sensor_taps(pan.sensor, RATIO)[0]
     return interp23(lowpass(pan.data, taps, RATIO))
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DataError
 
@@ -139,7 +140,9 @@ def mtf_gaussian_taps(nyquist_gain: float, ratio: int, support: int = 41) -> np.
 
     Returns ``support`` unit-sum taps; the 2-D filter is their outer
     product, which :func:`lowpass` applies one axis at a time. Smaller
-    gains give wider kernels (stronger blur).
+    gains give wider kernels (stronger blur). At the sensors' sigmas
+    (0.46-1.24 samples) most of the 41 default taps are below float64
+    resolution of the peak; :func:`sensor_taps` cuts them off.
     """
     if support < 3 or support % 2 == 0:
         raise ValueError(f"kernel support must be odd and >= 3, got {support}")
@@ -147,6 +150,37 @@ def mtf_gaussian_taps(nyquist_gain: float, ratio: int, support: int = 41) -> np.
     n = np.arange(support) - support // 2
     taps = np.exp(-0.5 * (n / sigma) ** 2)
     return taps / taps.sum()
+
+
+@lru_cache(maxsize=64)
+def sensor_taps(sensor: SensorSpec, factor: int) -> tuple:
+    """The sensor-MTF blur of a ``factor`` degrade: the PAN row and the
+    (C, K) stack of band rows, built once per (sensor, factor) and
+    read-only, because every caller shares them.
+
+    Each row is the 41-tap :func:`mtf_gaussian_taps` row cut to its
+    central run of taps at or above ``eps`` times the peak, with the kept
+    taps' values unchanged (not renormalised); the band stack is cut to
+    its widest band's run. Each dropped tap weighs less than one float64
+    ulp of the peak, so the cut moves a blur of data in [0, 1] by a few
+    eps at most while its cost falls with its width: for wv3 the PAN row
+    at x4 keeps 21 taps, the band rows 15 at x4 and 7 at x2.
+    """
+    pan_taps = _cut_to_eps(mtf_gaussian_taps(sensor.pan_nyquist_gain, factor))
+    band_taps = _cut_to_eps(np.stack([mtf_gaussian_taps(gain, factor)
+                                      for gain in sensor.ms_nyquist_gains]))
+    pan_taps.flags.writeable = False
+    band_taps.flags.writeable = False
+    return pan_taps, band_taps
+
+
+def _cut_to_eps(taps: np.ndarray) -> np.ndarray:
+    """The central columns of symmetric tap rows out to the outermost tap
+    of any row that reaches ``eps`` times its row's peak."""
+    kept = taps >= np.finfo(np.float64).eps * taps.max(axis=-1, keepdims=True)
+    centre = taps.shape[-1] // 2
+    half = centre - int(np.argmax(np.atleast_2d(kept).any(axis=0)))
+    return taps[..., centre - half:centre + half + 1].copy()
 
 
 def box_taps(half_width: int) -> np.ndarray:
@@ -157,10 +191,11 @@ def box_taps(half_width: int) -> np.ndarray:
     return np.full(side, 1.0 / side)
 
 
-#: Bytes of padded planes that one group of :func:`lowpass` holds. With
-#: 41 taps a 64x64 patch's 8 bands (426 KB) share one group, while each
-#: band of a 256x256 or larger raster (606 KB and up) has its own, so a
-#: scene keeps the working set of one band at a time.
+#: Bytes of padded planes that one group of :func:`lowpass` holds. A
+#: 64x64 patch's 8 bands share one group (426 KB with 41 taps, 319 KB
+#: with the 15 of a wv3 band), while each band of a 256x256 or larger
+#: raster (512 KiB and up whatever the taps) has its own, so a scene
+#: keeps the working set of one band at a time.
 _LOWPASS_BUDGET = 512 << 10
 
 
@@ -217,14 +252,52 @@ def _lowpass_planes(planes: np.ndarray, taps: np.ndarray, step: int) -> np.ndarr
 
 
 def _lowpass_axis(data: np.ndarray, taps: np.ndarray, axis: int, step: int) -> np.ndarray:
-    half = taps.shape[-1] // 2
-    pad = [(0, 0)] * data.ndim
-    pad[axis] = (half, half)
-    padded = np.pad(data, pad, mode="symmetric")
-    windows = sliding_window_view(padded, taps.shape[-1], axis=axis)
-    kept = windows[(..., slice(None, None, step)) + (slice(None),) * -axis]
+    """Filter ``data`` along ``axis`` (-2 or -1) with a symmetric mirror
+    boundary, keeping every ``step``-th output.
+
+    The padded plane has ``np.pad(mode="symmetric")``'s values and memory
+    order, and the kept windows are one strided view of it with the tap
+    index last, the operands that ``np.pad`` and ``sliding_window_view``
+    would give: the einsum's summation order follows the strides, so
+    matching them keeps every output's bits.
+    """
+    size = taps.shape[-1]
+    padded = _mirror_pad(data, size // 2, axis)
+    shape, strides = list(padded.shape), list(padded.strides)
+    shape[axis] = -(-data.shape[axis] // step)
+    strides[axis] *= step
+    windows = as_strided(padded, (*shape, size),
+                         (*strides, padded.strides[axis]), writeable=False)
     # Convolution flips the taps; the window index is the last axis.
-    return np.einsum("...k,...k->...", kept, taps[..., ::-1])
+    return np.einsum("...k,...k->...", windows, taps[..., ::-1])
+
+
+def _mirror_pad(data: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """``np.pad(data, half, mode="symmetric")`` along ``axis`` alone, in
+    the memory order ``np.pad`` picks, filled by slicing.
+
+    Each pass mirrors the filled run about both its ends, which lie a
+    whole number of axis lengths from the data, so a halo longer than the
+    axis repeats the mirrored data as ``np.pad`` does.
+    """
+    length = data.shape[axis]
+    if half and not length:
+        raise ValueError(f"lowpass: cannot mirror an empty axis of {data.shape}")
+    shape = list(data.shape)
+    shape[axis] += 2 * half
+    padded = np.empty(shape, order="F" if data.flags.fnc else "C")
+
+    def along(start, stop):
+        return (..., slice(start, stop)) + (slice(None),) * (-1 - axis)
+
+    lo, hi = half, half + length
+    padded[along(lo, hi)] = data
+    while lo:
+        run = min(lo, hi - lo)
+        padded[along(lo - run, lo)] = np.flip(padded[along(lo, lo + run)], axis)
+        padded[along(hi, hi + run)] = np.flip(padded[along(hi - run, hi)], axis)
+        lo, hi = lo - run, hi + run
+    return padded
 
 
 # -- 23-tap interpolation --------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .imaging import RATIO, lowpass, mtf_gaussian_taps
+from .imaging import RATIO, lowpass, sensor_taps
 
 METRIC_NAMES = ("sam", "ergas", "scc", "q2n", "d_lambda", "d_s", "qnr")
 
@@ -294,7 +294,9 @@ def q2n(reference, estimate, window: int) -> float:
 
 def _check_fusion_pair(fused: np.ndarray, lrms: np.ndarray, window: int) -> None:
     """Require a fused stack :data:`RATIO` times ``lrms`` with its bands,
-    and a window that the ratio divides."""
+    and a window that the ratio divides into low-resolution windows of at
+    least 2x2: a 1x1 window has no variance, and scoring it as flat turns
+    D_lambda and D_s into 0/1 votes."""
     if fused.shape[2] != lrms.shape[2]:
         raise DataError(
             f"band counts differ: {fused.shape[2]} vs {lrms.shape[2]}")
@@ -305,6 +307,11 @@ def _check_fusion_pair(fused: np.ndarray, lrms: np.ndarray, window: int) -> None
     if window % RATIO:
         raise DataError(
             f"window {window} is not divisible by the ratio {RATIO}")
+    # A window below 1 is left to _windows' message.
+    if 0 < window < 2 * RATIO:
+        raise DataError(
+            f"window {window} leaves 1x1 low-resolution windows; full "
+            f"resolution needs a window of at least {2 * RATIO}")
 
 
 def d_lambda(fused, lrms, window: int) -> float:
@@ -331,7 +338,8 @@ def d_s(fused, lrms, pan, window: int) -> float:
     """Spatial distortion: drift of band-to-pan UIQI across scales.
 
     The panchromatic plane is degraded to the low resolution with its
-    sensor's modulation-transfer-function blur followed by decimation;
+    sensor's modulation-transfer-function blur
+    (:func:`~pansharp.imaging.sensor_taps`) followed by decimation;
     each fused band is compared against the full pan, each original band
     against the degraded pan, and ``|difference|`` is averaged: the
     standard QNR's exponent q = 1.
@@ -345,8 +353,7 @@ def d_s(fused, lrms, pan, window: int) -> float:
     if pan_data.shape != f.shape[:2]:
         raise DataError(
             f"pan shape {pan_data.shape} does not match fused {f.shape[:2]}")
-    taps = mtf_gaussian_taps(pan.sensor.pan_nyquist_gain, RATIO)
-    pan_low = lowpass(pan_data, taps, RATIO)
+    pan_low = lowpass(pan_data, sensor_taps(pan.sensor, RATIO)[0], RATIO)
     total = 0.0
     for k in range(f.shape[2]):
         q_f = uiqi(f[:, :, k], pan_data, window)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .imaging import (
     get_sensor,
     lowpass,
     mtf_gaussian_taps,
+    sensor_taps,
 )
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -57,7 +57,9 @@ def degrade(image: np.ndarray, sensor: SensorSpec, factor: int) -> np.ndarray:
     gains and must carry exactly the sensor's band count.  Either way
     the raster takes one :func:`lowpass` call, with one tap row per band.
     The blur sigma is matched to the requested ``factor``, so a x2
-    degrade uses a narrower kernel than a x4 one.
+    degrade uses a narrower kernel than a x4 one.  The taps are
+    :func:`~pansharp.imaging.sensor_taps`: the 41-tap rows cut to the
+    taps float64 can see next to the peak.
     """
     data = np.asarray(image, dtype=np.float64)
     if data.ndim not in (2, 3):
@@ -69,21 +71,8 @@ def degrade(image: np.ndarray, sensor: SensorSpec, factor: int) -> np.ndarray:
         raise DataError(
             f"raster has {data.shape[2]} bands but sensor "
             f"'{sensor.name}' expects {sensor.bands}")
-    pan_taps, band_taps = _degrade_taps(sensor, factor)
+    pan_taps, band_taps = sensor_taps(sensor, factor)
     return lowpass(data, pan_taps if data.ndim == 2 else band_taps, factor)
-
-
-@lru_cache(maxsize=64)
-def _degrade_taps(sensor: SensorSpec, factor: int) -> tuple:
-    """The taps :func:`degrade` filters with: the PAN row and the (C, K)
-    stack of band rows, built once per (sensor, factor) and read-only,
-    because every caller shares them."""
-    pan_taps = mtf_gaussian_taps(sensor.pan_nyquist_gain, factor)
-    band_taps = np.stack([mtf_gaussian_taps(gain, factor)
-                          for gain in sensor.ms_nyquist_gains])
-    pan_taps.flags.writeable = False
-    band_taps.flags.writeable = False
-    return pan_taps, band_taps
 
 
 @dataclass
@@ -290,8 +279,11 @@ SCENE_OCTAVES = ((0.1, 16, 1.0), (0.2, 8, 0.55), (0.3, 4, 0.3), (0.5, 2, 0.15))
 
 def _scene_taps(gain: float, ratio: int) -> np.ndarray:
     """MTF-matched Gaussian taps for a synthetic-scene blur, cut to the
-    support whose outermost taps reach 1e-10 of the peak: at sigma 0.43,
-    36 of the 41 default taps are below it and only cost time."""
+    support whose outermost taps reach 1e-10 of the peak and renormalised
+    to unit sum: at sigma 0.43, 36 of the 41 default taps are below it
+    and only cost time.  This looser rule is the scene's own; the sensor
+    blurs keep every tap that float64 can see
+    (:func:`~pansharp.imaging.sensor_taps`)."""
     taps = mtf_gaussian_taps(gain, ratio)
     half = taps.size // 2 - int(np.argmax(taps >= 1e-10 * taps.max()))
     return mtf_gaussian_taps(gain, ratio, support=2 * half + 1)
@@ -313,7 +305,8 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     and degraded as soon as it is made, so the scene holds a handful of
     PAN-sized float64 planes whatever the band count.  The octave and
     texture blurs keep only the taps above 1e-10 of their peak
-    (:func:`_scene_taps`); the MS degrade keeps all 41.
+    (:func:`_scene_taps`); the MS degrade keeps the taps at or above
+    float64 eps of the peak, unrenormalised (15 of 41 for wv3).
     """
     if ms_size % 4:
         raise DataError(f"ms_size {ms_size} must be divisible by 4")
@@ -334,7 +327,7 @@ def synthetic_scene(seed: int, sensor: SensorSpec,
     structure -= structure.min()
     structure /= structure.max()
 
-    band_taps = _degrade_taps(sensor, RATIO)[1]
+    band_taps = sensor_taps(sensor, RATIO)[1]
     texture_taps = _scene_taps(0.4, 2)
     pan = np.zeros(plane)
     ms = np.empty((ms_size, ms_size, sensor.bands))

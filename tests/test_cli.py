@@ -510,6 +510,24 @@ class TestEval:
         assert main(["eval", str(dataset_dir), str(exp_fused_dir),
                      "--out", str(report), "--set", "metric.window=30"]) == 0
 
+    def test_full_mode_window_of_the_ratio_is_config_error(
+            self, dataset_dir, exp_fused_dir, tmp_path, capsys):
+        """A window of 4 leaves 1x1 low-resolution windows, so full mode
+        refuses it before reading a sample; reduced mode accepts it."""
+        report = tmp_path / "report.csv"
+        for command in (["eval", "--out", str(report)], ["compare"]):
+            rc = main([command[0], str(dataset_dir), str(exp_fused_dir),
+                       *command[1:], "--mode", "full",
+                       "--set", "metric.window=4"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err == ("error: metric.window 4 must be at least 8 in full "
+                           "mode, so each low-resolution window is 2x2 or "
+                           "more\n")
+        assert not report.exists()
+        assert main(["eval", str(dataset_dir), str(exp_fused_dir),
+                     "--out", str(report), "--set", "metric.window=4"]) == 0
+
 
 class TestCompare:
     def test_metric_window_reaches_q2n_column(self, dataset_dir,

@@ -18,7 +18,10 @@ from pansharp.imaging import (
     lowpass,
     mtf_gaussian_taps,
     mtf_sigma,
+    sensor_taps,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def lowpass_naive(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -107,6 +110,98 @@ class TestMtfKernel:
     def test_invalid_gain(self):
         with pytest.raises(ValueError, match="gain"):
             mtf_gaussian_taps(0.0, 4)
+
+
+class TestSensorTaps:
+    """The sensor blurs keep the central taps of the 41-tap rows that reach
+    float64 eps of the peak, with their values unchanged."""
+
+    @staticmethod
+    def _full(sensor, factor):
+        return (mtf_gaussian_taps(sensor.pan_nyquist_gain, factor),
+                np.stack([mtf_gaussian_taps(g, factor)
+                          for g in sensor.ms_nyquist_gains]))
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize("name", sorted(SENSORS))
+    def test_kept_taps_are_the_full_rows_central_taps(self, name, factor):
+        sensor = SENSORS[name]
+        for cut, full in zip(sensor_taps(sensor, factor),
+                             self._full(sensor, factor)):
+            half = cut.shape[-1] // 2
+            np.testing.assert_array_equal(cut, cut[..., ::-1])
+            np.testing.assert_array_equal(cut, full[..., 20 - half:21 + half])
+            peak = full.max(axis=-1, keepdims=True)
+            dropped = np.concatenate(
+                [full[..., :20 - half], full[..., 21 + half:]], axis=-1)
+            assert np.all(dropped < EPS * peak)
+            # The cut is the tightest: some row's outermost kept tap counts.
+            assert np.any(cut[..., 0] >= EPS * peak[..., 0])
+
+    def test_wv3_sizes(self):
+        wv3 = SENSORS["wv3"]
+        assert sensor_taps(wv3, 4)[0].shape == (21,)
+        assert sensor_taps(wv3, 4)[1].shape == (8, 15)
+        assert sensor_taps(wv3, 2)[1].shape == (8, 7)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 8), (5, 7, 8)])
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize("name", sorted(SENSORS))
+    def test_lowpass_within_a_few_eps_of_the_full_rows(self, name, factor,
+                                                       shape):
+        """Cut and 41-tap rows blur data in [0, 1] to within 4 eps, also
+        on a 5x7 raster, shorter than the 20-sample halo of 41 taps."""
+        sensor = SENSORS[name]
+        img = np.random.default_rng(37).uniform(0, 1, shape[:2] + (sensor.bands,))
+        (pan_cut, band_cut), (pan_full, band_full) = (
+            sensor_taps(sensor, factor), self._full(sensor, factor))
+        for step in (1, factor):
+            for data, cut, full in ((img[:, :, 0], pan_cut, pan_full),
+                                    (img, band_cut, band_full)):
+                np.testing.assert_allclose(lowpass(data, cut, step),
+                                           lowpass(data, full, step),
+                                           rtol=0, atol=4 * EPS)
+
+
+class TestMirrorPad:
+    """The padded plane of each low-pass pass equals np.pad's symmetric
+    mode in values and in strides, so the einsum sees the same operands."""
+
+    @staticmethod
+    def _arrays():
+        stack = np.random.default_rng(38).uniform(0, 1, (9, 6, 4))
+        return {
+            "contiguous": stack[:, :, 0].copy(),
+            "fortran": np.asfortranarray(stack[:, :, 0]),
+            "band view": stack[:, :, 1],
+            "band-major view": np.moveaxis(stack, 2, 0),
+            "band group view": np.moveaxis(stack, 2, 0)[1:3],
+            "short": stack[:2, :1, 0].copy(),
+            "short band view": stack[:2, :1, 2],
+        }
+
+    @pytest.mark.parametrize("half", [1, 4, 10, 20])
+    @pytest.mark.parametrize("axis", [-2, -1])
+    def test_matches_np_pad(self, axis, half):
+        for name, data in self._arrays().items():
+            widths = [(0, 0)] * data.ndim
+            widths[axis] = (half, half)
+            want = np.pad(data, widths, mode="symmetric")
+            got = imaging._mirror_pad(data, half, axis)
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert got.strides == want.strides, name
+
+    def test_halo_longer_than_the_axis(self):
+        """A (2, 1) raster at half-width 4 repeats its mirror."""
+        data = np.array([[1.0], [2.0]])
+        got = imaging._mirror_pad(data, 4, -2)
+        assert got[:, 0].tolist() == [1, 2, 2, 1, 1, 2, 2, 1, 1, 2]
+        assert imaging._mirror_pad(data, 4, -1).tolist() == [
+            [1.0] * 9, [2.0] * 9]
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError, match="empty axis"):
+            lowpass(np.zeros((0, 4)), mtf_gaussian_taps(0.3, 4))
 
 
 class TestLowpass:

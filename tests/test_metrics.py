@@ -426,6 +426,17 @@ class TestNoReference:
         with pytest.raises(DataError, match="not divisible"):
             d_lambda(fused, lrms, window=30)
 
+    def test_window_of_the_ratio_rejected(self):
+        """A window of 4 scores 1x1 low-resolution windows, which have no
+        variance; both full-resolution metrics refuse it, and 8 is the
+        smallest they take."""
+        fused, lrms, pan = self._trio()
+        for metric in (lambda w: d_lambda(fused, lrms, w),
+                       lambda w: d_s(fused, lrms, pan, w)):
+            with pytest.raises(DataError, match="at least 8"):
+                metric(4)
+            assert 0.0 <= metric(8) <= 1.0
+
 
 @pytest.mark.parametrize("window", [0, -4])
 @pytest.mark.parametrize("metric", ["uiqi", "q2n", "d_lambda", "d_s"])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pansharp import wald
 from pansharp.errors import DataError
 from pansharp.grad.rng import SplitMix64, derive_seed
 from pansharp.imaging import (
@@ -13,6 +14,7 @@ from pansharp.imaging import (
     SENSORS,
     lowpass,
     mtf_gaussian_taps,
+    sensor_taps,
 )
 from pansharp.wald import (
     SCENE_OCTAVES,
@@ -26,7 +28,7 @@ from pansharp.wald import (
     synthetic_scene,
     write_dataset,
 )
-from pansharp.wald import _degrade_taps, _scene_taps
+from pansharp.wald import _scene_taps
 
 
 def _rms(a, b):
@@ -41,16 +43,15 @@ class TestDegrade:
 
     def test_matches_composition_bit_for_bit(self):
         sensor = SENSORS["gf2"]
+        pan_taps, band_taps = sensor_taps(sensor, 4)
         rng = np.random.default_rng(100)
         pan = rng.uniform(0, 1, (64, 64))
-        want = lowpass(pan, mtf_gaussian_taps(sensor.pan_nyquist_gain, 4))[::4, ::4]
+        want = lowpass(pan, pan_taps)[::4, ::4]
         np.testing.assert_array_equal(degrade(pan, sensor, 4), want)
         ms = rng.uniform(0, 1, (64, 64, 4))
         got = degrade(ms, sensor, 4)
         for k in range(4):
-            want = lowpass(
-                ms[:, :, k],
-                mtf_gaussian_taps(sensor.ms_nyquist_gains[k], 4))[::4, ::4]
+            want = lowpass(ms[:, :, k], band_taps[k])[::4, ::4]
             np.testing.assert_array_equal(got[:, :, k], want)
 
     @pytest.mark.parametrize("side", [512, 256])
@@ -73,15 +74,18 @@ class TestDegrade:
 
     def test_taps_are_built_once_and_read_only(self):
         """degrade's tap rows are cached per (sensor, factor): the cached
-        rows equal fresh ones, and no caller can write to them."""
+        rows equal the central taps of fresh 41-tap rows, and no caller
+        can write to them."""
         sensor = SENSORS["wv3"]
         for factor in (2, 4):
-            pan_taps, band_taps = _degrade_taps(sensor, factor)
-            assert _degrade_taps(sensor, factor)[1] is band_taps
-            np.testing.assert_array_equal(
-                pan_taps, mtf_gaussian_taps(sensor.pan_nyquist_gain, factor))
-            np.testing.assert_array_equal(band_taps, np.stack(
-                [mtf_gaussian_taps(g, factor) for g in sensor.ms_nyquist_gains]))
+            pan_taps, band_taps = sensor_taps(sensor, factor)
+            assert sensor_taps(sensor, factor)[1] is band_taps
+            for taps, full in (
+                    (pan_taps, mtf_gaussian_taps(sensor.pan_nyquist_gain, factor)),
+                    (band_taps, np.stack([mtf_gaussian_taps(g, factor)
+                                          for g in sensor.ms_nyquist_gains]))):
+                half = taps.shape[-1] // 2
+                np.testing.assert_array_equal(taps, full[..., 20 - half:21 + half])
             for taps in (pan_taps, band_taps):
                 with pytest.raises(ValueError, match="read-only"):
                     taps[..., 0] = 0.0
@@ -127,6 +131,26 @@ class TestMakeSamples:
         assert len(make_samples(ms, pan, patch=64, stride=64)) == 4
         # Patches must lie fully inside the bounds: stride 48 fits twice.
         assert len(make_samples(ms, pan, patch=64, stride=48)) == 4
+
+    @pytest.mark.parametrize("name", ["wv3", "gf2"])
+    def test_samples_match_the_full_kernel_bytes(self, name, monkeypatch):
+        """The taps below float64 eps of the peak that degrade drops do
+        not move one float32 sample: the 41-tap rows give the same
+        bytes."""
+        ms, pan = synthetic_scene(10, SENSORS[name], ms_size=96)
+        cut = make_samples(ms, pan, patch=64, stride=32)
+
+        def full_taps(sensor, factor):
+            return (mtf_gaussian_taps(sensor.pan_nyquist_gain, factor),
+                    np.stack([mtf_gaussian_taps(g, factor)
+                              for g in sensor.ms_nyquist_gains]))
+
+        monkeypatch.setattr(wald, "sensor_taps", full_taps)
+        full = make_samples(ms, pan, patch=64, stride=32)
+        assert len(cut) == len(full) == 4
+        for a, b in zip(cut, full):
+            for role in ("pan", "lrms", "gt", "gt_d"):
+                assert getattr(a, role).tobytes() == getattr(b, role).tobytes()
 
     def test_invariants_hold_at_storage_precision(self):
         ms, pan = synthetic_scene(9, SENSORS["gf2"], ms_size=128)
