@@ -8,19 +8,28 @@ only, Ci*k values per output column, so kernel row dy's im2col matrix
 shifted by dy rows.  That writes k times fewer column values per pixel
 than a Ci*k*k im2col buffer for the same FLOPs.  The buffer is rebuilt
 per chunk of whole images or, for large images, per band of padded input
-rows, so its size is bounded by ``_COL_BUDGET`` whatever the image size,
-and every padded row is lowered once.  The input comes as channel groups,
-each copied into its own slab of the buffer, so ``conv2d`` over a channel
-``concat`` lowers the concat's parts in place and no concatenated feature
-map is built, forward or backward.  Every lowered correlation has
-stride 1.  The forward multiplies all k kernel rows stacked, (k*Co,
-Ci*k), by the whole chunk in one GEMM and adds the k row blocks of the
-product into the output, each shifted by its kernel row; the weight
-gradient multiplies each kernel row's view against the matching rows of
-the output gradient.  The input-gradient pass reuses the forward kernel
-with swapped, flipped weights, and the transposed convolution is a 3x3
-``conv2d`` followed by ``pixel_shuffle``, so everything heavy runs
-through BLAS.
+rows, so its size is bounded by ``_COL_BUDGET`` (plus at most 15 spare
+columns) whatever the image size, and every padded row is lowered once.
+The input comes as channel groups, each copied into its own slab of the
+buffer, so ``conv2d`` over a channel ``concat`` lowers the concat's
+parts in place and no concatenated feature map is built, forward or
+backward.  Every lowered correlation has stride 1.  The zero padding of
+the rows is set per edge (top, bottom), so a band of rows cut from a
+taller map can leave it out where the map goes on and compute only the
+output rows its own rows hold; the input gradient pads each edge by
+k - 1 - p for a forward padding p.  The forward multiplies all k kernel
+rows stacked, (k*Co, Ci*k), by the whole chunk in one GEMM and adds the
+k row blocks of the product into the output, each shifted by its kernel
+row; the weight gradient multiplies each kernel row's view against the
+matching rows of the output gradient.  Each forward GEMM runs on whole
+16-column blocks, a chunk's columns then at most 15 zero ones (the
+weight gradient's products read only the real columns): OpenBLAS gives
+a product column the same bits wherever it falls only then
+(``_GEMM_COLUMNS``), and that makes the output the same bits for any
+chunking and any cut of the rows.  The input-gradient pass reuses the
+forward kernel with swapped, flipped weights, and the transposed
+convolution is a 3x3 ``conv2d`` followed by ``pixel_shuffle``, so
+everything heavy runs through BLAS.
 """
 
 from __future__ import annotations
@@ -39,16 +48,29 @@ from .tensor import DTYPE, Concat, Tensor, _grad_slot, _record
 # level (296 vs 287 ms over six layer shapes) and 4M holds twice the memory.
 _COL_BUDGET = 2 << 20
 
+# Every forward GEMM's column count is a multiple of this: a chunk's
+# columns, then at most 15 zero columns whose products are dropped.
+# OpenBLAS's sgemm (Haswell kernels) can give the last <= 8 columns of a
+# product whose column count is not a multiple of 16 other bits than the
+# same columns inside a wider product.  Over 550 products of the
+# network's GEMM shapes, each a random run of a 2048-column product's
+# columns, 39 moved some column's bits; padded to whole 16-column blocks,
+# none did.  So a column's bits do not depend on where a chunk, or a
+# band of rows, cuts the image.
+_GEMM_COLUMNS = 16
 
-def _out_size(shape: tuple, k: int, padding: int) -> tuple:
-    """(Ho, Wo) of a k x k correlation over a (B,C,H,W) input."""
+
+def _out_size(shape: tuple, k: int, padding: int, pad_rows: tuple) -> tuple:
+    """(Ho, Wo) of a k x k correlation over a (B,C,H,W) input, its rows
+    zero-padded by ``pad_rows`` = (top, bottom) and its columns by
+    ``padding`` each side."""
     h, wid = shape[2:]
-    ho = h + 2 * padding - k + 1
+    ho = h + sum(pad_rows) - k + 1
     wo = wid + 2 * padding - k + 1
     if ho <= 0 or wo <= 0:
         raise ValueError(
             f"conv2d: spatial input {h}x{wid} too small for kernel {k} "
-            f"with padding {padding}"
+            f"with padding {padding} (rows {pad_rows[0]}, {pad_rows[1]})"
         )
     return ho, wo
 
@@ -60,32 +82,37 @@ def _span(lo: int, n: int, size: int) -> tuple:
     return i0, i1
 
 
-def _columns(xs, k: int, padding: int, reserve: int = 0):
-    """Yield ``(b0, b1, q0, q1, low, spare)``: the row lowering of padded
-    rows [q0, q1) of images [b0, b1) of the input x (B,Ci,H,W).
+def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0,
+             blocks: int = 1):
+    """Yield ``(b0, b1, q0, q1, low, wide, spare)``: the row lowering of
+    padded rows [q0, q1) of images [b0, b1) of the input x (B,Ci,H,W).
 
     x comes as ``xs``, a sequence of channel groups (B,Ci_g,H,W) that
     concatenated along the channel axis make it; each group is copied
     into its own slab of channel rows, so a concatenated x is never built.
-    Padded row q is input row ``q - padding`` of x zero-padded by
-    ``padding``; output row r reads kernel row dy from padded row r + dy,
-    so an image has ``Ho + k - 1`` padded rows.  ``low`` is (Ci*k,
-    rows*n*Wo): each padded row lowered along x only, Ci*k values per
-    output column, in (row, image, column) order.  Kernel row dy's im2col
-    matrix for output rows [r0, r1) is the column range of padded rows
-    [r0 + dy, r1 + dy).  The zero border is written here; x is not padded.
-    A chunk is several whole images when their padded rows fit
-    ``_COL_BUDGET``, else a band of padded rows of one image; every padded
-    row is lowered once.  The budget also holds ``spare``: ``reserve``
-    values per padded row, image and output column of the largest chunk,
-    for a block the caller keeps beside each chunk (the forward's
-    product).  The chunks and ``spare`` share one buffer allocated per
-    call (a fresh multi-MiB array per chunk costs as much again in page
-    faults), so ``low`` is overwritten by the next chunk: use it before
-    advancing.
+    x is zero-padded by ``pad_rows`` = (top, bottom) rows and ``padding``
+    columns each side: padded row q is input row ``q - top``; output row r
+    reads kernel row dy from padded row r + dy, so an image has ``Ho + k -
+    1`` padded rows.  ``low`` is (Ci*k, n): each padded row lowered along
+    x only, Ci*k values per output column, in (row, image, column) order.
+    ``wide`` is ``low`` and then zero columns up to the next multiple of
+    ``blocks``, for a GEMM of whole column blocks (see
+    :data:`_GEMM_COLUMNS`); ``low`` is its first n columns, the same
+    array when ``blocks`` is 1.  Kernel row dy's im2col matrix for output
+    rows [r0, r1) is the column range of padded rows [r0 + dy, r1 + dy).
+    The zero border is written here; x is not padded.  A chunk is several
+    whole images when their padded rows fit ``_COL_BUDGET``, else a band
+    of padded rows of one image; every padded row is lowered once.  The
+    budget also holds ``spare``: ``reserve`` values per column of the
+    largest ``wide``, for a block the caller keeps beside each chunk (the
+    forward's product).  The chunks and ``spare`` share one buffer
+    allocated per call (a fresh multi-MiB array per chunk costs as much
+    again in page faults), so ``low`` is overwritten by the next chunk: use
+    it before advancing.
     """
     batch, _, h, wid = xs[0].shape
-    ho, wo = _out_size(xs[0].shape, k, padding)
+    ho, wo = _out_size(xs[0].shape, k, padding, pad_rows)
+    top = pad_rows[0]
     slabs = np.cumsum([0] + [x.shape[1] for x in xs])  # each group's channel rows
     cin = int(slabs[-1])
     total = ho + k - 1  # padded rows per image
@@ -93,33 +120,41 @@ def _columns(xs, k: int, padding: int, reserve: int = 0):
     fit = _COL_BUDGET // (per_row + reserve * wo)  # padded rows per chunk
     rows = max(1, min(total, fit))
     images = max(1, min(batch, fit // total))
-    buf = np.empty((per_row + reserve * wo) * rows * images, dtype=xs[0].dtype)
-    spare = buf[per_row * rows * images:]
+    most = -(-rows * images * wo // blocks) * blocks
+    buf = np.empty((cin * k + reserve) * most, dtype=xs[0].dtype)
+    spare = buf[cin * k * most:]
     for b0 in range(0, batch, images):
         b1 = min(b0 + images, batch)
         n = b1 - b0
         for q0 in range(0, total, rows):
             q1 = min(q0 + rows, total)
-            low = buf[:per_row * (q1 - q0) * n].reshape(cin, k, q1 - q0, n, wo)
-            s0, s1 = _span(q0 - padding, q1 - q0, h)
+            used = (q1 - q0) * n * wo
+            cols = -(-used // blocks) * blocks
+            wide = buf[:cin * k * cols].reshape(cin * k, cols)
+            wide[:, used:] = 0
+            low = wide[:, :used]
+            view = low.reshape(cin, k, q1 - q0, n, wo)
+            s0, s1 = _span(q0 - top, q1 - q0, h)
             for dx in range(k):
                 c0, c1 = _span(dx - padding, wo, wid)
-                dst = low[:, dx]  # (Ci, rows, n, Wo)
+                dst = view[:, dx]  # (Ci, rows, n, Wo)
                 dst[:, :s0] = 0
                 dst[:, s1:] = 0
                 dst[:, s0:s1, :, :c0] = 0
                 dst[:, s0:s1, :, c1:] = 0
                 if s0 < s1 and c0 < c1:
-                    y0, x0 = q0 + s0 - padding, c0 + dx - padding
+                    y0, x0 = q0 + s0 - top, c0 + dx - padding
                     for x, g0, g1 in zip(xs, slabs[:-1], slabs[1:]):
                         src = x[b0:b1, :, y0:y0 + s1 - s0, x0:x0 + c1 - c0]
                         np.copyto(dst[g0:g1, s0:s1, :, c0:c1], src.transpose(1, 2, 0, 3))
-            yield b0, b1, q0, q1, low.reshape(cin * k, -1), spare
+            yield b0, b1, q0, q1, low, wide, spare
 
 
-def _corr2d(xs, w: np.ndarray, padding: int) -> np.ndarray:
+def _corr2d(xs, w: np.ndarray, padding: int, pad_rows: tuple) -> np.ndarray:
     """Raw stride-1 cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k),
-    x given as ``_columns`` takes it: a sequence of channel groups.
+    x given as ``_columns`` takes it: a sequence of channel groups, zero-
+    padded by ``pad_rows`` = (top, bottom) rows and ``padding`` columns
+    each side.
 
     Each chunk of padded rows runs one GEMM: the kernel rows stacked, Co
     matrix rows each, times the chunk's lowered rows, so the product holds
@@ -129,24 +164,27 @@ def _corr2d(xs, w: np.ndarray, padding: int) -> np.ndarray:
     the rows whose windows start in the chunk, which is then copied into
     the output, and into the output for the rows whose windows started in
     an earlier chunk.  So every output value is summed from dy = 0 upwards
-    whatever the chunking, and the same bits come out for any
-    ``_COL_BUDGET``.
+    whatever the chunking, and with a GEMM of whole 16-column blocks each
+    product column has the same bits wherever it falls: the same bits
+    come out for any ``_COL_BUDGET``, and for any cut of the input's rows.
     """
     cout, cin, k, _ = w.shape
-    ho, wo = _out_size(xs[0].shape, k, padding)
+    ho, wo = _out_size(xs[0].shape, k, padding, pad_rows)
     stack = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k * cout, cin * k)
     out = np.empty((xs[0].shape[0], cout, ho, wo), dtype=DTYPE)
-    for b0, b1, q0, q1, low, spare in _columns(xs, k, padding, k * cout):
-        prod = spare[:k * cout * low.shape[1]].reshape(k * cout, -1)
-        np.matmul(stack, low, out=prod)
-        prod = prod.reshape(k, cout, q1 - q0, b1 - b0, wo)
+    chunks = _columns(xs, k, padding, pad_rows, k * cout, _GEMM_COLUMNS)
+    for b0, b1, q0, q1, _, wide, spare in chunks:
+        n, m = b1 - b0, q1 - q0
+        prod = spare[:k * cout * wide.shape[1]].reshape(k * cout, -1)
+        np.matmul(stack, wide, out=prod)
+        prod = prod[:, :m * n * wo].reshape(k, cout, m, n, wo)
         head = prod[0]  # kernel row 0, one padded row per output row from q0
         rows = min(q1, ho) - q0  # output rows whose windows start in the chunk
         for dy in range(1, k):
             part = prod[dy]
-            m = min(rows, q1 - q0 - dy)
-            if m > 0:
-                head[:, :m] += part[:, dy:dy + m]
+            c = min(rows, m - dy)
+            if c > 0:
+                head[:, :c] += part[:, dy:dy + c]
             # Rows whose windows started in an earlier chunk.
             r0, r1 = max(0, q0 - dy), min(q0, ho, q1 - dy)
             if r0 < r1:
@@ -158,9 +196,10 @@ def _corr2d(xs, w: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int) -> np.ndarray:
+def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int,
+                        pad_rows: tuple) -> np.ndarray:
     """Gradient wrt conv weights: correlate the input, given as channel
-    groups ``xs``, with the output gradient.
+    groups ``xs`` and padded as for ``_corr2d``, with the output gradient.
 
     Returns (g channels, x channels, k, k), one stride-1 window of the
     padded ``x`` per position of ``g``.  Each chunk adds, per kernel row
@@ -173,7 +212,7 @@ def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int) -> np.ndarray:
     cin = sum(x.shape[1] for x in xs)
     cout, ho = g.shape[1:3]
     acc = np.zeros((k, cin * k, cout), dtype=DTYPE)
-    for b0, b1, q0, q1, low, _ in _columns(xs, k, padding):
+    for b0, b1, q0, q1, low, _, _ in _columns(xs, k, padding, pad_rows):
         lo, hi = max(0, q0 - k + 1), min(ho, q1)  # output rows reading the chunk
         span = (b1 - b0) * g.shape[3]  # columns per row
         gmat = np.ascontiguousarray(g[b0:b1, :, lo:hi].transpose(1, 2, 0, 3))
@@ -187,12 +226,17 @@ def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int) -> np.ndarray:
     return np.ascontiguousarray(acc.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int, *,
+           pad_rows: tuple | None = None) -> Tensor:
     """2-D convolution, stride 1, odd square kernel, zero padding.
 
-    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,).  A
-    ``concat`` is lowered straight from its parts, in the forward and in
-    the weight gradient, so its concatenated array is never built.
+    x: (B, Cin, H, W); w: (Cout, Cin, k, k); b: (Cout,).  ``padding``
+    zero-pads every side; ``pad_rows`` = (top, bottom), if given, pads
+    the rows by those counts instead, so a band of rows cut from a taller
+    input can leave out the padding at an edge where the input goes on
+    and compute only the output rows its own rows hold.  A ``concat`` is
+    lowered straight from its parts, in the forward and in the weight
+    gradient, so its concatenated array is never built.
     """
     if len(x.shape) != 4:
         raise ValueError(f"conv2d: input must be 4-D (B,C,H,W), got shape {x.shape}")
@@ -208,11 +252,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         )
     if b.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.shape} != ({cout},)")
-    if padding < 0:
-        raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
+    top, bottom = (padding, padding) if pad_rows is None else pad_rows
+    if min(padding, top, bottom) < 0:
+        raise ValueError(
+            f"conv2d: padding must be >= 0, got {padding} (rows {top}, {bottom})")
 
     xs = [t.data for t in x.parts] if isinstance(x, Concat) else [x.data]
-    out_data = _corr2d(xs, w.data, padding)
+    out_data = _corr2d(xs, w.data, padding, (top, bottom))
     out_data += b.data[None, :, None, None]
     out = Tensor(out_data)
     k, w_data = kh, w.data
@@ -222,11 +268,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int) -> Tensor:
         if sb is not None:
             sb.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if sw is not None:
-            sw.accumulate_grad(_corr2d_weight_grad(xs, g, k, padding))
+            sw.accumulate_grad(_corr2d_weight_grad(xs, g, k, padding, (top, bottom)))
         if sx is not None:
             # Full correlation with channel-swapped, spatially flipped weights.
             w_swap = np.ascontiguousarray(w_data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            sx.accumulate_grad(_corr2d([g], w_swap, k - 1 - padding))
+            sx.accumulate_grad(_corr2d([g], w_swap, k - 1 - padding,
+                                       (k - 1 - top, k - 1 - bottom)))
 
     return _record(out, (x, w, b), backward_fn)
 

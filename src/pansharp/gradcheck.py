@@ -173,6 +173,15 @@ def _check_conv2d() -> float:
          _gauss(25, (3,))], h=FD_STEP_LINEAR)
 
 
+def _check_conv2d_edge_rows() -> float:
+    """conv2d with no zero row above the input, as a band of rows cut below
+    the top of its map runs it."""
+    return _op_fd_error(
+        lambda t: _engine.conv2d(t[0], t[1], t[2], padding=1, pad_rows=(0, 1)),
+        [_gauss(36, (2, 2, 5, 5)), _gauss(37, (3, 2, 3, 3), 0.5),
+         _gauss(38, (3,))], h=FD_STEP_LINEAR)
+
+
 def _check_conv2d_transpose() -> float:
     return _op_fd_error(
         lambda t: _engine.conv2d_transpose(t[0], t[1], t[2]),
@@ -220,6 +229,7 @@ OP_CHECKS = {
     "concat": _check_concat,
     "l1_loss": _check_l1_loss,
     "conv2d": _check_conv2d,
+    "conv2d_edge_rows": _check_conv2d_edge_rows,
     "conv2d_transpose": _check_conv2d_transpose,
     "maxpool2d": _check_maxpool2d,
     "avgpool2d": _check_avgpool2d,

@@ -344,18 +344,40 @@ def _upsample2_axis(arr: np.ndarray, axis: int, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Values of one band's upsampled plane from which :func:`interp23`
+#: upsamples a stack band by band.  Against whole-stack stages on 8-band
+#: stacks, one band at a time took 2.5x the time at MS 16x16, 1.45x at
+#: 32x32, 1.0x at 48x48, 0.87x at 64x64 and 0.85x at 128x128 (paired
+#: runs, ``BENCH_26.json``): below the bar the stack runs whole.
+_INTERP23_BAND_VALUES = 1 << 16
+
+
 def interp23(image: np.ndarray) -> np.ndarray:
     """Upsample by :data:`RATIO` as two x2 stages.
 
     Each stage zero-interleaves (samples at even offsets) then applies the
     separable 23-tap half-band filter along both spatial axes, computed
-    as its two polyphase branches.
+    as its two polyphase branches.  A 3-D stack whose upsampled band
+    holds at least ``_INTERP23_BAND_VALUES`` values is upsampled band by
+    band into one preallocated output: a scene's stages hold one band's
+    intermediates, so its traced peak is ~1.3x the output, not ~2.5x, and
+    every value is summed as for the whole stack.
     """
-    out = np.asarray(image, dtype=np.float64)
-    if out.ndim not in (2, 3):
-        raise ValueError(f"interp23: expected 2-D or 3-D image, got shape {out.shape}")
+    data = np.asarray(image, dtype=np.float64)
+    if data.ndim not in (2, 3):
+        raise ValueError(f"interp23: expected 2-D or 3-D image, got shape {data.shape}")
     taps = interp23_taps()
-    for _ in range(RATIO.bit_length() - 1):  # RATIO = 2 ** stages
-        out = _upsample2_axis(out, 0, taps)
-        out = _upsample2_axis(out, 1, taps)
+
+    def upsample(part: np.ndarray) -> np.ndarray:
+        for _ in range(RATIO.bit_length() - 1):  # RATIO = 2 ** stages
+            part = _upsample2_axis(part, 0, taps)
+            part = _upsample2_axis(part, 1, taps)
+        return part
+
+    height, width = data.shape[:2]
+    if data.ndim == 2 or RATIO ** 2 * height * width < _INTERP23_BAND_VALUES:
+        return upsample(data)
+    out = np.empty((RATIO * height, RATIO * width, data.shape[2]), dtype=np.float64)
+    for band in range(data.shape[2]):
+        out[:, :, band:band + 1] = upsample(data[:, :, band:band + 1])
     return out

@@ -64,12 +64,14 @@ _U32 = struct.Struct("<I")
 _DETAIL_LAYERS = {1: "pan.detail_full", 2: "pan.detail_half"}
 
 # Output rows per band of a block whose intermediates are wide maps, when
-# no tape records; a multiple of every stage pool.  Each band recomputes a
-# halo of a few rows: at 128 rows a default-width forward on a 256^2 PAN
-# does 3.4% more conv work and peaks at 39 MiB traced instead of 64 (on a
-# 1024^2 PAN, 218 MiB instead of 1 GiB).  64 rows peak at 29 MiB, for more
-# recompute.
-_BAND_ROWS = 128
+# no tape records; a multiple of every stage pool.  Each layer of a band
+# computes only the rows that reach the band's output, so the overlap
+# between bands shrinks layer by layer.  On a 256^2 PAN a default-width
+# forward in 64-row bands does 3.0% more conv work than one pass (128-row
+# bands with the whole halo recomputed at every layer did 3.4%) and peaks
+# at 27.6 MiB traced, against 57.7 MiB in one pass (512^2: 60.2 against
+# 205.5 MiB).  32 rows peak at 21.8 MiB for 7.2% more conv work.
+_BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,11 @@ def init_params(config: TdnetConfig, seed: int = 0) -> dict[str, Tensor]:
 # -- forward blocks --------------------------------------------------------
 
 
-def _conv_layer(params: dict[str, Tensor], name: str, x: Tensor) -> Tensor:
+def _conv_layer(params: dict[str, Tensor], name: str, x: Tensor,
+                pad_rows: tuple | None = None) -> Tensor:
     w = params[f"{name}.w"]
-    return conv2d(x, w, params[f"{name}.b"], padding=w.shape[2] // 2)
+    return conv2d(x, w, params[f"{name}.b"], padding=w.shape[2] // 2,
+                  pad_rows=pad_rows)
 
 
 def _reach(params: dict[str, Tensor], *names: str) -> int:
@@ -246,35 +250,56 @@ def _reach(params: dict[str, Tensor], *names: str) -> int:
 
 
 def _in_row_bands(block, inputs: tuple[Tensor, ...], halo: int):
-    """``block(*inputs)``, computed over row bands when no tape records.
+    """``block(conv, crop, *inputs)``, computed over row bands when no
+    tape records.
 
     The inputs share one grid of H rows; ``block`` returns a Tensor or a
-    list of them, each on that grid pooled by a factor dividing ``halo``
-    and :data:`_BAND_ROWS`.  Bands start on multiples of ``_BAND_ROWS``,
-    read ``halo`` more rows each side, clipped at the image edge, and
-    write their own rows into one output per result.  With ``halo`` at
-    least the block's reach, a band's rows see the windows of one whole
-    pass, and the conv engine sums an output alike whatever its chunking,
-    so the bits are the same.  Under a tape the block runs whole: the
-    closures would keep every band's activations, and the weight
+    list of them, each on that grid pooled by a factor dividing
+    :data:`_BAND_ROWS`.  Bands start on multiples of ``_BAND_ROWS`` and
+    read ``halo`` more rows each side, clipped at the image edge; ``halo``
+    is the block's reach, exactly.  The block builds its layers with two
+    helpers.  ``conv(params, name, x)`` is ``_conv_layer`` with the rows
+    zero-padded only at an image edge: at an interior edge a layer
+    computes only the rows its input holds, so each layer's overlap with
+    the next band shrinks by its own reach, and only rows that reach the
+    band's output are computed.  ``crop(x, n)`` drops n rows at each
+    interior edge, to put a map that skips layers (a residual term, a
+    narrower branch, a finer pool) on the rows of the maps it meets.  The
+    band's outputs then hold its own rows, or run on to the image edge
+    where it meets one, and are written into one output per result.  Every
+    output row is summed from the windows of one whole pass, and the conv
+    engine sums a value alike wherever its rows are cut, so the bits are
+    the same.  Under a tape, or when one band holds every row, the helpers
+    are ``_conv_layer`` and the identity and the block runs whole: under a
+    tape the closures would keep every band's activations, and the weight
     gradients would be summed band by band.
     """
     height = inputs[0].shape[2]
     if Tape.active() is not None or height <= _BAND_ROWS:
-        return block(*inputs)
+        return block(_conv_layer, lambda x, rows: x, *inputs)
     outs = None
     for r0 in range(0, height, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, height)
         lo, hi = max(0, r0 - halo), min(height, r1 + halo)
-        result = block(*(Tensor(x.data[:, :, lo:hi]) for x in inputs))
+        top, bottom = lo == 0, hi == height  # the band meets the image edge
+
+        def conv(params, name, x):
+            pad = params[f"{name}.w"].shape[2] // 2
+            return _conv_layer(params, name, x, (pad * top, pad * bottom))
+
+        def crop(x, rows):
+            return Tensor(x.data[:, :, rows * (not top):x.shape[2] - rows * (not bottom)])
+
+        result = block(conv, crop, *(Tensor(x.data[:, :, lo:hi]) for x in inputs))
         parts = [result] if isinstance(result, Tensor) else result
+        first, last = (lo if top else r0), (hi if bottom else r1)  # rows held
         if outs is None:
-            pools = [(hi - lo) // part.shape[2] for part in parts]
+            pools = [(last - first) // part.shape[2] for part in parts]
             outs = [np.empty(part.shape[:2] + (height // pool,) + part.shape[3:],
                              DTYPE) for part, pool in zip(parts, pools)]
         for out, part, pool in zip(outs, parts, pools):
             out[:, :, r0 // pool:r1 // pool] = \
-                part.data[:, :, (r0 - lo) // pool:(r1 - lo) // pool]
+                part.data[:, :, (r0 - first) // pool:(r1 - first) // pool]
     tensors = [Tensor(out) for out in outs]
     return tensors[0] if isinstance(result, Tensor) else tensors
 
@@ -298,29 +323,30 @@ def pan_details(pan: Tensor, params: dict[str, Tensor],
         return [Tensor(np.repeat(avgpool2d(pan, pool).data, config.bands, axis=1))
                 for _, pool in config.stages]
 
-    def trunk(pan: Tensor) -> Tensor:
-        feats = relu(_conv_layer(params, "pan.entry", pan))
-        return feats + _conv_layer(params, "pan.res2",
-                                   relu(_conv_layer(params, "pan.res1", feats)))
+    def trunk(conv, crop, pan: Tensor) -> Tensor:
+        feats = relu(conv(params, "pan.entry", pan))
+        return crop(feats, _reach(params, "pan.res1", "pan.res2")) + conv(
+            params, "pan.res2", relu(conv(params, "pan.res1", feats)))
 
-    def branch(pan: Tensor) -> list[Tensor]:
+    def branch(conv, crop, pan: Tensor) -> list[Tensor]:
         # The residual sum outlives its terms, so the relu holds two wide
         # maps, not four, and the projections only shared.
-        shared = relu(trunk(pan))
+        shared = relu(trunk(conv, crop, pan))
         # Finest first, as parameter_plan orders them; on a 256^2 PAN the
-        # other order gives the same traced peak, in bands or in one.
-        finest_first = [_conv_layer(params, _DETAIL_LAYERS[pool],
-                                    maxpool2d(shared, pool) if pool > 1 else shared)
-                        for _, pool in reversed(config.stages)]
+        # other order gives the same traced peak, in bands or in one.  A
+        # projection at pool p reads p rows of shared per row of its reach
+        # beyond the band, so the pooling windows start on the band's.
+        finest_first = []
+        for _, pool in reversed(config.stages):
+            name = _DETAIL_LAYERS[pool]
+            x = crop(shared, read - pool * _reach(params, name))
+            finest_first.append(conv(params, name, maxpool2d(x, pool) if pool > 1 else x))
         return finest_first[::-1]
 
-    # A detail row at pool p reads p PAN rows per row of its projection's
-    # reach; a band must start on a pooling window, so the halo is rounded
-    # up to the coarsest pool.
-    coarsest = config.stages[0][1]
-    reach = _reach(params, "pan.entry", "pan.res1", "pan.res2") + max(
-        pool * _reach(params, _DETAIL_LAYERS[pool]) for _, pool in config.stages)
-    return _in_row_bands(branch, (pan,), -(-reach // coarsest) * coarsest)
+    # PAN rows of shared the projections read beyond a detail row.
+    read = max(pool * _reach(params, _DETAIL_LAYERS[pool]) for _, pool in config.stages)
+    return _in_row_bands(
+        branch, (pan,), _reach(params, "pan.entry", "pan.res1", "pan.res2") + read)
 
 
 def _upsample(x: Tensor, params: dict[str, Tensor], level: str, s: int,
@@ -383,13 +409,14 @@ def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
             raise ValueError("mrab: tmra_hpm mode needs the smoothed PAN raster")
         return tmra_injection(ms_up, pan_low, d)
 
-    def gated(ms_up: Tensor, d: Tensor) -> Tensor:
-        hidden = relu(_conv_layer(params, f"{level}.gate1", concat([ms_up, d])))
-        gain = sigmoid(_conv_layer(params, f"{level}.gate2", hidden))
-        return ms_up + gain * d
+    reach = _reach(params, f"{level}.gate1", f"{level}.gate2")
 
-    return _in_row_bands(gated, (ms_up, d),
-                         _reach(params, f"{level}.gate1", f"{level}.gate2"))
+    def gated(conv, crop, ms_up: Tensor, d: Tensor) -> Tensor:
+        hidden = relu(conv(params, f"{level}.gate1", concat([ms_up, d])))
+        gain = sigmoid(conv(params, f"{level}.gate2", hidden))
+        return crop(ms_up, reach) + gain * crop(d, reach)
+
+    return _in_row_bands(gated, (ms_up, d), reach)
 
 
 def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
@@ -404,15 +431,17 @@ def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
             f"mscb: fused input {x.shape} and detail map {d.shape} must match"
         )
 
-    def refined(x: Tensor, d: Tensor) -> Tensor:
-        h = relu(_conv_layer(params, f"{level}.mix.entry", concat([x, d])))
-        branches = [_conv_layer(params, f"{level}.mix.k{k}", h)
+    widest = max(config.mscb_kernels)
+    halo = _reach(params, f"{level}.mix.entry", f"{level}.mix.blend") + widest // 2
+
+    def refined(conv, crop, x: Tensor, d: Tensor) -> Tensor:
+        h = relu(conv(params, f"{level}.mix.entry", concat([x, d])))
+        # A narrower kernel reads h on the rows the widest one leaves.
+        branches = [conv(params, f"{level}.mix.k{k}", crop(h, (widest - k) // 2))
                     for k in config.mscb_kernels]
         del h  # the blend reads only the branches
-        return _conv_layer(params, f"{level}.mix.blend", concat(branches)) + x
+        return conv(params, f"{level}.mix.blend", concat(branches)) + crop(x, halo)
 
-    halo = (_reach(params, f"{level}.mix.entry", f"{level}.mix.blend")
-            + max(config.mscb_kernels) // 2)
     return _in_row_bands(refined, (x, d), halo)
 
 

@@ -210,7 +210,9 @@ class DatasetManifest:
         for key, kind in _MANIFEST_FIELDS.items():
             if key not in payload:
                 raise DataError(f"malformed manifest: missing {key!r}")
-            if not isinstance(payload[key], kind):
+            # JSON true and false are Python bools, which are ints too.
+            if not isinstance(payload[key], kind) or (
+                    kind is int and isinstance(payload[key], bool)):
                 raise DataError(
                     f"malformed manifest: {key!r} is a "
                     f"{type(payload[key]).__name__}, not a {kind.__name__}")
@@ -220,8 +222,14 @@ class DatasetManifest:
         if ratio != RATIO:
             raise DataError(
                 f"malformed manifest: 'ratio' is {ratio}, not {RATIO}")
+        sensor = get_sensor(payload["sensor"])
+        if bands != sensor.bands:
+            raise DataError(
+                f"malformed manifest: 'bands' is {bands}, but a "
+                f"{sensor.name} raster has {sensor.bands}")
         for name, ids in payload["splits"].items():
-            if not (isinstance(ids, list) and all(isinstance(i, int) for i in ids)):
+            if not (isinstance(ids, list) and all(
+                    isinstance(i, int) and not isinstance(i, bool) for i in ids)):
                 raise DataError(
                     f"malformed manifest: split {name!r} must be a list of "
                     f"sample ids")

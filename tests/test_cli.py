@@ -577,9 +577,9 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         lines = out.strip().splitlines()
-        assert lines[-1] == "gradient sweep: 16 checks, 0 failures"
+        assert lines[-1] == "gradient sweep: 17 checks, 0 failures"
         names = [line.split()[0] for line in lines[:-1]]
-        assert len(names) == len(set(names)) == 16
+        assert len(names) == len(set(names)) == 17
         assert "tdnet_forward" in names
         assert all(line.split()[-1] == "PASS" for line in lines[:-1])
 
@@ -774,6 +774,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "'ratio' is 2" in err and rc == 3
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", [('"bands": 8', '"bands": true'),
+                                      ('"bands": 8', '"bands": 3')],
+                             ids=["bool-bands", "bands-not-sensor"])
+    def test_hostile_manifest(self, edit, dataset_dir, tmp_path, capsys):
+        """A manifest whose band count is a bool, or not the wv3 sensor's
+        8, is refused at read by every command that reads a dataset, with
+        no --out left behind; ``train`` used to exit 1 with a traceback
+        and leave an empty --out, ``fuse`` and ``eval`` to exit 0."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.json"
+        text = manifest.read_text()
+        assert text.count(edit[0]) == 1
+        manifest.write_text(text.replace(*edit))
+        for args in (["fuse", str(data), "--method", "exp"], ["train", str(data)],
+                     ["eval", str(data), str(tmp_path)]):
+            rc = main([*args, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "malformed manifest: 'bands'" in err and rc == 3, (args[0], rc, err)
+            assert not (tmp_path / "out").exists(), args[0]
 
     @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
     def test_corrupt_manifest(self, command, tmp_path, capsys):

@@ -23,7 +23,8 @@ from pansharp.model import TdnetConfig
 
 EXPECTED_OPS = [
     "add", "mul", "scale", "tensor_sum", "relu", "sigmoid", "concat",
-    "l1_loss", "conv2d", "conv2d_transpose", "maxpool2d", "avgpool2d",
+    "l1_loss", "conv2d", "conv2d_edge_rows", "conv2d_transpose", "maxpool2d",
+    "avgpool2d",
     "pixel_shuffle", "bilinear_upsample",
     "divide_by_constant",
 ]
@@ -35,8 +36,11 @@ class TestRegistry:
         assert list(OP_CHECKS) == EXPECTED_OPS
 
     def test_registered_names_exist_in_engine(self):
+        """Each row checks an engine op; ``conv2d_edge_rows`` checks conv2d
+        with one edge's row padding left out."""
         for name in EXPECTED_OPS:
-            assert callable(getattr(pansharp.grad, name))
+            op = name.removesuffix("_edge_rows")
+            assert callable(getattr(pansharp.grad, op))
 
     def test_row_pass_logic(self):
         assert GradCheckRow("x", 9e-3).passed

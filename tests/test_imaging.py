@@ -360,6 +360,24 @@ class TestInterp23:
         with pytest.raises(ValueError, match="need >= 6"):
             interp23(np.zeros((8, 5)))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "float32"])
+    @pytest.mark.parametrize("bar", [48 * 40, 48 * 40 + 1])
+    def test_band_by_band_gives_the_whole_stack_bits(self, monkeypatch, layout, bar):
+        """Upsampling band by band into one output (an upsampled band of
+        48 x 40 values at a bar of as many) gives the bits of running each
+        stage over the whole stack at once (a bar one value higher)."""
+        monkeypatch.setattr(imaging, "_INTERP23_BAND_VALUES", bar)
+        x = np.random.default_rng(36).uniform(0, 1, (12, 10, 6))
+        x = {"C": x, "F": np.asfortranarray(x), "strided": x[:, :, ::2],
+             "float32": x.astype(np.float32)}[layout]
+        want = np.asarray(x, dtype=np.float64)
+        for _ in range(2):
+            for axis in (0, 1):
+                want = imaging._upsample2_axis(want, axis, interp23_taps())
+        got = interp23(x)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("shape", [(6, 6), (7, 9, 4), (16, 16, 8), (64, 64)])
     def test_matches_zero_stuffed_mirror_filter(self, shape):
         """Each x2 stage equals zero-interleaving followed by the 23-tap

@@ -62,6 +62,40 @@ class TestConv2d:
         for wrt in range(3):
             assert check_op_gradient(op, [x, w, b], wrt=wrt) < 1e-2
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("width", [16, 37])
+    def test_rows_cut_from_a_taller_map(self, k, width):
+        """A band of rows, zero-padded only at the map's own top or bottom,
+        gives the rows of the whole map's conv that it holds, bit for bit,
+        whether 16 divides the width or not."""
+        p = k // 2
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2, 3, 40, width)).astype(np.float32)
+        w = rng.normal(size=(4, 3, k, k)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        whole = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
+        for lo, hi, pad_rows in [(0, 20, (p, 0)), (10, 30, (0, 0)),
+                                 (17, 40, (0, p)), (0, 40, (p, p))]:
+            got = conv2d(Tensor(x[:, :, lo:hi]), Tensor(w), Tensor(b), padding=p,
+                         pad_rows=pad_rows).data
+            first = lo + p - pad_rows[0]  # the whole map's row of got's first
+            assert got.shape == (2, 4, hi - lo + sum(pad_rows) - 2 * p, width)
+            np.testing.assert_array_equal(got, whole[:, :, first:first + got.shape[2]])
+
+    @pytest.mark.parametrize("pad_rows", [(0, 1), (1, 0), (0, 0), (2, 1)])
+    def test_edge_row_padding_gradients(self, pad_rows):
+        """The backward pads each edge's rows by k - 1 - p for a forward
+        padding p there, input and weight gradients alike.  The conv is
+        linear in each argument, so a wide step, as the gradient sweep takes
+        for linear ops, has no truncation error and less float32 rounding."""
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(2, 2, 6, 5)).astype(np.float32)
+        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32) * 0.5
+        b = rng.normal(size=3).astype(np.float32)
+        op = lambda t: conv2d(t[0], t[1], t[2], padding=1, pad_rows=pad_rows)
+        for wrt in range(3):
+            assert check_op_gradient(op, [x, w, b], wrt=wrt, h=5e-2) < 1e-2
+
     def test_shape_errors_name_dimension(self):
         x = Tensor(np.zeros((1, 3, 8, 8)))
         w = Tensor(np.zeros((4, 2, 3, 3)))
@@ -79,12 +113,15 @@ class TestConv2d:
         with pytest.raises(ValueError, match="padding must be >= 0, got -1"):
             conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)),
                    padding=-1)
+        with pytest.raises(ValueError, match=r"padding must be >= 0, got 1 \(rows 0, -1\)"):
+            conv2d(x, Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros(1)),
+                   padding=1, pad_rows=(0, -1))
 
 
-def _corr2d_reference(x, w, padding):
+def _corr2d_reference(x, w, padding, pad_rows=None):
     """float64 einsum over every window of the padded input."""
     k = w.shape[-1]
-    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    pad = ((0, 0), (0, 0), pad_rows or (padding, padding), (padding, padding))
     xp = np.pad(x.astype(np.float64), pad)
     win = sliding_window_view(xp, (k, k), axis=(2, 3))
     return np.einsum("bchwij,ocij->bohw", win, w.astype(np.float64))
@@ -109,19 +146,25 @@ def _chunk_budget(mode, cin, k, ho, wo, reserve):
 def _record_chunks(monkeypatch):
     """Patch ``_columns`` to record each chunk's (b0, b1, q0, q1) after
     checking that its lowered matrix has one column per padded row, image
-    and output column, and that the spare block holds ``reserve`` values
-    per column."""
+    and output column, that the GEMM's matrix is it and then zero columns
+    up to a multiple of ``blocks``, and that the spare block holds
+    ``reserve`` values per column of that."""
     chunks = []
     real = layers._columns
 
-    def recording(xs, k, padding, reserve=0):
+    def recording(xs, k, padding, pad_rows, reserve=0, blocks=1):
         wo = xs[0].shape[3] + 2 * padding - k + 1
         cin = sum(x.shape[1] for x in xs)
-        for b0, b1, q0, q1, low, spare in real(xs, k, padding, reserve):
-            assert low.shape == (cin * k, (b1 - b0) * (q1 - q0) * wo)
-            assert spare.size >= reserve * (b1 - b0) * (q1 - q0) * wo
+        for b0, b1, q0, q1, low, wide, spare in real(xs, k, padding, pad_rows,
+                                                     reserve, blocks):
+            used = (b1 - b0) * (q1 - q0) * wo
+            assert low.shape == (cin * k, used)
+            assert wide.shape == (cin * k, -(-used // blocks) * blocks)
+            assert np.shares_memory(low, wide) and np.array_equal(wide[:, :used], low)
+            assert not wide[:, used:].any()
+            assert spare.size >= reserve * wide.shape[1]
             chunks.append((b0, b1, q0, q1))
-            yield b0, b1, q0, q1, low, spare
+            yield b0, b1, q0, q1, low, wide, spare
 
     monkeypatch.setattr(layers, "_columns", recording)
     return chunks
@@ -153,7 +196,7 @@ class TestCorr2dTiling:
         rows, budget = _chunk_budget(mode, cin, k, ho, wo, k * cout)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d(np.split(x, groups, axis=1), w, padding)
+        got = layers._corr2d(np.split(x, groups, axis=1), w, padding, (padding,) * 2)
 
         np.testing.assert_allclose(got, _corr2d_reference(x, w, padding),
                                    rtol=1e-5, atol=1e-5)
@@ -162,6 +205,25 @@ class TestCorr2dTiling:
         if mode == "bands":
             assert total % rows, "the band case must leave a remainder band"
 
+    @pytest.mark.parametrize("mode", ["images", "bands", "sub_row"])
+    @pytest.mark.parametrize("k,pad_rows", [(3, (0, 1)), (5, (2, 0)), (7, (0, 0)),
+                                            (7, (1, 3))])
+    def test_edge_rows_chunks_match_reference(self, monkeypatch, mode, k, pad_rows):
+        """Rows padded per edge are cut into chunks as the symmetric ones."""
+        rng = np.random.default_rng(37)
+        batch, cin, cout, padding = 3, 2, 4, k // 2
+        x = rng.normal(size=(batch, cin, 15, 11)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        ho, wo = 15 + sum(pad_rows) - k + 1, 11 + 2 * padding - k + 1
+        rows, budget = _chunk_budget(mode, cin, k, ho, wo, k * cout)
+        monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+        chunks = _record_chunks(monkeypatch)
+        got = layers._corr2d([x], w, padding, pad_rows)
+
+        np.testing.assert_allclose(got, _corr2d_reference(x, w, padding, pad_rows),
+                                   rtol=1e-5, atol=1e-5)
+        assert chunks == _expected_chunks(mode, batch, ho + k - 1, rows)
+
     @pytest.mark.parametrize("batch,cin,size,cout,k", [
         (1, 64, 256, 38, 7),   # scene scale: level2.mix.k7
         (1, 114, 256, 8, 3),   # scene scale: level2.mix.blend
@@ -169,11 +231,18 @@ class TestCorr2dTiling:
         (32, 16, 16, 6, 7),    # smoke scale: level2.mix.k7
         (1, 1, 256, 64, 3),    # scene scale: pan.entry
         (4, 8, 64, 32, 3),     # a deconv stage's sub-pixel conv, 8 -> 4*8
+        (1, 114, 37, 8, 3),    # widths 16 does not divide
+        (1, 114, 100, 8, 3),
+        (1, 64, 37, 38, 7),
+        (1, 64, 100, 38, 7),
     ])
     def test_bit_identical_across_budgets(self, monkeypatch, batch, cin, size,
                                           cout, k):
         """The network's own layer shapes give the same bits whether their
-        padded rows are cut into bands, whole images or one chunk."""
+        padded rows are cut into bands, whole images or one chunk, also at
+        widths 16 does not divide: each GEMM runs on whole 16-column
+        blocks, and without them the blend's 114 -> 8 conv at width 100
+        moved bits under every cut."""
         padding = k // 2
         rng = np.random.default_rng(35)
         x = rng.normal(size=(batch, cin, size, size)).astype(np.float32)
@@ -181,7 +250,7 @@ class TestCorr2dTiling:
         outs = []
         for budget in (1 << 16, 1 << 18, 1 << 21, 1 << 28):
             monkeypatch.setattr(layers, "_COL_BUDGET", budget)
-            outs.append(layers._corr2d([x], w, padding))
+            outs.append(layers._corr2d([x], w, padding, (padding,) * 2))
         for out in outs[1:]:
             np.testing.assert_array_equal(out, outs[0])
 
@@ -195,7 +264,7 @@ class TestCorr2dTiling:
         w = rng.normal(size=(16, 16, 7, 7)).astype(np.float32)
         tracemalloc.start()
         try:
-            out = layers._corr2d([x], w, 3)
+            out = layers._corr2d([x], w, 3, (3, 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -279,7 +348,7 @@ class TestCorr2dWeightGrad:
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
         got = layers._corr2d_weight_grad(np.split(x, groups, axis=1), g, k,
-                                         padding)
+                                         padding, (padding,) * 2)
 
         assert got.shape == (cout, cin, k, k) and got.dtype == np.float32
         np.testing.assert_allclose(
@@ -300,7 +369,7 @@ class TestCorr2dWeightGrad:
         g = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
         tracemalloc.start()
         try:
-            gw = layers._corr2d_weight_grad([x], g, 7, 3)
+            gw = layers._corr2d_weight_grad([x], g, 7, 3, (3, 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

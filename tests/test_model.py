@@ -11,7 +11,7 @@ import pytest
 
 from pansharp import model
 from pansharp.errors import DataError
-from pansharp.grad import Tape, Tensor, conv2d, l1_loss, pixel_shuffle
+from pansharp.grad import Tape, Tensor, conv2d, l1_loss, layers, pixel_shuffle
 from pansharp.model import (
     TdnetConfig,
     ablation_configs,
@@ -490,35 +490,67 @@ class TestTdnetForward:
         feature map, and runs its 64-channel full-resolution blocks in row
         bands.  Building the concats (level 2's three 38-channel branches
         alone make a 28.5 MiB map beside its parts) peaked at 88 MiB
-        traced, whole-height blocks at 64 MiB; this one peaks at 40 MiB."""
+        traced, whole-height blocks at 58 MiB, 128-row bands that
+        recomputed their halo at every layer at 39.4 MiB; 64-row bands
+        peak at 27.6 MiB.  The bound leaves a 16% margin."""
         peak = self._scene_forward_peak(256)
-        assert peak < 48 << 20, peak / 2**20
+        assert peak < 32 << 20, peak / 2**20
 
     def test_scene_forward_memory_grows_with_the_thin_maps_only(self):
-        """At a 512^2 PAN the wide maps stay one band high: 86 MiB traced,
-        where whole-height blocks peaked at 256 MiB."""
+        """At a 512^2 PAN the wide maps stay one band high: 60.2 MiB
+        traced, where 128-row bands peaked at 85.7 MiB and whole-height
+        blocks at 205.5 MiB.  The bound leaves a 13% margin."""
         peak = self._scene_forward_peak(512)
-        assert peak < 100 << 20, peak / 2**20
+        assert peak < 68 << 20, peak / 2**20
+
+    def test_bands_add_little_conv_work(self, monkeypatch):
+        """Each layer of a band computes only the rows that reach the
+        band's output, so a default-width forward on a 256^2 PAN in bands
+        does at most 5% more multiply-adds than one pass (3.0% at 64-row
+        bands; recomputing the halo at every layer cost 11.3% at 64 rows)."""
+        cfg = TdnetConfig(bands=8)
+        params = init_params(cfg, seed=1)
+        lrms = Tensor(_rand(77, (1, 8, 64, 64)))
+        pan = Tensor(_rand(78, (1, 1, 256, 256)))
+        real = layers._corr2d
+        work = []
+
+        def counting(xs, w, padding, pad_rows):
+            out = real(xs, w, padding, pad_rows)
+            work.append(out.size * w.shape[1] * w.shape[2] * w.shape[3])
+            return out
+
+        monkeypatch.setattr(layers, "_corr2d", counting)
+        banded = tdnet_forward(lrms, pan, params, cfg).ms_hat.data
+        in_bands, work[:] = sum(work), []
+        assert model._BAND_ROWS < 256
+        monkeypatch.setattr(model, "_BAND_ROWS", 256)
+        whole = tdnet_forward(lrms, pan, params, cfg).ms_hat.data
+        np.testing.assert_array_equal(banded, whole)
+        assert in_bands <= 1.05 * sum(work), in_bands / sum(work)
 
     @pytest.mark.parametrize("rows", [16, 24, 32])
     def test_row_bands_are_bit_identical(self, monkeypatch, rows):
         """Every variant's outputs are the same bits in bands of 16, 24 or
-        32 rows as in one band, on an 80^2 PAN: interior, edge and
-        remainder bands, at both stage grids."""
+        32 rows as in one band, on an 80^2 PAN and on a 72x88 one whose
+        sides 16 does not divide: interior, edge and remainder bands, at
+        both stage grids."""
         base = TdnetConfig(bands=4, feature_width=8, mscb_width=3)
-        lrms = Tensor(_rand(87, (2, 4, 20, 20)))
-        pan = Tensor(_rand(88, (2, 1, 80, 80)))
-        for name, cfg in ablation_configs(base).items():
-            params = init_params(cfg, seed=5)
-            monkeypatch.setattr(model, "_BAND_ROWS", 80)
-            whole = tdnet_forward(lrms, pan, params, cfg)
-            monkeypatch.setattr(model, "_BAND_ROWS", rows)
-            banded = tdnet_forward(lrms, pan, params, cfg)
-            np.testing.assert_array_equal(banded.ms_hat.data, whole.ms_hat.data,
-                                          err_msg=name)
-            if cfg.levels == 2:
-                np.testing.assert_array_equal(banded.ms_hat_d.data,
-                                              whole.ms_hat_d.data, err_msg=name)
+        for height, width in [(80, 80), (72, 88)]:
+            lrms = Tensor(_rand(87, (2, 4, height // 4, width // 4)))
+            pan = Tensor(_rand(88, (2, 1, height, width)))
+            for name, cfg in ablation_configs(base).items():
+                params = init_params(cfg, seed=5)
+                monkeypatch.setattr(model, "_BAND_ROWS", height)
+                whole = tdnet_forward(lrms, pan, params, cfg)
+                monkeypatch.setattr(model, "_BAND_ROWS", rows)
+                banded = tdnet_forward(lrms, pan, params, cfg)
+                where = f"{name} on {height}x{width}"
+                np.testing.assert_array_equal(banded.ms_hat.data, whole.ms_hat.data,
+                                              err_msg=where)
+                if cfg.levels == 2:
+                    np.testing.assert_array_equal(banded.ms_hat_d.data,
+                                                  whole.ms_hat_d.data, err_msg=where)
 
     def test_taped_forward_runs_as_one_band(self, monkeypatch):
         """Under a tape the blocks run whole, so a PAN taller than a band

@@ -242,8 +242,14 @@ class TestManifest:
         (lambda payload: payload.update(splits=[1, 2]), "'splits' is a list"),
         (lambda payload: payload["splits"].update(train=5), "split 'train'"),
         (lambda payload: payload["splits"].update(val=[[1]]), "split 'val'"),
+        (lambda payload: payload.update(bands=True), "'bands' is a bool, not a int"),
+        (lambda payload: payload.update(seed=False), "'seed' is a bool, not a int"),
+        (lambda payload: payload["splits"].update(test=[True]), "split 'test'"),
+        (lambda payload: payload.update(bands=8), "'bands' is 8, but a gf2 raster has 4"),
+        (lambda payload: payload.update(sensor="pleiades"), "unknown sensor 'pleiades'"),
     ], ids=["missing-key", "str-ratio", "zero-ratio", "two-ratio",
-            "array-splits", "int-split", "nested-split"])
+            "array-splits", "int-split", "nested-split", "bool-bands",
+            "bool-seed", "bool-id", "bands-not-sensor", "unknown-sensor"])
     def test_corrupt_payload_is_data_error(self, edit, problem):
         payload = json.loads(self._manifest().to_json())
         edit(payload)
