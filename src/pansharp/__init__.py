@@ -30,7 +30,7 @@ from .model import (
     tdnet_forward,
     tdnet_loss,
 )
-from .train import TrainConfig, TrainResult, ablation_suite, train, validate
+from .train import TrainConfig, TrainResult, ablation_suite, validate
 from .wald import (
     DatasetManifest,
     SamplePair,
@@ -74,7 +74,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "ablation_suite",
-    "train",
     "validate",
     "DatasetManifest",
     "SamplePair",

@@ -23,7 +23,14 @@ import sys
 
 import numpy as np
 
-from .container import export_ppm, percentile_stretch, read_psr1, save_ms
+from .container import (
+    export_ppm,
+    load_ms,
+    load_pan,
+    percentile_stretch,
+    read_psr1,
+    save_ms,
+)
 from .errors import ConfigError, DataError, NumericError
 from .fusion import METHODS, fuse
 from .grad import Tensor
@@ -50,9 +57,7 @@ def _config_defaults(cls) -> dict:
         name, default = field.name, field.default
         if name == "bands":
             continue  # always the dataset's
-        if name == "betas":
-            section["beta1"], section["beta2"] = map(str, default)
-        elif name == "lr_schedule":
+        if name == "lr_schedule":
             section[name] = next(preset for preset, schedule
                                  in SCHEDULE_PRESETS.items() if schedule == default)
         elif isinstance(default, bool):
@@ -66,8 +71,8 @@ def _config_defaults(cls) -> dict:
 
 #: Every recognized configuration key with its default (as written in a
 #: config file).  ``model`` and ``train`` are the TdnetConfig and
-#: TrainConfig fields (``betas`` as ``beta1``/``beta2``), except the band
-#: count, which always comes from the dataset.
+#: TrainConfig fields, except the band count, which always comes from the
+#: dataset.
 CONFIG_SCHEMA: dict = {
     "sensor": {
         "name": "wv3",
@@ -106,7 +111,7 @@ class RunConfig:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def load(cls, path=None, overrides=(), seed=None, sensor=None) -> "RunConfig":
+    def load(cls, path=None, overrides=(), seed=None) -> "RunConfig":
         cfg = cls()
         if path is not None:
             cfg._read_file(path)
@@ -115,8 +120,6 @@ class RunConfig:
         if seed is not None:
             cfg.values["dataset"]["seed"] = str(seed)
             cfg.values["train"]["seed"] = str(seed)
-        if sensor is not None:
-            cfg.values["sensor"]["name"] = sensor
         return cfg
 
     def _read_file(self, path) -> None:
@@ -238,10 +241,8 @@ class RunConfig:
         return tuple(entries)
 
     def train_config(self) -> TrainConfig:
-        betas = (self.get_float("train", "beta1"),
-                 self.get_float("train", "beta2"))
         values = self._fields("train", TrainConfig,
-                              lr_schedule=self.lr_schedule(), betas=betas)
+                              lr_schedule=self.lr_schedule())
         try:
             return TrainConfig(**values)
         except ValueError as exc:
@@ -288,7 +289,6 @@ def cmd_simulate(args, config: RunConfig) -> int:
     patch = config.get_positive_int("dataset", "patch")
     stride = config.get_positive_int("dataset", "stride")
     if args.inputs:
-        from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
         registered = get_sensor(ms.sensor.name)  # a dataset must name a known sensor
         if registered != ms.sensor:
@@ -438,7 +438,6 @@ def cmd_fuse(args, config: RunConfig) -> int:
     # Every input is read and checked before --out is made, so a refused
     # run leaves no directory behind.
     if len(args.inputs) == 2:
-        from .container import load_ms, load_pan
         ms = load_ms(args.inputs[0])
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
         fused = _fuse_pair(method, ms, pan, loaded)
@@ -612,13 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="build a reduced-resolution dataset")
     p.add_argument("inputs", nargs="*",
                    help="optional MS.psr1 PAN.psr1 pair (default: demo scene)")
-    p.add_argument("--sensor", help="sensor name for the demo scene")
     p.set_defaults(func=cmd_simulate)
 
     p = commands.add_parser("train", parents=[shared],
                             help="train the fusion network on a dataset")
     p.add_argument("dataset", help="dataset directory from simulate")
-    p.set_defaults(func=cmd_train, sensor=None)
+    p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("fuse", parents=[shared],
                             help="fuse a pair or a dataset split")
@@ -627,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method",
                    help="exp | sfim | glp-hpm | glp-reg | mra-unit | "
                         "tdnet:CHECKPOINT")
-    p.set_defaults(func=cmd_fuse, sensor=None)
+    p.set_defaults(func=cmd_fuse)
 
     p = commands.add_parser("eval", parents=[shared],
                             help="score a fused set against a dataset")
@@ -635,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fused", help="directory of fused <id>.psr1 rasters")
     p.add_argument("--mode", choices=("reduced", "full"), default="reduced")
     p.add_argument("--method", help="method name for the report rows")
-    p.set_defaults(func=cmd_eval, sensor=None)
+    p.set_defaults(func=cmd_eval)
 
     p = commands.add_parser("compare", parents=[shared],
                             help="ranked table across fused sets")
@@ -643,11 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fused", nargs="+",
                    help="one directory per method (name = method)")
     p.add_argument("--mode", choices=("reduced", "full"), default="reduced")
-    p.set_defaults(func=cmd_compare, sensor=None)
+    p.set_defaults(func=cmd_compare)
 
     p = commands.add_parser("gradcheck", parents=[shared],
                             help="finite-difference sweep over every op")
-    p.set_defaults(func=cmd_gradcheck, sensor=None)
+    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
@@ -656,8 +654,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.load(args.config, args.overrides,
-                                seed=args.seed, sensor=args.sensor)
+        config = RunConfig.load(args.config, args.overrides, seed=args.seed)
         return args.func(args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,11 +53,10 @@ class GradCheckRow:
 
     name: str
     max_rel_error: float
-    threshold: float = THRESHOLD
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.threshold
+        return self.max_rel_error < THRESHOLD
 
 
 # -- generic finite-difference runner --------------------------------------

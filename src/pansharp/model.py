@@ -186,8 +186,8 @@ def parameter_plan(config: TdnetConfig) -> list[tuple[str, tuple[int, ...], int 
         plan.append((f"{name}.w", (cout, cin, k, k), cin * k * k))
         plan.append((f"{name}.b", (cout,), None))
 
-    def deconv(name: str, cin: int, cout: int, k: int = 4) -> None:
-        plan.append((f"{name}.w", (cin, cout, k, k), cin * k * k))
+    def deconv(name: str, cin: int, cout: int) -> None:
+        plan.append((f"{name}.w", (cin, cout, 4, 4), cin * 16))
         plan.append((f"{name}.b", (cout,), None))
 
     if config.use_pan_branch:
@@ -217,7 +217,7 @@ def parameter_plan(config: TdnetConfig) -> list[tuple[str, tuple[int, ...], int 
     return plan
 
 
-def init_params(config: TdnetConfig, seed: int = 0) -> dict[str, Tensor]:
+def init_params(config: TdnetConfig, seed: int) -> dict[str, Tensor]:
     """Deterministic parameter dict: Kaiming-uniform weights, zero biases.
 
     Each layer draws from its own seed stream keyed by the layer name, so
@@ -323,6 +323,9 @@ def pan_details(pan: Tensor, params: dict[str, Tensor],
         return [Tensor(np.repeat(avgpool2d(pan, pool).data, config.bands, axis=1))
                 for _, pool in config.stages]
 
+    # PAN rows of shared the projections read beyond a detail row.
+    read = max(pool * _reach(params, _DETAIL_LAYERS[pool]) for _, pool in config.stages)
+
     def trunk(conv, crop, pan: Tensor) -> Tensor:
         feats = relu(conv(params, "pan.entry", pan))
         return crop(feats, _reach(params, "pan.res1", "pan.res2")) + conv(
@@ -343,8 +346,6 @@ def pan_details(pan: Tensor, params: dict[str, Tensor],
             finest_first.append(conv(params, name, maxpool2d(x, pool) if pool > 1 else x))
         return finest_first[::-1]
 
-    # PAN rows of shared the projections read beyond a detail row.
-    read = max(pool * _reach(params, _DETAIL_LAYERS[pool]) for _, pool in config.stages)
     return _in_row_bands(
         branch, (pan,), _reach(params, "pan.entry", "pan.res1", "pan.res2") + read)
 

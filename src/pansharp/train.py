@@ -32,24 +32,22 @@ from .model import (
 )
 from .wald import DatasetManifest, load_sample, read_manifest
 
-#: Named learning-rate schedules: ``standard`` decays 1e-3 -> 1e-4 at
-#: epoch 220 (the default); ``high-rate`` runs the same shape one decade up.
+#: Named learning-rate schedules: ``standard`` (the default) decays
+#: 1e-3 -> 1e-4 at epoch 220.
 SCHEDULE_PRESETS = {
     "standard": ((0, 1e-3), (220, 1e-4)),
-    "high-rate": ((0, 1e-2), (220, 1e-3)),
 }
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings; defaults follow the published recipe."""
+    """Optimization settings; defaults follow the published recipe, whose
+    Adam constants live in :mod:`pansharp.grad.optim`."""
 
     epochs: int = 300
     batch_size: int = 32
     lr_schedule: tuple = SCHEDULE_PRESETS["standard"]
     gamma: float = 0.4
-    betas: tuple = (0.9, 0.999)
-    weight_decay: float = 0.0
     seed: int = 0
     checkpoint_every: int = 0
 
@@ -72,13 +70,6 @@ class TrainConfig:
                 f"learning rates must be positive and finite: {schedule}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        betas = (float(self.betas[0]), float(self.betas[1]))
-        object.__setattr__(self, "betas", betas)
-        if not all(0.0 <= beta < 1.0 for beta in betas):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(
-                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
 
@@ -210,8 +201,7 @@ def train(data_dir, model_config: TdnetConfig,
                     f"non-finite loss {value} at epoch {epoch}, batch "
                     f"{batch_index} (sample ids {ids})",
                     epoch=epoch, batch=batch_index)
-            adam_step(ordered, state, lr, betas=cfg.betas,
-                      weight_decay=cfg.weight_decay)
+            adam_step(ordered, state, lr)
             weighted += value * len(batch)
 
         train_loss = weighted / n

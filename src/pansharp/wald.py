@@ -104,16 +104,14 @@ class SamplePair:
                     f"{getattr(self, name).shape}, expected {shape}")
 
 
-def make_samples(ms_full: MsImage, pan_full: PanImage,
-                 patch: int = 64, stride: int | None = None) -> list:
+def make_samples(ms_full: MsImage, pan_full: PanImage, patch: int,
+                 stride: int) -> list:
     """Cut ground-truth patches and derive their degraded companions.
 
     Patches are taken from the original MS image on a stride grid (only
     patches fully inside the bounds); each sample's low-resolution input
     and targets are produced by :func:`degrade`.
     """
-    if stride is None:
-        stride = patch
     sensor = ms_full.sensor
     check_aligned(ms_full, pan_full)
     height, width = ms_full.data.shape[:2]
@@ -138,7 +136,7 @@ def make_samples(ms_full: MsImage, pan_full: PanImage,
     return samples
 
 
-def split(ids, seed: int = 0) -> dict:
+def split(ids, seed: int) -> dict:
     """Deterministic shuffled split into train/val/test id lists.
 
     The id list is shuffled by the portable RNG, then cut contiguously at
@@ -297,8 +295,7 @@ def _scene_taps(gain: float, ratio: int) -> np.ndarray:
     return mtf_gaussian_taps(gain, ratio, support=2 * half + 1)
 
 
-def synthetic_scene(seed: int, sensor: SensorSpec,
-                    ms_size: int = 128) -> tuple:
+def synthetic_scene(seed: int, sensor: SensorSpec, ms_size: int) -> tuple:
     """Deterministic synthetic aligned (MS, PAN) pair at full resolution.
 
     A shared spatial structure is built from smoothed noise octaves at

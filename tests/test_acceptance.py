@@ -292,7 +292,7 @@ def test_criterion_05_classic_ordering():
 
 
 def test_criterion_06_parameter_count():
-    count = sum(t.size for t in init_params(TdnetConfig(bands=8)).values())
+    count = sum(t.size for t in init_params(TdnetConfig(bands=8), seed=0).values())
     ok = 4.4e5 <= count <= 6.6e5
     _report(6, ok, f"default 8-band network: {count} trainable parameters "
                    f"(window [4.4e5, 6.6e5])")
@@ -430,7 +430,7 @@ def test_criterion_08_ablation_direction(tmp_path):
 
 def test_criterion_09_dataset_protocol():
     sizes = {name: len(ids)
-             for name, ids in split(list(range(12580))).items()}
+             for name, ids in split(list(range(12580)), seed=0).items()}
     sizes_ok = sizes == {"train": 8806, "val": 2516, "test": 1258}
 
     sensor = get_sensor("wv3")

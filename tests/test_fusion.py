@@ -239,7 +239,7 @@ class TestMraFuse:
         from pansharp.wald import make_samples, synthetic_scene
 
         scene_ms, scene_pan = synthetic_scene(58, SENSORS["wv3"], ms_size=64)
-        sample = make_samples(scene_ms, scene_pan)[0]
+        sample = make_samples(scene_ms, scene_pan, patch=64, stride=64)[0]
         lr = MsImage(sample.lrms.astype(np.float64), scene_ms.sensor)
         pan = PanImage(sample.pan.astype(np.float64), scene_ms.sensor)
         fused = fuse("glp-hpm", lr, pan).data

@@ -258,7 +258,7 @@ class TestAdam:
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.array([1.0, -1.0], np.float32)
         state = AdamState([p])
-        adam_step([p], state, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0)
+        adam_step([p], state, lr=0.1)
         np.testing.assert_allclose(p.data, [0.9, -1.9], atol=1e-6)
 
     def test_quadratic_converges(self):
@@ -267,14 +267,13 @@ class TestAdam:
         state = AdamState([p])
         for _ in range(100):
             p.grad = (2.0 * p.data).astype(np.float32)
-            adam_step([p], state, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0)
+            adam_step([p], state, lr=0.1)
         assert abs(float(p.data[0])) < 0.1
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ValueError, match="no gradient"):
-            adam_step([p], AdamState([p]), lr=0.01, betas=(0.9, 0.999),
-                      weight_decay=0.0)
+            adam_step([p], AdamState([p]), lr=0.01)
 
 
 class TestRng:

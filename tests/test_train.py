@@ -2,7 +2,6 @@
 dataset, divergence abort, checkpoint artifacts, and the variant suite."""
 
 import csv
-import importlib
 import math
 import os
 import subprocess
@@ -12,8 +11,9 @@ import numpy as np
 import pytest
 
 import pansharp
+import pansharp.train as train_module
 from pansharp.errors import DataError, TrainingDiverged
-from pansharp.grad import Tensor, l1_loss
+from pansharp.grad import Tensor, l1_loss, optim
 from pansharp.imaging import get_sensor
 from pansharp.model import (
     TdnetConfig,
@@ -43,8 +43,15 @@ from pansharp.wald import (
 )
 
 MODEL = TdnetConfig(bands=8, feature_width=8, mscb_width=3)
-# The module, which the package's ``train`` function shadows as an attribute.
-TRAIN_MODULE = importlib.import_module("pansharp.train")
+
+
+def test_import_binds_the_trainer_module():
+    """``pansharp.train`` is the module, not the function of that name it
+    holds, so ``import pansharp.train as m`` and dotted patch targets
+    reach the module."""
+    import pansharp.train as module
+
+    assert module is sys.modules["pansharp.train"]
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +75,10 @@ class TestTrainConfig:
         assert cfg.batch_size == 32
         assert cfg.lr_schedule == ((0, 1e-3), (220, 1e-4))
         assert cfg.gamma == 0.4
-        assert cfg.betas == (0.9, 0.999)
-        assert cfg.weight_decay == 0.0
+        assert optim.BETAS == (0.9, 0.999)
 
     def test_presets(self):
         assert SCHEDULE_PRESETS["standard"] == ((0, 1e-3), (220, 1e-4))
-        assert SCHEDULE_PRESETS["high-rate"] == ((0, 1e-2), (220, 1e-3))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -89,12 +94,6 @@ class TestTrainConfig:
         for rate in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 TrainConfig(lr_schedule=((0, 1e-3), (5, rate)))
-        for betas in ((1.0, 0.999), (-0.5, 0.999), (0.9, 1.5), (0.9, math.nan)):
-            with pytest.raises(ValueError, match="betas"):
-                TrainConfig(betas=betas)
-        for decay in (-0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="weight_decay"):
-                TrainConfig(weight_decay=decay)
         with pytest.raises(ValueError, match="gamma"):
             TrainConfig(gamma=1.5)
         with pytest.raises(ValueError, match="epochs"):
@@ -301,7 +300,7 @@ class TestTrain:
                                                monkeypatch):
         """A non-finite validation loss stops the run before that epoch's
         checkpoints, where it used to leave NaN ones behind."""
-        monkeypatch.setattr(TRAIN_MODULE, "validate",
+        monkeypatch.setattr(train_module, "validate",
                             lambda *args, **kwargs: math.nan)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=1,
                           lr_schedule=((0, 1e-3),), checkpoint_every=1)
@@ -354,13 +353,13 @@ class TestAblationSuite:
     def test_scores_the_clipped_output(self, dataset_dir, monkeypatch):
         """The variants are scored on what ``pansharp fuse`` writes: the
         network output clipped to [0, 1]."""
-        scored, score = [], TRAIN_MODULE.reference_metrics
+        scored, score = [], train_module.reference_metrics
 
         def capture(reference, estimate, *args, **kwargs):
             scored.append(np.asarray(estimate))
             return score(reference, estimate, *args, **kwargs)
 
-        monkeypatch.setattr(TRAIN_MODULE, "reference_metrics", capture)
+        monkeypatch.setattr(train_module, "reference_metrics", capture)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=7,
                           lr_schedule=((0, 1e-3),))
         ablation_suite(dataset_dir, MODEL, cfg)

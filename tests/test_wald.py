@@ -155,19 +155,19 @@ class TestMakeSamples:
     def test_invariants_hold_at_storage_precision(self):
         ms, pan = synthetic_scene(9, SENSORS["gf2"], ms_size=128)
         sensor = ms.sensor
-        for sample in make_samples(ms, pan):
+        for sample in make_samples(ms, pan, patch=64, stride=64):
             assert _rms(degrade(sample.gt, sensor, 2), sample.gt_d) < 1e-6
             assert _rms(degrade(sample.gt, sensor, 4), sample.lrms) < 1e-6
 
     def test_ids_are_sequential(self):
         ms, pan = synthetic_scene(10, SENSORS["gf2"], ms_size=128)
-        samples = make_samples(ms, pan)
+        samples = make_samples(ms, pan, patch=64, stride=64)
         assert [sample.id for sample in samples] == [0, 1, 2, 3]
 
     def test_patch_exceeding_bounds(self):
         ms, pan = synthetic_scene(11, SENSORS["gf2"], ms_size=64)
         with pytest.raises(DataError, match="exceeds image bounds"):
-            make_samples(ms, pan, patch=128)
+            make_samples(ms, pan, patch=128, stride=128)
 
     def test_sample_shape_validation(self):
         good = dict(pan=np.zeros((64, 64), np.float32),
@@ -260,7 +260,7 @@ class TestManifest:
 class TestDatasetDirectory:
     def _build(self, tmp_path, seed=22):
         ms, pan = synthetic_scene(seed, SENSORS["gf2"], ms_size=128)
-        samples = make_samples(ms, pan)
+        samples = make_samples(ms, pan, patch=64, stride=64)
         manifest = DatasetManifest(
             seed=seed, sensor="gf2", bands=4,
             splits=split([sample.id for sample in samples], seed=seed),
