@@ -367,12 +367,9 @@ def cmd_train(args, config: RunConfig) -> int:
 
 
 def _preview_band_indices(bands: int) -> tuple:
-    """Natural-color band picks: (red, green, blue) channel indices."""
-    if bands >= 8:
-        return (4, 2, 1)
-    if bands >= 3:
-        return (2, 1, 0)
-    return (0,) * 3
+    """Natural-color band picks of a 4- or 8-band MS raster: (red, green,
+    blue) channel indices."""
+    return (4, 2, 1) if bands == 8 else (2, 1, 0)
 
 
 def _write_preview(path, data: np.ndarray) -> None:

@@ -82,10 +82,9 @@ def _span(lo: int, n: int, size: int) -> tuple:
     return i0, i1
 
 
-def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0,
-             blocks: int = 1):
-    """Yield ``(b0, b1, q0, q1, low, wide, spare)``: the row lowering of
-    padded rows [q0, q1) of images [b0, b1) of the input x (B,Ci,H,W).
+def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0):
+    """Yield ``(b0, b1, q0, q1, cols, spare)``: the row lowering of padded
+    rows [q0, q1) of images [b0, b1) of the input x (B,Ci,H,W).
 
     x comes as ``xs``, a sequence of channel groups (B,Ci_g,H,W) that
     concatenated along the channel axis make it; each group is copied
@@ -93,22 +92,21 @@ def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0,
     x is zero-padded by ``pad_rows`` = (top, bottom) rows and ``padding``
     columns each side: padded row q is input row ``q - top``; output row r
     reads kernel row dy from padded row r + dy, so an image has ``Ho + k -
-    1`` padded rows.  ``low`` is (Ci*k, n): each padded row lowered along
-    x only, Ci*k values per output column, in (row, image, column) order.
-    ``wide`` is ``low`` and then zero columns up to the next multiple of
-    ``blocks``, for a GEMM of whole column blocks (see
-    :data:`_GEMM_COLUMNS`); ``low`` is its first n columns, the same
-    array when ``blocks`` is 1.  Kernel row dy's im2col matrix for output
-    rows [r0, r1) is the column range of padded rows [r0 + dy, r1 + dy).
+    1`` padded rows.  ``cols`` is (Ci*k, n) and then zero columns up to the
+    next multiple of :data:`_GEMM_COLUMNS`, for a GEMM of whole column
+    blocks: each padded row lowered along x only, Ci*k values per output
+    column, in (row, image, column) order.  Kernel row dy's im2col matrix
+    for output rows [r0, r1) is the column range of padded rows [r0 + dy,
+    r1 + dy).
     The zero border is written here; x is not padded.  A chunk is several
     whole images when their padded rows fit ``_COL_BUDGET``, else a band
     of padded rows of one image; every padded row is lowered once.  The
     budget also holds ``spare``: ``reserve`` values per column of the
-    largest ``wide``, for a block the caller keeps beside each chunk (the
+    largest ``cols``, for a block the caller keeps beside each chunk (the
     forward's product).  The chunks and ``spare`` share one buffer
     allocated per call (a fresh multi-MiB array per chunk costs as much
-    again in page faults), so ``low`` is overwritten by the next chunk: use
-    it before advancing.
+    again in page faults), so ``cols`` is overwritten by the next chunk:
+    use it before advancing.
     """
     batch, _, h, wid = xs[0].shape
     ho, wo = _out_size(xs[0].shape, k, padding, pad_rows)
@@ -120,7 +118,7 @@ def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0,
     fit = _COL_BUDGET // (per_row + reserve * wo)  # padded rows per chunk
     rows = max(1, min(total, fit))
     images = max(1, min(batch, fit // total))
-    most = -(-rows * images * wo // blocks) * blocks
+    most = -(-rows * images * wo // _GEMM_COLUMNS) * _GEMM_COLUMNS
     buf = np.empty((cin * k + reserve) * most, dtype=xs[0].dtype)
     spare = buf[cin * k * most:]
     for b0 in range(0, batch, images):
@@ -129,11 +127,10 @@ def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0,
         for q0 in range(0, total, rows):
             q1 = min(q0 + rows, total)
             used = (q1 - q0) * n * wo
-            cols = -(-used // blocks) * blocks
-            wide = buf[:cin * k * cols].reshape(cin * k, cols)
-            wide[:, used:] = 0
-            low = wide[:, :used]
-            view = low.reshape(cin, k, q1 - q0, n, wo)
+            ncols = -(-used // _GEMM_COLUMNS) * _GEMM_COLUMNS
+            cols = buf[:cin * k * ncols].reshape(cin * k, ncols)
+            cols[:, used:] = 0
+            view = cols[:, :used].reshape(cin, k, q1 - q0, n, wo)
             s0, s1 = _span(q0 - top, q1 - q0, h)
             for dx in range(k):
                 c0, c1 = _span(dx - padding, wo, wid)
@@ -147,7 +144,7 @@ def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0,
                     for x, g0, g1 in zip(xs, slabs[:-1], slabs[1:]):
                         src = x[b0:b1, :, y0:y0 + s1 - s0, x0:x0 + c1 - c0]
                         np.copyto(dst[g0:g1, s0:s1, :, c0:c1], src.transpose(1, 2, 0, 3))
-            yield b0, b1, q0, q1, low, wide, spare
+            yield b0, b1, q0, q1, cols, spare
 
 
 def _corr2d(xs, w: np.ndarray, padding: int, pad_rows: tuple) -> np.ndarray:
@@ -172,11 +169,10 @@ def _corr2d(xs, w: np.ndarray, padding: int, pad_rows: tuple) -> np.ndarray:
     ho, wo = _out_size(xs[0].shape, k, padding, pad_rows)
     stack = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k * cout, cin * k)
     out = np.empty((xs[0].shape[0], cout, ho, wo), dtype=DTYPE)
-    chunks = _columns(xs, k, padding, pad_rows, k * cout, _GEMM_COLUMNS)
-    for b0, b1, q0, q1, _, wide, spare in chunks:
+    for b0, b1, q0, q1, cols, spare in _columns(xs, k, padding, pad_rows, k * cout):
         n, m = b1 - b0, q1 - q0
-        prod = spare[:k * cout * wide.shape[1]].reshape(k * cout, -1)
-        np.matmul(stack, wide, out=prod)
+        prod = spare[:k * cout * cols.shape[1]].reshape(k * cout, -1)
+        np.matmul(stack, cols, out=prod)
         prod = prod[:, :m * n * wo].reshape(k, cout, m, n, wo)
         head = prod[0]  # kernel row 0, one padded row per output row from q0
         rows = min(q1, ho) - q0  # output rows whose windows start in the chunk
@@ -212,7 +208,7 @@ def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int,
     cin = sum(x.shape[1] for x in xs)
     cout, ho = g.shape[1:3]
     acc = np.zeros((k, cin * k, cout), dtype=DTYPE)
-    for b0, b1, q0, q1, low, _, _ in _columns(xs, k, padding, pad_rows):
+    for b0, b1, q0, q1, cols, _ in _columns(xs, k, padding, pad_rows):
         lo, hi = max(0, q0 - k + 1), min(ho, q1)  # output rows reading the chunk
         span = (b1 - b0) * g.shape[3]  # columns per row
         gmat = np.ascontiguousarray(g[b0:b1, :, lo:hi].transpose(1, 2, 0, 3))
@@ -221,8 +217,8 @@ def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int,
             r0, r1 = max(lo, q0 - dy), min(hi, q1 - dy)
             if r0 < r1:
                 c0 = (r0 + dy - q0) * span
-                cols = low[:, c0:c0 + (r1 - r0) * span]
-                acc[dy] += cols @ gmat[(r0 - lo) * span:(r1 - lo) * span]
+                acc[dy] += (cols[:, c0:c0 + (r1 - r0) * span]
+                            @ gmat[(r0 - lo) * span:(r1 - lo) * span])
     return np.ascontiguousarray(acc.reshape(k, cin, k, cout).transpose(3, 1, 0, 2))
 
 

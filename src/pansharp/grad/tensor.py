@@ -146,12 +146,8 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Tensor") -> "Tensor":
+        return mul(self, other)
 
     def sum(self) -> "Tensor":
         return tensor_sum(self)

@@ -277,6 +277,11 @@ def _in_row_bands(block, inputs: tuple[Tensor, ...], halo: int):
     height = inputs[0].shape[2]
     if Tape.active() is not None or height <= _BAND_ROWS:
         return block(_conv_layer, lambda x, rows: x, *inputs)
+    # Bands cut every input to the first one's rows, so rows a taller
+    # input holds beyond them would go unread.
+    if any(x.shape[2] != height for x in inputs):
+        raise ValueError(
+            f"row bands: inputs differ in height: {[x.shape for x in inputs]}")
     outs = None
     for r0 in range(0, height, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, height)
@@ -313,12 +318,6 @@ def pan_details(pan: Tensor, params: dict[str, Tensor],
     records. Without it: the PAN block-averaged to the grid and repeated
     across bands.
     """
-    if pan.data.ndim != 4 or pan.shape[1] != 1:
-        raise ValueError(f"pan_details: expected a (B,1,H,W) input, got {pan.shape}")
-    if config.levels == 2 and (pan.shape[2] % 2 or pan.shape[3] % 2):
-        raise ValueError(
-            f"pan_details: spatial dims must be even to pool, got {pan.shape[2:]}"
-        )
     if not config.use_pan_branch:
         return [Tensor(np.repeat(avgpool2d(pan, pool).data, config.bands, axis=1))
                 for _, pool in config.stages]
@@ -389,20 +388,7 @@ def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
     ``use_mrab`` off the detail map is added directly; in ``tmra_hpm``
     mode the gain is the band-to-PAN ratio.
     """
-    if ms_low.data.ndim != 4 or d.data.ndim != 4:
-        raise ValueError("mrab: inputs must be 4-D (B,C,H,W)")
-    if d.shape[0] != ms_low.shape[0] or d.shape[1] != ms_low.shape[1]:
-        raise ValueError(
-            f"mrab: detail map {d.shape} does not match input {ms_low.shape} "
-            f"in batch/channel dims"
-        )
-    s = config.stage_scale
-    if d.shape[2] != s * ms_low.shape[2] or d.shape[3] != s * ms_low.shape[3]:
-        raise ValueError(
-            f"mrab: detail map {d.shape} must be {s}x the input {ms_low.shape} "
-            f"spatially"
-        )
-    ms_up = _upsample(ms_low, params, level, s, config)
+    ms_up = _upsample(ms_low, params, level, config.stage_scale, config)
     if not config.use_mrab:
         return ms_up + d
     if config.gain_mode == "tmra_hpm":
@@ -427,11 +413,6 @@ def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
     concat(x, d) -> entry conv + relu -> one conv per kernel size ->
     concat -> blend conv back to the band count -> + x (residual).
     """
-    if x.shape != d.shape:
-        raise ValueError(
-            f"mscb: fused input {x.shape} and detail map {d.shape} must match"
-        )
-
     widest = max(config.mscb_kernels)
     halo = _reach(params, f"{level}.mix.entry", f"{level}.mix.blend") + widest // 2
 

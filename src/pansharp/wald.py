@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,10 +177,14 @@ class DatasetManifest:
         for name in SPLIT_NAMES:
             if name not in self.splits:
                 raise DataError(f"manifest is missing the '{name}' split")
-            overlap = seen & set(self.splits[name])
+            ids = self.splits[name]
+            if len(set(ids)) != len(ids):
+                twice = sorted(i for i, count in Counter(ids).items() if count > 1)
+                raise DataError(f"split '{name}' lists ids {twice[:5]} more than once")
+            overlap = seen & set(ids)
             if overlap:
                 raise DataError(f"splits overlap on ids {sorted(overlap)[:5]}")
-            seen |= set(self.splits[name])
+            seen |= set(ids)
 
     @property
     def all_ids(self) -> list:

@@ -364,7 +364,6 @@ class TestFuse:
     def test_preview_band_picks(self):
         assert _preview_band_indices(8) == (4, 2, 1)
         assert _preview_band_indices(4) == (2, 1, 0)
-        assert _preview_band_indices(1) == (0, 0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -796,14 +795,20 @@ class TestExitCodes:
         assert "'ratio' is 2" in err and rc == 3
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("edit", [('"bands": 8', '"bands": true'),
-                                      ('"bands": 8', '"bands": 3')],
-                             ids=["bool-bands", "bands-not-sensor"])
-    def test_hostile_manifest(self, edit, dataset_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("edit,message", [
+        (('"bands": 8', '"bands": true'), "malformed manifest: 'bands'"),
+        (('"bands": 8', '"bands": 3'), "malformed manifest: 'bands'"),
+        (('"train": [\n      6,', '"train": [\n      6,\n      6,'),
+         "split 'train' lists ids [6] more than once"),
+    ], ids=["bool-bands", "bands-not-sensor", "id-twice-in-split"])
+    def test_hostile_manifest(self, edit, message, dataset_dir, tmp_path, capsys):
         """A manifest whose band count is a bool, or not the wv3 sensor's
-        8, is refused at read by every command that reads a dataset, with
-        no --out left behind; ``train`` used to exit 1 with a traceback
-        and leave an empty --out, ``fuse`` and ``eval`` to exit 0."""
+        8, or whose split lists an id twice, is refused at read by every
+        command that reads a dataset, with no --out left behind.  ``train``
+        used to exit 1 with a traceback on the band counts and leave an
+        empty --out, ``fuse`` and ``eval`` to exit 0; all three took the
+        repeated id, so ``train`` trained on it twice per epoch and
+        ``eval`` counted it twice in the mean."""
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
         manifest = data / "manifest.json"
@@ -815,7 +820,7 @@ class TestExitCodes:
             rc = main([*args, "--out", str(tmp_path / "out")])
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert "malformed manifest: 'bands'" in err and rc == 3, (args[0], rc, err)
+            assert message in err and rc == 3, (args[0], rc, err)
             assert not (tmp_path / "out").exists(), args[0]
 
     @pytest.mark.parametrize("command", ["fuse", "train", "eval"])

@@ -145,26 +145,22 @@ def _chunk_budget(mode, cin, k, ho, wo, reserve):
 
 def _record_chunks(monkeypatch):
     """Patch ``_columns`` to record each chunk's (b0, b1, q0, q1) after
-    checking that its lowered matrix has one column per padded row, image
-    and output column, that the GEMM's matrix is it and then zero columns
-    up to a multiple of ``blocks``, and that the spare block holds
-    ``reserve`` values per column of that."""
+    checking that its lowered matrix holds one column per padded row,
+    image and output column, then zero columns up to a multiple of 16, and
+    that the spare block holds ``reserve`` values per column of that."""
     chunks = []
     real = layers._columns
 
-    def recording(xs, k, padding, pad_rows, reserve=0, blocks=1):
+    def recording(xs, k, padding, pad_rows, reserve=0):
         wo = xs[0].shape[3] + 2 * padding - k + 1
         cin = sum(x.shape[1] for x in xs)
-        for b0, b1, q0, q1, low, wide, spare in real(xs, k, padding, pad_rows,
-                                                     reserve, blocks):
+        for b0, b1, q0, q1, cols, spare in real(xs, k, padding, pad_rows, reserve):
             used = (b1 - b0) * (q1 - q0) * wo
-            assert low.shape == (cin * k, used)
-            assert wide.shape == (cin * k, -(-used // blocks) * blocks)
-            assert np.shares_memory(low, wide) and np.array_equal(wide[:, :used], low)
-            assert not wide[:, used:].any()
-            assert spare.size >= reserve * wide.shape[1]
+            assert cols.shape == (cin * k, -(-used // 16) * 16)
+            assert not cols[:, used:].any()
+            assert spare.size >= reserve * cols.shape[1]
             chunks.append((b0, b1, q0, q1))
-            yield b0, b1, q0, q1, low, wide, spare
+            yield b0, b1, q0, q1, cols, spare
 
     monkeypatch.setattr(layers, "_columns", recording)
     return chunks

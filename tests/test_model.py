@@ -197,9 +197,9 @@ class TestPanBranch:
 
     def test_rejects_bad_inputs(self):
         params = init_params(self.CFG, seed=1)
-        with pytest.raises(ValueError, match=r"\(B,1,H,W\)"):
+        with pytest.raises(ValueError, match="conv2d: input channel axis has 2"):
             pan_details(Tensor(np.zeros((1, 2, 8, 8), np.float32)), params, self.CFG)
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(ValueError, match="maxpool2d: spatial dims 7x7"):
             pan_details(Tensor(np.zeros((1, 1, 7, 7), np.float32)), params, self.CFG)
 
     def test_gradients_match_reference_differences(self):
@@ -310,10 +310,13 @@ class TestMrab:
     def test_shape_mismatch_rejected(self):
         params = init_params(self.CFG, seed=4)
         x, _ = self._inputs()
-        with pytest.raises(ValueError, match="spatially"):
+        with pytest.raises(ValueError, match=r"concat: .* along axis 2 \(48 vs 32\)"):
             mrab(x, Tensor(_rand(1, (1, 4, 48, 48))), params, self.CFG, "level1")
-        with pytest.raises(ValueError, match="batch/channel"):
+        with pytest.raises(ValueError, match="conv2d: input channel axis has 7"):
             mrab(x, Tensor(_rand(1, (1, 3, 32, 32))), params, self.CFG, "level1")
+        with pytest.raises(ValueError, match="row bands: inputs differ in height"):
+            mrab(Tensor(_rand(1, (1, 4, 64, 8))), Tensor(_rand(2, (1, 4, 192, 16))),
+                 params, self.CFG, "level1")
 
 
 class TestMscb:
@@ -344,8 +347,12 @@ class TestMscb:
 
     def test_shape_mismatch_rejected(self):
         params = init_params(self.CFG, seed=6)
-        with pytest.raises(ValueError, match="must match"):
+        with pytest.raises(ValueError, match=r"concat: .* along axis 2 \(6 vs 8\)"):
             mscb(Tensor(_rand(1, (1, 4, 8, 8))), Tensor(_rand(2, (1, 4, 6, 6))),
+                 params, self.CFG, "level1")
+        # Cut into row bands, a taller detail map would fit every band.
+        with pytest.raises(ValueError, match="row bands: inputs differ in height"):
+            mscb(Tensor(_rand(1, (1, 4, 128, 8))), Tensor(_rand(2, (1, 4, 192, 8))),
                  params, self.CFG, "level1")
 
 
