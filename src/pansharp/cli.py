@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -33,11 +35,16 @@ from .container import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .fusion import METHODS, fuse
-from .grad import Tensor
 from .gradcheck import run_gradcheck
 from .imaging import RATIO, MsImage, PanImage, check_aligned, get_sensor
 from .metrics import WINDOW, EvalReport, no_reference_metrics, reference_metrics
-from .model import TdnetConfig, load_checkpoint, tdnet_forward
+from .model import (
+    TdnetConfig,
+    fused_raster,
+    load_checkpoint,
+    network_batch,
+    tdnet_forward,
+)
 from .train import SCHEDULE_PRESETS, TrainConfig, manifest_hash, train
 from .wald import (
     DatasetManifest,
@@ -259,9 +266,13 @@ class RunConfig:
             lines.append("")
         return "\n".join(lines)
 
-    def echo(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, CONFIG_ECHO_NAME), "w") as handle:
+    def echo(self, path) -> None:
+        """Write :meth:`text` into an output directory as
+        :data:`CONFIG_ECHO_NAME`, or beside an output file as
+        ``<file>.config``."""
+        target = (os.path.join(path, CONFIG_ECHO_NAME) if os.path.isdir(path)
+                  else f"{path}.config")
+        with open(target, "w") as handle:
             handle.write(self.text())
 
 
@@ -269,12 +280,6 @@ def _require_out(args) -> str:
     if args.out is None:
         raise ConfigError("--out is required for this command")
     return args.out
-
-
-def _echo_beside_file(config: RunConfig, path) -> None:
-    """Config echo for commands whose --out is a file, not a directory."""
-    with open(str(path) + ".config", "w") as handle:
-        handle.write(config.text())
 
 
 # -- simulate -------------------------------------------------------------
@@ -401,11 +406,9 @@ def _tdnet_fuse(ms: MsImage, pan: PanImage, params,
         raise DataError(
             f"checkpoint expects {model_config.bands} bands but the input "
             f"has {ms.data.shape[2]}")
-    lrms = Tensor(ms.data.transpose(2, 0, 1)[None].astype(np.float32))
-    pan_t = Tensor(pan.data[None, None].astype(np.float32))
-    out = tdnet_forward(lrms, pan_t, params, model_config)
-    fused = out.ms_hat.data[0].transpose(1, 2, 0).astype(np.float64)
-    return MsImage(np.clip(fused, 0.0, 1.0, out=fused), ms.sensor)
+    out = tdnet_forward(network_batch([ms.data]), network_batch([pan.data]),
+                        params, model_config)
+    return MsImage(fused_raster(out.ms_hat), ms.sensor)
 
 
 def _fuse_pair(method: str, ms: MsImage, pan: PanImage, loaded) -> MsImage:
@@ -425,6 +428,17 @@ def _split_ids(manifest: DatasetManifest, split_name: str) -> list:
     return ids
 
 
+def _save_fused(out, raster: str, preview: str, fused: MsImage,
+                written: list) -> None:
+    """Write a fused raster and its preview into ``out``, adding each path
+    to ``written`` before the file is opened."""
+    os.makedirs(out, exist_ok=True)
+    written.append(os.path.join(out, raster))
+    save_ms(written[-1], fused)
+    written.append(os.path.join(out, preview))
+    _write_preview(written[-1], fused.data)
+
+
 def cmd_fuse(args, config: RunConfig) -> int:
     out = _require_out(args)
     if args.method is None:
@@ -432,35 +446,43 @@ def cmd_fuse(args, config: RunConfig) -> int:
     method, checkpoint = _parse_method(args.method)
     loaded = load_checkpoint(checkpoint) if method == "tdnet" else None
 
-    # Every input is read and checked before --out is made, so a refused
-    # run leaves no directory behind.
-    if len(args.inputs) == 2:
-        ms = load_ms(args.inputs[0])
-        pan = load_pan(args.inputs[1], sensor=ms.sensor)
-        fused = _fuse_pair(method, ms, pan, loaded)
-        os.makedirs(out, exist_ok=True)
-        save_ms(os.path.join(out, "fused.psr1"), fused)
-        _write_preview(os.path.join(out, "preview.ppm"), fused.data)
-        print(f"fused 1 pair with {method} -> {out}/fused.psr1")
-    elif len(args.inputs) == 1:
-        manifest = read_manifest(args.inputs[0])
-        sensor = get_sensor(manifest.sensor)
-        split_name = config.get("dataset", "split")
-        ids = _split_ids(manifest, split_name)
-        os.makedirs(out, exist_ok=True)
-        for sample_id in ids:
-            sample = load_sample(args.inputs[0], sample_id)
-            ms = MsImage(sample.lrms, sensor)
-            pan = PanImage(sample.pan, sensor)
-            fused = _fuse_pair(method, ms, pan, loaded)
-            save_ms(os.path.join(out, f"{sample_id}.psr1"), fused)
-            _write_preview(os.path.join(out, f"{sample_id}.ppm"), fused.data)
-        print(f"fused {len(ids)} samples ({split_name} split) with "
-              f"{method} -> {out}")
-    else:
-        raise ConfigError(
-            "fuse takes either MS.psr1 PAN.psr1 or a dataset directory")
-    config.echo(out)
+    # A failed run leaves nothing of its own behind: the --out directory if
+    # this run made it, else the files it wrote there.
+    made, written = not os.path.exists(out), []
+    try:
+        if len(args.inputs) == 2:
+            ms = load_ms(args.inputs[0])
+            pan = load_pan(args.inputs[1], sensor=ms.sensor)
+            _save_fused(out, "fused.psr1", "preview.ppm",
+                        _fuse_pair(method, ms, pan, loaded), written)
+            summary = f"fused 1 pair with {method} -> {out}/fused.psr1"
+        elif len(args.inputs) == 1:
+            manifest = read_manifest(args.inputs[0])
+            sensor = get_sensor(manifest.sensor)
+            split_name = config.get("dataset", "split")
+            ids = _split_ids(manifest, split_name)
+            for sample_id in ids:
+                sample = load_sample(args.inputs[0], sample_id, sensor)
+                ms = MsImage(sample.lrms, sensor)
+                pan = PanImage(sample.pan, sensor)
+                _save_fused(out, f"{sample_id}.psr1", f"{sample_id}.ppm",
+                            _fuse_pair(method, ms, pan, loaded), written)
+            summary = (f"fused {len(ids)} samples ({split_name} split) with "
+                       f"{method} -> {out}")
+        else:
+            raise ConfigError(
+                "fuse takes either MS.psr1 PAN.psr1 or a dataset directory")
+        written.append(os.path.join(out, CONFIG_ECHO_NAME))
+        config.echo(out)
+    except BaseException:
+        if made:
+            shutil.rmtree(out, ignore_errors=True)
+        else:
+            for path in written:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+        raise
+    print(summary)
     return 0
 
 
@@ -489,7 +511,7 @@ def _score_set(dataset_dir, fused_dir, mode: str, window: int,
     manifest = read_manifest(dataset_dir)
     sensor = get_sensor(manifest.sensor)
     for sample_id in _split_ids(manifest, split_name):
-        sample = load_sample(dataset_dir, sample_id)
+        sample = load_sample(dataset_dir, sample_id, sensor)
         fused = _load_fused(fused_dir, sample_id)
         if fused.shape != sample.gt.shape:
             raise DataError(
@@ -517,7 +539,7 @@ def cmd_eval(args, config: RunConfig) -> int:
                config.get("dataset", "split"), method, report)
     report.add_aggregates()
     report.write_csv(out)
-    _echo_beside_file(config, out)
+    config.echo(out)
     print(f"wrote {len(report.rows)} rows to {out}")
     return 0
 
@@ -565,7 +587,7 @@ def cmd_compare(args, config: RunConfig) -> int:
     if args.out is not None:
         with open(args.out, "w") as handle:
             handle.write(table)
-        _echo_beside_file(config, args.out)
+        config.echo(args.out)
     return 0
 
 

@@ -45,7 +45,9 @@ def write_psr1(path: str | Path, data: np.ndarray, sensor_name: str,
 
 
 def read_psr1(path: str | Path) -> tuple[np.ndarray, str, int]:
-    """Read a PSR1 file; returns (H x W x C float32 data, sensor name, bit depth)."""
+    """Read a PSR1 file; returns (H x W x C float32 data, sensor name, bit depth).
+
+    Every sample must be finite and in [0, 1], the radiometric range."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -75,6 +77,12 @@ def read_psr1(path: str | Path) -> tuple[np.ndarray, str, int]:
         raise DataError(
             f"{path}: payload is {len(blob) - offset} bytes, expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", count=h * w * c, offset=offset)
+    # NaN propagates through min and max, so these two also refuse NaN and
+    # the infinities, on the float32 payload, before a cast could warn.
+    low, high = data.min(), data.max()
+    if not 0.0 <= low <= high <= 1.0:
+        raise DataError(f"{path}: samples must be finite and in [0, 1] "
+                        f"(min {low:.4g}, max {high:.4g})")
     return data.reshape(h, w, c).copy(), name, bit_depth
 
 

@@ -23,10 +23,5 @@ class NumericError(PansharpError):
 
 
 class TrainingDiverged(NumericError):
-    """Training hit a non-finite loss; carries epoch/batch for diagnosis,
-    ``batch`` None when it was the validation loss."""
-
-    def __init__(self, message: str, epoch: int, batch: int | None):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
+    """Training hit a non-finite loss; the message names the epoch, and the
+    batch and its sample ids unless it was the validation loss."""

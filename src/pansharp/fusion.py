@@ -27,7 +27,6 @@ from .imaging import (
     RATIO,
     MsImage,
     PanImage,
-    box_taps,
     check_aligned,
     interp23,
     lowpass,
@@ -94,10 +93,12 @@ def pan_lowpass(pan: PanImage, config: MraConfig) -> np.ndarray:
 
     mtf_glp: sensor-matched Gaussian blur, decimate by the ratio, then
     23-tap interpolation back up (so P_L sees exactly the resampling the
-    MS image went through). box: plain uniform smoothing.
+    MS image went through). box: plain uniform smoothing over 2 * RATIO + 1
+    taps.
     """
     if config.pan_lowpass_mode == "box":
-        return lowpass(pan.data, box_taps(RATIO))
+        side = 2 * RATIO + 1
+        return lowpass(pan.data, np.full(side, 1.0 / side))
     taps = sensor_taps(pan.sensor, RATIO)[0]
     return interp23(lowpass(pan.data, taps, RATIO))
 

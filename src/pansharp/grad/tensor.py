@@ -143,11 +143,13 @@ class Tensor:
 
     # -- operator sugar ---------------------------------------------------
 
+    # Another operand is not ours to take: Python then raises a TypeError
+    # that names the operator.
     def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
+        return mul(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def sum(self) -> "Tensor":
         return tensor_sum(self)

@@ -183,14 +183,6 @@ def _cut_to_eps(taps: np.ndarray) -> np.ndarray:
     return taps[..., centre - half:centre + half + 1].copy()
 
 
-def box_taps(half_width: int) -> np.ndarray:
-    """2h+1 uniform smoothing taps."""
-    if half_width < 1:
-        raise ValueError(f"box half-width must be >= 1, got {half_width}")
-    side = 2 * half_width + 1
-    return np.full(side, 1.0 / side)
-
-
 #: Bytes of padded planes that one group of :func:`lowpass` holds. A
 #: 64x64 patch's 8 bands share one group (426 KB with 41 taps, 319 KB
 #: with the 15 of a wv3 band), while each band of a 256x256 or larger

@@ -478,6 +478,26 @@ def tdnet_loss(out: TdnetOutput, gt: Tensor, gt_d: Tensor | None,
             + scale(l1_loss(out.ms_hat, gt), 1.0 - gamma))
 
 
+# -- rasters ---------------------------------------------------------------
+
+
+def network_batch(rasters) -> Tensor:
+    """H x W x C rasters, or H x W PAN planes, as one (B, C, H, W) batch,
+    each cast once into the preallocated float32 array."""
+    first = np.atleast_3d(rasters[0])
+    batch = np.empty((len(rasters), first.shape[2]) + first.shape[:2], DTYPE)
+    for image, raster in zip(batch, rasters):
+        image[...] = np.atleast_3d(raster).transpose(2, 0, 1)
+    return Tensor(batch)
+
+
+def fused_raster(t: Tensor) -> np.ndarray:
+    """Image 0 of a network output as the H x W x C float64 raster that
+    ``pansharp fuse`` writes: clipped to the radiometric range [0, 1]."""
+    fused = t.data[0].transpose(1, 2, 0).astype(np.float64)
+    return np.clip(fused, 0.0, 1.0, out=fused)
+
+
 # -- variants --------------------------------------------------------------
 
 

@@ -16,16 +16,17 @@ import math
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DataError, TrainingDiverged
-from .grad import AdamState, Tape, Tensor, adam_step, zero_grads
+from .grad import AdamState, Tape, adam_step, zero_grads
 from .grad.rng import SplitMix64, derive_seed
+from .imaging import get_sensor
 from .metrics import EvalReport, reference_metrics
 from .model import (
     TdnetConfig,
     ablation_configs,
+    fused_raster,
     init_params,
+    network_batch,
     save_checkpoint,
     tdnet_forward,
     tdnet_loss,
@@ -99,15 +100,6 @@ def lr_for_epoch(schedule, epoch: int) -> float:
     return lr
 
 
-def _batch_tensors(samples: list) -> tuple:
-    """Stack height x width x bands rasters into network-layout batches."""
-    lrms = np.stack([s.lrms.transpose(2, 0, 1) for s in samples])
-    pan = np.stack([s.pan[None, :, :] for s in samples])
-    gt = np.stack([s.gt.transpose(2, 0, 1) for s in samples])
-    gt_d = np.stack([s.gt_d.transpose(2, 0, 1) for s in samples])
-    return Tensor(lrms), Tensor(pan), Tensor(gt), Tensor(gt_d)
-
-
 def validate(samples: list, params, config: TdnetConfig, gamma: float,
              batch_size: int) -> float:
     """Mean dual-scale loss per sample over a split, in batches of
@@ -119,7 +111,8 @@ def validate(samples: list, params, config: TdnetConfig, gamma: float,
     total = 0.0
     for cut in range(0, len(samples), batch_size):
         batch = samples[cut:cut + batch_size]
-        lrms, pan, gt, gt_d = _batch_tensors(batch)
+        lrms, pan, gt, gt_d = (network_batch([getattr(s, role) for s in batch])
+                               for role in ("lrms", "pan", "gt", "gt_d"))
         out = tdnet_forward(lrms, pan, params, config)
         loss = tdnet_loss(out, gt, gt_d, gamma=gamma)
         total += loss.item() * len(batch)
@@ -138,15 +131,15 @@ def write_loss_log(path, log: list) -> None:
 
 def _load_splits(data_dir) -> tuple:
     manifest = read_manifest(data_dir)
+    sensor = get_sensor(manifest.sensor)
     loaded = {
-        name: [load_sample(data_dir, i) for i in manifest.splits[name]]
+        name: [load_sample(data_dir, i, sensor) for i in manifest.splits[name]]
         for name in ("train", "val")
     }
     return manifest, loaded["train"], loaded["val"]
 
 
-def train(data_dir, model_config: TdnetConfig,
-          train_config: TrainConfig | None = None,
+def train(data_dir, model_config: TdnetConfig, cfg: TrainConfig,
           out_dir=None) -> TrainResult:
     """Run the full training loop over a simulated dataset directory.
 
@@ -156,7 +149,6 @@ def train(data_dir, model_config: TdnetConfig,
     training loss, identifying the offending epoch and batch, or on a
     non-finite validation loss, before that epoch's checkpoints.
     """
-    cfg = train_config or TrainConfig()
     manifest, train_samples, val_samples = _load_splits(data_dir)
     if not train_samples:
         raise DataError("training split is empty")
@@ -188,7 +180,8 @@ def train(data_dir, model_config: TdnetConfig,
         for batch_index, cut in enumerate(range(0, n, cfg.batch_size)):
             picks = order[cut:cut + cfg.batch_size]
             batch = [train_samples[i] for i in picks]
-            lrms, pan, gt, gt_d = _batch_tensors(batch)
+            lrms, pan, gt, gt_d = (network_batch([getattr(s, role) for s in batch])
+                                   for role in ("lrms", "pan", "gt", "gt_d"))
             zero_grads(ordered)
             with Tape():
                 out = tdnet_forward(lrms, pan, params, model_config)
@@ -199,8 +192,7 @@ def train(data_dir, model_config: TdnetConfig,
                 ids = [sample.id for sample in batch]
                 raise TrainingDiverged(
                     f"non-finite loss {value} at epoch {epoch}, batch "
-                    f"{batch_index} (sample ids {ids})",
-                    epoch=epoch, batch=batch_index)
+                    f"{batch_index} (sample ids {ids})")
             adam_step(ordered, state, lr)
             weighted += value * len(batch)
 
@@ -210,8 +202,7 @@ def train(data_dir, model_config: TdnetConfig,
                                 cfg.batch_size)
             if not math.isfinite(val_loss):
                 raise TrainingDiverged(
-                    f"non-finite validation loss {val_loss} at epoch {epoch}",
-                    epoch=epoch, batch=None)
+                    f"non-finite validation loss {val_loss} at epoch {epoch}")
         else:
             val_loss = math.nan
         log.append(LogRow(epoch, train_loss, val_loss, lr))
@@ -242,8 +233,7 @@ def manifest_hash(manifest: DatasetManifest) -> str:
 
 
 def ablation_suite(data_dir, base_config: TdnetConfig,
-                   train_config: TrainConfig | None = None,
-                   out_dir=None) -> EvalReport:
+                   cfg: TrainConfig, out_dir=None) -> EvalReport:
     """Train every architecture variant under one budget and score them.
 
     Each variant trains with the same schedule and seed, then its fused
@@ -251,9 +241,10 @@ def ablation_suite(data_dir, base_config: TdnetConfig,
     carries the dataset digest, the shared budget, and each variant's
     final validation loss in its provenance block.
     """
-    cfg = train_config or TrainConfig()
     manifest = read_manifest(data_dir)
-    test_samples = [load_sample(data_dir, i) for i in manifest.splits["test"]]
+    sensor = get_sensor(manifest.sensor)
+    test_samples = [load_sample(data_dir, i, sensor)
+                    for i in manifest.splits["test"]]
     if not test_samples:
         raise DataError("test split is empty")
 
@@ -275,12 +266,9 @@ def ablation_suite(data_dir, base_config: TdnetConfig,
             report.provenance[f"val_loss/{name}"] = format(
                 result.log[-1].val_loss, ".10g")
         for sample in test_samples:
-            lrms, pan, _, _ = _batch_tensors([sample])
-            out = tdnet_forward(lrms, pan, result.params, variant)
-            # Clipped to the radiometric range, as ``pansharp fuse`` writes it.
-            fused = np.clip(out.ms_hat.data[0].transpose(1, 2, 0)
-                            .astype(np.float64), 0.0, 1.0)
+            out = tdnet_forward(network_batch([sample.lrms]),
+                                network_batch([sample.pan]), result.params, variant)
             report.add(name, str(sample.id),
-                       **reference_metrics(sample.gt, fused))
+                       **reference_metrics(sample.gt, fused_raster(out.ms_hat)))
     report.add_aggregates()
     return report

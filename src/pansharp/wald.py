@@ -220,8 +220,6 @@ class DatasetManifest:
                     f"malformed manifest: {key!r} is a "
                     f"{type(payload[key]).__name__}, not a {kind.__name__}")
         bands, ratio = payload["bands"], payload["ratio"]
-        if bands < 1:
-            raise DataError(f"malformed manifest: 'bands' is {bands}")
         if ratio != RATIO:
             raise DataError(
                 f"malformed manifest: 'ratio' is {ratio}, not {RATIO}")
@@ -270,10 +268,20 @@ def read_manifest(directory) -> DatasetManifest:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
 
 
-def load_sample(directory, sample_id: int) -> SamplePair:
+def load_sample(directory, sample_id: int, sensor: SensorSpec) -> SamplePair:
+    """Read one sample's rasters; each header must name ``sensor`` at its
+    bit depth and hold its band count, one channel for the PAN."""
     arrays = {}
     for role in SAMPLE_ROLES:
-        data, _, _ = read_psr1(_raster_path(directory, sample_id, role))
+        path = _raster_path(directory, sample_id, role)
+        data, name, bit_depth = read_psr1(path)
+        channels = 1 if role == "pan" else sensor.bands
+        if (name, data.shape[2], bit_depth) != (sensor.name, channels,
+                                                sensor.bit_depth):
+            raise DataError(
+                f"{path}: header reads {name!r} with {data.shape[2]} channels "
+                f"at {bit_depth} bits, not {sensor.name!r} with {channels} at "
+                f"{sensor.bit_depth}")
         arrays[role] = data[:, :, 0] if role == "pan" else data
     return SamplePair(id=sample_id, pan=arrays["pan"], lrms=arrays["lrms"],
                       gt=arrays["gt"], gt_d=arrays["gtd"])

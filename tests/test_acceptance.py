@@ -397,7 +397,7 @@ def test_criterion_08_ablation_direction(tmp_path):
     base = TdnetConfig(bands=8, feature_width=8, mscb_width=3)
 
     val_ids = read_manifest(data_dir).splits["val"]
-    val = [load_sample(data_dir, i) for i in val_ids]
+    val = [load_sample(data_dir, i, get_sensor("wv3")) for i in val_ids]
     single = dataclasses.replace(base, levels=1)
     full_losses, single_losses = [], []
     for seed in (7, 8, 9):

@@ -42,6 +42,7 @@ from helpers import read_eval_csv
 SIM_ARGS = ["--set", "dataset.ms_size=160", "--set", "dataset.patch=32",
             "--set", "dataset.stride=32"]
 SMALL_MODEL = ["--set", "model.feature_width=8", "--set", "model.mscb_width=3"]
+WV3 = get_sensor("wv3")
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +192,7 @@ class TestSimulate:
         for index in range(3):
             ms, pan = synthetic_scene(index, get_sensor("wv3"), ms_size=64)
             (want,) = make_samples(ms, pan, patch=64, stride=64)
-            got = load_sample(out, index)
+            got = load_sample(out, index, WV3)
             for role in ("pan", "lrms", "gt", "gt_d"):
                 np.testing.assert_array_equal(getattr(got, role),
                                               getattr(want, role))
@@ -284,7 +285,7 @@ class TestTrainCommand:
 
 @pytest.fixture(scope="module")
 def pair_paths(tmp_path_factory, dataset_dir):
-    sample = load_sample(dataset_dir, 0)
+    sample = load_sample(dataset_dir, 0, WV3)
     directory = tmp_path_factory.mktemp("pair")
     write_psr1(directory / "ms.psr1", sample.lrms, "wv3", 11)
     write_psr1(directory / "pan.psr1", sample.pan, "wv3", 11)
@@ -371,7 +372,7 @@ def ideal_fused_dir(tmp_path_factory, dataset_dir):
     """A fused set that equals the reference exactly."""
     directory = tmp_path_factory.mktemp("ideal")
     for sample_id in read_manifest(dataset_dir).splits["test"]:
-        sample = load_sample(dataset_dir, sample_id)
+        sample = load_sample(dataset_dir, sample_id, WV3)
         write_psr1(directory / f"{sample_id}.psr1", sample.gt, "wv3", 11)
     return directory
 
@@ -450,7 +451,7 @@ class TestEval:
         plain = [r for r in report.rows if not r["image"].startswith("__")]
         assert len(plain) == 2
         for row in plain:
-            gt = load_sample(dataset_dir, int(row["image"])).gt
+            gt = load_sample(dataset_dir, int(row["image"]), WV3).gt
             fused, _, _ = read_psr1(exp_fused_dir / f"{row['image']}.psr1")
             at16 = q2n(gt, fused, window=16)
             assert row["q2n"] == pytest.approx(at16, rel=1e-5)
@@ -601,6 +602,20 @@ def _last_sample(value):
     return lambda blob: blob[:-4] + struct.pack("<f", value)
 
 
+def _first_value(value):
+    """Spoil a raster read by ``read_psr1`` by setting its first sample to
+    ``value``."""
+    def edit(data, name, bit_depth):
+        data.flat[0] = value
+        return data, name, bit_depth
+    return edit
+
+
+def _spoil_raster(path, edit):
+    """Rewrite a PSR1 file as ``edit(data, sensor name, bit depth)``."""
+    write_psr1(path, *edit(*read_psr1(path)))
+
+
 # Hostile rasters for fuse: the file spoilt and how.  Each must exit 3 with
 # one error line and write no fused raster.
 _HOSTILE_RASTERS = {
@@ -611,6 +626,24 @@ _HOSTILE_RASTERS = {
     "ms-inf": ("ms", _last_sample(float("inf"))),
     "pan-nan": ("pan", _last_sample(float("nan"))),
     "pan-inf": ("pan", _last_sample(-float("inf"))),
+    # A signalling NaN: a float64 cast of it warns before any check sees it.
+    "ms-snan": ("ms", lambda blob: blob[:-4] + struct.pack("<I", 0x7FA00000)),
+}
+
+# Hostile dataset samples: the raster role spoilt in every sample, the edit
+# of its (data, sensor name, bit depth), and what the error says.
+_HOSTILE_SAMPLES = {
+    "pan-two-channels": (
+        "pan", lambda data, name, depth: (np.concatenate([data, data], 2), name, depth),
+        "header reads 'wv3' with 2 channels at 11 bits, not 'wv3' with 1 at 11"),
+    "gt-labelled-qb": (
+        "gt", lambda data, name, depth: (data, "qb", depth),
+        "header reads 'qb' with 8 channels at 11 bits, not 'wv3' with 8 at 11"),
+    "lrms-bit-depth-12": (
+        "lrms", lambda data, name, depth: (data, name, 12),
+        "header reads 'wv3' with 8 channels at 12 bits, not 'wv3' with 8 at 11"),
+    "gt-nan": ("gt", _first_value(np.nan), "samples must be finite and in [0, 1]"),
+    "gt-seven": ("gt", _first_value(7.0), "samples must be finite and in [0, 1]"),
 }
 
 
@@ -822,6 +855,55 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert message in err and rc == 3, (args[0], rc, err)
             assert not (tmp_path / "out").exists(), args[0]
+
+    @pytest.mark.parametrize("row", sorted(_HOSTILE_SAMPLES))
+    def test_hostile_sample(self, row, dataset_dir, exp_fused_dir, tmp_path,
+                            capsys):
+        """A sample raster whose header disagrees with the manifest's sensor,
+        or whose values are not finite or leave [0, 1], is refused where it
+        is read by every command that reads a dataset, with no --out left
+        behind.  ``fuse`` and ``eval`` used to exit 0 on each (``eval``
+        scoring NaN rows), and ``train`` to train on the headers and exit 4
+        on the NaN, as if training had diverged."""
+        role, edit, message = _HOSTILE_SAMPLES[row]
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        for path in data.glob(f"*_{role}.psr1"):
+            _spoil_raster(path, edit)
+        for args in (["fuse", str(data), "--method", "exp"],
+                     ["train", str(data), "--set", "train.epochs=1",
+                      "--set", "train.batch_size=8", *SMALL_MODEL],
+                     ["eval", str(data), str(exp_fused_dir)]):
+            rc = main([*args, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"_{role}.psr1: {message}" in err and rc == 3, (args[0], rc, err)
+            assert not (tmp_path / "out").exists(), args[0]
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new-out", "existing-out"])
+    def test_failed_fuse_removes_its_output(self, existing, dataset_dir,
+                                            tmp_path, capsys):
+        """A NaN in the last test sample's lrms fails a split ``fuse`` after
+        it wrote the first sample's raster and preview, which used to stay.
+        An --out this run made goes whole; in one that was there, only this
+        run's files go."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        last = read_manifest(data).splits["test"][-1]
+        _spoil_raster(data / f"{last}_lrms.psr1", _first_value(np.nan))
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("not this run's\n")
+        rc = main(["fuse", str(data), "--method", "exp", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{last}_lrms.psr1" in err and rc == 3
+        if existing:
+            assert os.listdir(out) == ["notes.txt"]
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
     def test_corrupt_manifest(self, command, tmp_path, capsys):

@@ -17,10 +17,12 @@ from pansharp.model import (
     ablation_configs,
     config_from_dict,
     config_to_dict,
+    fused_raster,
     init_params,
     load_checkpoint,
     mrab,
     mscb,
+    network_batch,
     pan_details,
     parameter_plan,
     save_checkpoint,
@@ -666,6 +668,27 @@ class TestTdnetForward:
         ref_d, ref_y = reference_forward(lrms_np, pan_np, params, cfg)
         np.testing.assert_allclose(out.ms_hat.data, ref_y, atol=1e-4, rtol=1e-4)
         np.testing.assert_allclose(out.ms_hat_d.data, ref_d, atol=1e-4, rtol=1e-4)
+
+
+class TestRasterInterface:
+    def test_network_batch_layout_and_cast(self):
+        """H x W x C rasters and H x W PAN planes become one float32
+        (B, C, H, W) batch, each float64 value rounded as ``astype`` does."""
+        rng = np.random.default_rng(4)
+        ms, pan = rng.random((2, 4, 5, 3)), rng.random((2, 16, 20))
+        batch = network_batch(list(ms))
+        assert batch.data.dtype == np.float32
+        np.testing.assert_array_equal(
+            batch.data, ms.transpose(0, 3, 1, 2).astype(np.float32))
+        np.testing.assert_array_equal(network_batch(list(pan)).data,
+                                      pan[:, None].astype(np.float32))
+
+    def test_fused_raster_is_image_zero_clipped(self):
+        data = _rand(5, (2, 3, 4, 6), low=-0.5, high=1.5)
+        fused = fused_raster(Tensor(data))
+        assert fused.dtype == np.float64
+        np.testing.assert_array_equal(
+            fused, np.clip(data[0].transpose(1, 2, 0).astype(np.float64), 0, 1))
 
 
 class TestTdnetLoss:

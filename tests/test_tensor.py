@@ -1,6 +1,7 @@
 """Core autodiff behavior: tape recording, pointwise ops, losses, Adam."""
 
 import gc
+import operator
 import tracemalloc
 import warnings
 
@@ -135,6 +136,15 @@ class TestPointwiseOps:
         b = Tensor([3.0, 4.0])
         np.testing.assert_array_equal(add(a, b).data, [4.0, 6.0])
         np.testing.assert_array_equal(mul(a, b).data, [3.0, 8.0])
+
+    @pytest.mark.parametrize("op, symbol", [(operator.add, "+"),
+                                            (operator.mul, "*")])
+    def test_number_operand_is_a_type_error(self, op, symbol):
+        """``+`` and ``*`` take two Tensors (``scale`` takes a number); a
+        number used to raise an AttributeError on its missing ``shape``."""
+        with pytest.raises(TypeError) as info:
+            op(Tensor([1.0, 2.0]), 2.0)
+        assert f"unsupported operand type(s) for {symbol}" in str(info.value)
 
     def test_shape_mismatch_names_axis(self):
         a = Tensor(np.zeros((2, 3)))

@@ -275,7 +275,7 @@ class TestDatasetDirectory:
         assert (root / "0_pan.psr1").exists()
         assert (root / "3_gtd.psr1").exists()
         assert read_manifest(root) == manifest
-        back = load_sample(root, 2)
+        back = load_sample(root, 2, SENSORS["gf2"])
         np.testing.assert_array_equal(back.pan, samples[2].pan)
         np.testing.assert_array_equal(back.lrms, samples[2].lrms)
         np.testing.assert_array_equal(back.gt, samples[2].gt)
