@@ -17,20 +17,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import dataclasses
 import os
-import shutil
 import sys
 
 import numpy as np
 
 from .container import (
+    check_header,
     export_ppm,
     load_ms,
     load_pan,
     percentile_stretch,
     read_psr1,
+    run_output,
     save_ms,
 )
 from .errors import ConfigError, DataError, NumericError
@@ -282,6 +282,14 @@ def _require_out(args) -> str:
     return args.out
 
 
+def _echo_first(config: RunConfig, out, written: list) -> None:
+    """Echo the configuration into ``out`` before the run writes anything
+    else there, so that a step which cleans up its own files on failure
+    leaves only the echo for :func:`run_output` to remove."""
+    written.append(os.path.join(out, CONFIG_ECHO_NAME))
+    config.echo(out)
+
+
 # -- simulate -------------------------------------------------------------
 
 
@@ -295,12 +303,6 @@ def cmd_simulate(args, config: RunConfig) -> int:
     stride = config.get_positive_int("dataset", "stride")
     if args.inputs:
         ms = load_ms(args.inputs[0])
-        registered = get_sensor(ms.sensor.name)  # a dataset must name a known sensor
-        if registered != ms.sensor:
-            raise DataError(
-                f"{args.inputs[0]}: a {registered.name} raster has "
-                f"{registered.bands} bands of {registered.bit_depth} bits, "
-                f"this one {ms.sensor.bands} of {ms.sensor.bit_depth}")
         pan = load_pan(args.inputs[1], sensor=ms.sensor)
         sensor, count, source = ms.sensor, 1, "rasters"
         scenes = [(ms, pan)]
@@ -339,8 +341,9 @@ def cmd_simulate(args, config: RunConfig) -> int:
             "gt_d_degrade": "band-mtf x2 blur + decimate",
         },
     )
-    write_dataset(out, samples, manifest)
-    config.echo(out)
+    with run_output(out) as written:
+        _echo_first(config, out, written)
+        write_dataset(out, samples, manifest)
     counts = {name: len(ids) for name, ids in splits.items()}
     print(f"wrote {len(samples)} samples to {out} "
           f"(train {counts['train']}, val {counts['val']}, "
@@ -356,8 +359,9 @@ def cmd_train(args, config: RunConfig) -> int:
     manifest = read_manifest(args.dataset)
     model_config = config.model_config(manifest.bands)
     train_config = config.train_config()
-    result = train(args.dataset, model_config, train_config, out_dir=out)
-    config.echo(out)
+    with run_output(out) as written:
+        _echo_first(config, out, written)
+        result = train(args.dataset, model_config, train_config, out_dir=out)
     if result.log:
         last = result.log[-1]
         print(f"trained {train_config.epochs} epochs: train loss "
@@ -432,7 +436,6 @@ def _save_fused(out, raster: str, preview: str, fused: MsImage,
                 written: list) -> None:
     """Write a fused raster and its preview into ``out``, adding each path
     to ``written`` before the file is opened."""
-    os.makedirs(out, exist_ok=True)
     written.append(os.path.join(out, raster))
     save_ms(written[-1], fused)
     written.append(os.path.join(out, preview))
@@ -446,10 +449,8 @@ def cmd_fuse(args, config: RunConfig) -> int:
     method, checkpoint = _parse_method(args.method)
     loaded = load_checkpoint(checkpoint) if method == "tdnet" else None
 
-    # A failed run leaves nothing of its own behind: the --out directory if
-    # this run made it, else the files it wrote there.
-    made, written = not os.path.exists(out), []
-    try:
+    with run_output(out) as written:
+        _echo_first(config, out, written)
         if len(args.inputs) == 2:
             ms = load_ms(args.inputs[0])
             pan = load_pan(args.inputs[1], sensor=ms.sensor)
@@ -472,30 +473,11 @@ def cmd_fuse(args, config: RunConfig) -> int:
         else:
             raise ConfigError(
                 "fuse takes either MS.psr1 PAN.psr1 or a dataset directory")
-        written.append(os.path.join(out, CONFIG_ECHO_NAME))
-        config.echo(out)
-    except BaseException:
-        if made:
-            shutil.rmtree(out, ignore_errors=True)
-        else:
-            for path in written:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
-        raise
     print(summary)
     return 0
 
 
 # -- eval / compare -------------------------------------------------------
-
-
-def _load_fused(fused_dir, sample_id: int) -> np.ndarray:
-    path = os.path.join(fused_dir, f"{sample_id}.psr1")
-    if not os.path.exists(path):
-        raise DataError(
-            f"fused set {fused_dir} is missing sample {sample_id}")
-    data, _, _ = read_psr1(path)
-    return data
 
 
 def _score_set(dataset_dir, fused_dir, mode: str, window: int,
@@ -512,7 +494,8 @@ def _score_set(dataset_dir, fused_dir, mode: str, window: int,
     sensor = get_sensor(manifest.sensor)
     for sample_id in _split_ids(manifest, split_name):
         sample = load_sample(dataset_dir, sample_id, sensor)
-        fused = _load_fused(fused_dir, sample_id)
+        path = os.path.join(fused_dir, f"{sample_id}.psr1")
+        fused = check_header(path, read_psr1(path), sensor)
         if fused.shape != sample.gt.shape:
             raise DataError(
                 f"sample {sample_id}: fused shape {fused.shape} does not "

@@ -12,13 +12,16 @@ Writing the result of a read reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .imaging import SENSORS, MsImage, PanImage, SensorSpec, generic_sensor
+from .imaging import SENSORS, MsImage, PanImage, SensorSpec, check_unit_range
 
 MAGIC = b"PSR1"
 VERSION = 1
@@ -77,20 +80,29 @@ def read_psr1(path: str | Path) -> tuple[np.ndarray, str, int]:
         raise DataError(
             f"{path}: payload is {len(blob) - offset} bytes, expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", count=h * w * c, offset=offset)
-    # NaN propagates through min and max, so these two also refuse NaN and
-    # the infinities, on the float32 payload, before a cast could warn.
-    low, high = data.min(), data.max()
-    if not 0.0 <= low <= high <= 1.0:
-        raise DataError(f"{path}: samples must be finite and in [0, 1] "
-                        f"(min {low:.4g}, max {high:.4g})")
+    check_unit_range(path, data)  # on the float32 payload, before any cast
     return data.reshape(h, w, c).copy(), name, bit_depth
 
 
-def _sensor_for(name: str, bands: int, bit_depth: int) -> SensorSpec:
-    spec = SENSORS.get(name)
-    if spec is not None and spec.bands == bands and spec.bit_depth == bit_depth:
-        return spec
-    return generic_sensor(bands, bit_depth, name=name or "generic")
+def check_header(path, raster: tuple, sensor: SensorSpec | None,
+                 pan: bool = False) -> np.ndarray:
+    """Return the data of ``raster``, a :func:`read_psr1` result for
+    ``path``, if its header names ``sensor`` at that sensor's bit depth
+    with its band count, or with one channel when ``pan`` is set (the data
+    then comes back as an H x W plane).  A ``sensor`` of None stands for a
+    header name that is not registered, which is refused too."""
+    data, name, bit_depth = raster
+    if sensor is None:
+        raise DataError(f"{path}: header names sensor {name!r}, which is not "
+                        f"registered; known: {sorted(SENSORS)}")
+    channels = 1 if pan else sensor.bands
+    if (name, data.shape[2], bit_depth) != (sensor.name, channels,
+                                            sensor.bit_depth):
+        raise DataError(
+            f"{path}: header reads {name!r} with {data.shape[2]} channels "
+            f"at {bit_depth} bits, not {sensor.name!r} with {channels} at "
+            f"{sensor.bit_depth}")
+    return data[:, :, 0] if pan else data
 
 
 def save_ms(path: str | Path, image: MsImage) -> None:
@@ -98,20 +110,40 @@ def save_ms(path: str | Path, image: MsImage) -> None:
 
 
 def load_ms(path: str | Path) -> MsImage:
-    data, name, bit_depth = read_psr1(path)
-    if data.shape[2] not in (4, 8):
-        raise DataError(
-            f"{path}: {data.shape[2]} channels is not a supported MS band count")
-    sensor = _sensor_for(name, data.shape[2], bit_depth)
-    return MsImage(data.astype(np.float64), sensor)
+    """Read an MS raster of the registered sensor its header names."""
+    raster = read_psr1(path)
+    sensor = SENSORS.get(raster[1])
+    return MsImage(check_header(path, raster, sensor).astype(np.float64), sensor)
 
 
 def load_pan(path: str | Path, sensor: SensorSpec) -> PanImage:
     """Read a PAN raster that belongs to ``sensor``'s multispectral image."""
-    data, _, _ = read_psr1(path)
-    if data.shape[2] != 1:
-        raise DataError(f"{path}: expected single-channel data, got {data.shape[2]}")
-    return PanImage(data[:, :, 0].astype(np.float64), sensor)
+    plane = check_header(path, read_psr1(path), sensor, pan=True)
+    return PanImage(plane.astype(np.float64), sensor)
+
+
+@contextlib.contextmanager
+def run_output(directory):
+    """Make ``directory`` for a run's output, and leave nothing of the
+    run's own there if it fails.
+
+    Yields a list to which the block adds each path it writes, before the
+    file is opened.  If the block raises, ``directory`` goes whole when it
+    did not exist on entry, and otherwise only the listed files go."""
+    made, written = not os.path.exists(directory), []
+    try:
+        os.makedirs(directory, exist_ok=True)
+        yield written
+    except BaseException:
+        if made:
+            shutil.rmtree(directory, ignore_errors=True)
+        else:
+            for path in written:
+                # Best effort, as the rmtree: the run's own error is the one
+                # to report.  A path whose open failed may name a directory.
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
 
 
 # -- previews -------------------------------------------------------------

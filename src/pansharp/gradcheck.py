@@ -62,12 +62,32 @@ class GradCheckRow:
 # -- generic finite-difference runner --------------------------------------
 
 
-def _rel_error(analytic: float, numeric: float, floor: float) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+def _central_difference_error(run, probes, h: float) -> float:
+    """Worst relative error of analytic gradients against central
+    differences of the scalar ``run()``.
+
+    ``probes`` yields ``(flat, gflat, indices)``: a flat view of an array
+    that ``run`` reads, the same view of its analytic gradient, and the
+    coordinates to probe.  Each coordinate is stepped by +h and -h, then
+    restored.
+    """
+    worst = 0.0
+    for flat, gflat, indices in probes:
+        for i in indices:
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = run()
+            flat[i] = orig - h
+            fm = run()
+            flat[i] = orig
+            numeric = (fp - fm) / (2.0 * h)
+            analytic = float(gflat[i])
+            worst = max(worst, abs(analytic - numeric)
+                        / max(abs(analytic), abs(numeric), REL_FLOOR))
+    return worst
 
 
-def _op_fd_error(build, arrays: list[np.ndarray], h: float = FD_STEP,
-                 floor: float = REL_FLOOR) -> float:
+def _op_fd_error(build, arrays: list[np.ndarray], h: float = FD_STEP) -> float:
     """Worst relative disagreement over every coordinate of every input.
 
     ``build`` maps a list of Tensors to one output Tensor; the check reduces
@@ -81,21 +101,12 @@ def _op_fd_error(build, arrays: list[np.ndarray], h: float = FD_STEP,
     def run() -> float:
         return float(build([Tensor(a) for a in arrays]).sum().data)
 
-    worst = 0.0
-    for tensor, arr in zip(tensors, arrays):
-        grad = (np.zeros_like(arr) if tensor.grad is None else tensor.grad)
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = run()
-            flat[i] = orig - h
-            fm = run()
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            worst = max(worst, _rel_error(float(gflat[i]), numeric, floor))
-    return worst
+    probes = ((arr.reshape(-1),
+               (np.zeros_like(arr) if tensor.grad is None
+                else tensor.grad).reshape(-1),
+               range(arr.size))
+              for tensor, arr in zip(tensors, arrays))
+    return _central_difference_error(run, probes, h)
 
 
 def _gauss(seed: int, shape: tuple[int, ...], spread: float = 1.0) -> np.ndarray:
@@ -427,22 +438,13 @@ def model_gradient_error(config=None, seed: int = 0) -> float:
             total += float((d * proj_half).sum())
         return total
 
-    worst = 0.0
     pick = np.random.default_rng(probe_seed + 1)
-    for name, tensor in params.items():
-        flat = vals[name].reshape(-1)
-        gflat = tensor.grad.reshape(-1)
-        n_pick = min(MODEL_SAMPLES_PER_TENSOR, flat.size)
-        for i in pick.choice(flat.size, size=n_pick, replace=False):
-            orig = flat[i]
-            flat[i] = orig + FD_STEP_MODEL
-            fp = run()
-            flat[i] = orig - FD_STEP_MODEL
-            fm = run()
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * FD_STEP_MODEL)
-            worst = max(worst, _rel_error(float(gflat[i]), numeric, REL_FLOOR))
-    return worst
+    probes = ((vals[name].reshape(-1), tensor.grad.reshape(-1),
+               pick.choice(vals[name].size,
+                           size=min(MODEL_SAMPLES_PER_TENSOR, vals[name].size),
+                           replace=False))
+              for name, tensor in params.items())
+    return _central_difference_error(run, probes, FD_STEP_MODEL)
 
 
 def run_gradcheck(seed: int = 0) -> list[GradCheckRow]:

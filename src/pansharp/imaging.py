@@ -65,9 +65,15 @@ def get_sensor(name: str) -> SensorSpec:
             f"unknown sensor {name!r}; known: {sorted(SENSORS)}") from None
 
 
-def generic_sensor(bands: int, bit_depth: int, name: str) -> SensorSpec:
-    """Fallback spec for rasters whose sensor is not in the registry."""
-    return SensorSpec(name, bands, _uniform(0.30, bands), 0.15, bit_depth)
+def check_unit_range(what, data: np.ndarray) -> None:
+    """Refuse samples that are not finite or leave [0, 1], the radiometric
+    range; ``what`` names the raster in the message."""
+    # NaN propagates through min and max, so these two also refuse NaN and
+    # the infinities, and neither warns on a signalling NaN.
+    low, high = data.min(), data.max()
+    if not 0.0 <= low <= high <= 1.0:
+        raise DataError(f"{what}: samples must be finite and in [0, 1] "
+                        f"(min {low:.4g}, max {high:.4g})")
 
 
 @dataclass
@@ -85,7 +91,7 @@ class MsImage:
             raise DataError(
                 f"MsImage: {self.data.shape[2]} bands but sensor "
                 f"{self.sensor.name!r} has {self.sensor.bands}")
-        _check_range01("MsImage", self.data)
+        check_unit_range("MsImage", self.data)
 
 
 @dataclass
@@ -99,16 +105,7 @@ class PanImage:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise DataError(f"PanImage: expected H x W data, got shape {self.data.shape}")
-        _check_range01("PanImage", self.data)
-
-
-def _check_range01(what: str, data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{what}: non-finite samples present")
-    if data.size and (data.min() < 0.0 or data.max() > 1.0):
-        raise DataError(
-            f"{what}: samples outside [0, 1] (min {data.min():.4g}, "
-            f"max {data.max():.4g})")
+        check_unit_range("PanImage", self.data)
 
 
 def check_aligned(ms: MsImage, pan: PanImage) -> None:

@@ -10,12 +10,14 @@ identical checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
 import os
 from dataclasses import dataclass, field
 
+from .container import run_output
 from .errors import DataError, TrainingDiverged
 from .grad import AdamState, Tape, adam_step, zero_grads
 from .grad.rng import SplitMix64, derive_seed
@@ -111,12 +113,17 @@ def validate(samples: list, params, config: TdnetConfig, gamma: float,
     total = 0.0
     for cut in range(0, len(samples), batch_size):
         batch = samples[cut:cut + batch_size]
-        lrms, pan, gt, gt_d = (network_batch([getattr(s, role) for s in batch])
-                               for role in ("lrms", "pan", "gt", "gt_d"))
+        lrms, pan, gt, gt_d = _role_batches(batch)
         out = tdnet_forward(lrms, pan, params, config)
         loss = tdnet_loss(out, gt, gt_d, gamma=gamma)
         total += loss.item() * len(batch)
     return total / len(samples)
+
+
+def _role_batches(batch: list) -> tuple:
+    """The network batches of ``batch``'s lrms, pan, gt and gt_d rasters."""
+    return tuple(network_batch([getattr(s, role) for s in batch])
+                 for role in ("lrms", "pan", "gt", "gt_d"))
 
 
 def write_loss_log(path, log: list) -> None:
@@ -164,65 +171,65 @@ def train(data_dir, model_config: TdnetConfig, cfg: TrainConfig,
     log: list = []
     best_val = math.inf
     best_epoch = None
-    final_path = best_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        final_path = os.path.join(out_dir, "final.ckpt")
-        best_path = os.path.join(out_dir, "best.ckpt")
+    # With no out_dir nothing is written, so there is nothing to clean up.
+    with (contextlib.nullcontext([]) if out_dir is None
+          else run_output(out_dir)) as written:
 
-    n = len(train_samples)
-    for epoch in range(cfg.epochs):
-        lr = lr_for_epoch(cfg.lr_schedule, epoch)
-        order = list(range(n))
-        SplitMix64(derive_seed(cfg.seed, "shuffle", epoch)).shuffle(order)
+        def save(name: str, write=lambda path: save_checkpoint(
+                path, params, model_config)) -> None:
+            """Write ``name`` under out_dir, a checkpoint unless ``write``
+            says otherwise, listing its path before the file is opened."""
+            if out_dir is not None:
+                written.append(os.path.join(out_dir, name))
+                write(written[-1])
 
-        weighted = 0.0
-        for batch_index, cut in enumerate(range(0, n, cfg.batch_size)):
-            picks = order[cut:cut + cfg.batch_size]
-            batch = [train_samples[i] for i in picks]
-            lrms, pan, gt, gt_d = (network_batch([getattr(s, role) for s in batch])
-                                   for role in ("lrms", "pan", "gt", "gt_d"))
-            zero_grads(ordered)
-            with Tape():
-                out = tdnet_forward(lrms, pan, params, model_config)
-                loss = tdnet_loss(out, gt, gt_d, gamma=cfg.gamma)
-            loss.backward()
-            value = loss.item()
-            if not math.isfinite(value):
-                ids = [sample.id for sample in batch]
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at epoch {epoch}, batch "
-                    f"{batch_index} (sample ids {ids})")
-            adam_step(ordered, state, lr)
-            weighted += value * len(batch)
+        n = len(train_samples)
+        for epoch in range(cfg.epochs):
+            lr = lr_for_epoch(cfg.lr_schedule, epoch)
+            order = list(range(n))
+            SplitMix64(derive_seed(cfg.seed, "shuffle", epoch)).shuffle(order)
 
-        train_loss = weighted / n
-        if val_samples:
-            val_loss = validate(val_samples, params, model_config, cfg.gamma,
-                                cfg.batch_size)
-            if not math.isfinite(val_loss):
-                raise TrainingDiverged(
-                    f"non-finite validation loss {val_loss} at epoch {epoch}")
-        else:
-            val_loss = math.nan
-        log.append(LogRow(epoch, train_loss, val_loss, lr))
+            weighted = 0.0
+            for batch_index, cut in enumerate(range(0, n, cfg.batch_size)):
+                picks = order[cut:cut + cfg.batch_size]
+                batch = [train_samples[i] for i in picks]
+                lrms, pan, gt, gt_d = _role_batches(batch)
+                zero_grads(ordered)
+                with Tape():
+                    out = tdnet_forward(lrms, pan, params, model_config)
+                    loss = tdnet_loss(out, gt, gt_d, gamma=cfg.gamma)
+                loss.backward()
+                value = loss.item()
+                if not math.isfinite(value):
+                    ids = [sample.id for sample in batch]
+                    raise TrainingDiverged(
+                        f"non-finite loss {value} at epoch {epoch}, batch "
+                        f"{batch_index} (sample ids {ids})")
+                adam_step(ordered, state, lr)
+                weighted += value * len(batch)
 
-        if val_samples and val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            if best_path is not None:
-                save_checkpoint(best_path, params, model_config)
-        if (out_dir is not None and cfg.checkpoint_every
-                and (epoch + 1) % cfg.checkpoint_every == 0):
-            save_checkpoint(
-                os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt"),
-                params, model_config)
+            train_loss = weighted / n
+            if val_samples:
+                val_loss = validate(val_samples, params, model_config,
+                                    cfg.gamma, cfg.batch_size)
+                if not math.isfinite(val_loss):
+                    raise TrainingDiverged(
+                        f"non-finite validation loss {val_loss} at epoch {epoch}")
+            else:
+                val_loss = math.nan
+            log.append(LogRow(epoch, train_loss, val_loss, lr))
 
-    if out_dir is not None:
-        save_checkpoint(final_path, params, model_config)
+            if val_samples and val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                save("best.ckpt")
+            if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
+                save(f"epoch_{epoch + 1:04d}.ckpt")
+
+        save("final.ckpt")
         if best_epoch is None:
-            save_checkpoint(best_path, params, model_config)
-        write_loss_log(os.path.join(out_dir, "loss_log.csv"), log)
+            save("best.ckpt")
+        save("loss_log.csv", lambda path: write_loss_log(path, log))
 
     return TrainResult(params=params, log=log)
 

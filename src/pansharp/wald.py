@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import read_psr1, write_psr1
+from .container import check_header, read_psr1, run_output, write_psr1
 from .errors import DataError
 from .grad.rng import SplitMix64, derive_seed
 from .imaging import (
@@ -240,23 +240,25 @@ class DatasetManifest:
 
 
 def write_dataset(directory, samples, manifest: DatasetManifest) -> None:
-    """Write ``manifest.json`` and one PSR1 raster per sample role."""
+    """Write ``manifest.json`` and one PSR1 raster per sample role; a write
+    that fails leaves none of them behind."""
     sensor = get_sensor(manifest.sensor)
-    os.makedirs(directory, exist_ok=True)
     known = set(manifest.all_ids)
     missing = known - {sample.id for sample in samples}
     if missing:
         raise DataError(f"manifest references absent ids {sorted(missing)[:5]}")
-    for sample in samples:
-        if sample.id not in known:
-            continue
-        arrays = {"pan": sample.pan, "lrms": sample.lrms,
-                  "gt": sample.gt, "gtd": sample.gt_d}
-        for role, data in arrays.items():
-            write_psr1(_raster_path(directory, sample.id, role),
-                       data, sensor.name, sensor.bit_depth)
-    with open(os.path.join(directory, "manifest.json"), "w") as handle:
-        handle.write(manifest.to_json())
+    with run_output(directory) as written:
+        for sample in samples:
+            if sample.id not in known:
+                continue
+            arrays = {"pan": sample.pan, "lrms": sample.lrms,
+                      "gt": sample.gt, "gtd": sample.gt_d}
+            for role, data in arrays.items():
+                written.append(_raster_path(directory, sample.id, role))
+                write_psr1(written[-1], data, sensor.name, sensor.bit_depth)
+        written.append(os.path.join(directory, "manifest.json"))
+        with open(written[-1], "w") as handle:
+            handle.write(manifest.to_json())
 
 
 def read_manifest(directory) -> DatasetManifest:
@@ -269,20 +271,13 @@ def read_manifest(directory) -> DatasetManifest:
 
 
 def load_sample(directory, sample_id: int, sensor: SensorSpec) -> SamplePair:
-    """Read one sample's rasters; each header must name ``sensor`` at its
-    bit depth and hold its band count, one channel for the PAN."""
+    """Read one sample's rasters, each of them ``sensor``'s
+    (:func:`~pansharp.container.check_header`)."""
     arrays = {}
     for role in SAMPLE_ROLES:
         path = _raster_path(directory, sample_id, role)
-        data, name, bit_depth = read_psr1(path)
-        channels = 1 if role == "pan" else sensor.bands
-        if (name, data.shape[2], bit_depth) != (sensor.name, channels,
-                                                sensor.bit_depth):
-            raise DataError(
-                f"{path}: header reads {name!r} with {data.shape[2]} channels "
-                f"at {bit_depth} bits, not {sensor.name!r} with {channels} at "
-                f"{sensor.bit_depth}")
-        arrays[role] = data[:, :, 0] if role == "pan" else data
+        arrays[role] = check_header(path, read_psr1(path), sensor,
+                                    pan=role == "pan")
     return SamplePair(id=sample_id, pan=arrays["pan"], lrms=arrays["lrms"],
                       gt=arrays["gt"], gt_d=arrays["gtd"])
 

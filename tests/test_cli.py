@@ -647,6 +647,35 @@ _HOSTILE_SAMPLES = {
 }
 
 
+def _relabel(name, bit_depth=11):
+    return lambda data, _, __: (data, name, bit_depth)
+
+
+# Raster headers that break the sensor rule: the rasters spoilt (of an MS
+# and PAN pair, or every raster of a fused set), the edit of their (data,
+# sensor name, bit depth), and what the error says about the first of them.
+_HOSTILE_HEADERS = {
+    "pan-labelled-qb": (("pan",), _relabel("qb"),
+                        "header reads 'qb' with 1 channels at 11 bits, not "
+                        "'wv3' with 1 at 11"),
+    "pan-16-bits": (("pan",), _relabel("wv3", 16),
+                    "header reads 'wv3' with 1 channels at 16 bits, not "
+                    "'wv3' with 1 at 11"),
+    "unregistered-sensor": (("ms", "pan"), _relabel("foo"),
+                            "header names sensor 'foo', which is not "
+                            "registered; known: ['gf2', 'qb', 'wv3']"),
+    "ms-wv3-4-bands": (("ms",), lambda data, name, depth: (data[:, :, :4], name, depth),
+                       "header reads 'wv3' with 4 channels at 11 bits, not "
+                       "'wv3' with 8 at 11"),
+    "fused-labelled-qb": (("fused",), _relabel("qb"),
+                          "header reads 'qb' with 8 channels at 11 bits, not "
+                          "'wv3' with 8 at 11"),
+}
+_HEADER_ROWS = [(command, row) for command in ("fuse", "simulate")
+                for row in sorted(_HOSTILE_HEADERS) if row != "fused-labelled-qb"]
+_HEADER_ROWS += [("eval", "fused-labelled-qb"), ("compare", "fused-labelled-qb")]
+
+
 @pytest.fixture(scope="module")
 def small_patch_dir(tmp_path_factory):
     """16 samples of 16x16 patches: every LRMS is 4x4."""
@@ -880,6 +909,41 @@ class TestExitCodes:
             assert f"_{role}.psr1: {message}" in err and rc == 3, (args[0], rc, err)
             assert not (tmp_path / "out").exists(), args[0]
 
+    @pytest.mark.parametrize("command,row", _HEADER_ROWS,
+                             ids=[f"{c}-{r}" for c, r in _HEADER_ROWS])
+    def test_hostile_header(self, command, row, pair_paths, dataset_dir,
+                            exp_fused_dir, tmp_path, capsys):
+        """Every raster a command reads must name a registered sensor at
+        its bit depth with its band count, one channel for a PAN: the MS
+        the sensor its header names, the PAN the MS's, a fused raster the
+        dataset's.  Each row used to exit 0: the PAN's own label and bit
+        depth went unread, an unknown or mislabelled MS was fused under an
+        invented sensor, and ``eval`` and ``compare`` scored any header."""
+        roles, edit, message = _HOSTILE_HEADERS[row]
+        if roles == ("fused",):
+            fused = tmp_path / "exp"
+            shutil.copytree(exp_fused_dir, fused)
+            for path in fused.glob("*.psr1"):
+                _spoil_raster(path, edit)
+            named = fused / f"{read_manifest(dataset_dir).splits['test'][0]}.psr1"
+            args = [command, str(dataset_dir), str(fused)]
+        else:
+            paths = {}
+            for role, path in zip(("ms", "pan"), pair_paths):
+                paths[role] = tmp_path / path.name
+                shutil.copy(path, paths[role])
+            for role in roles:
+                _spoil_raster(paths[role], edit)
+            named = paths[roles[0]]
+            options = (["--method", "glp-hpm"] if command == "fuse" else
+                       ["--set", "dataset.patch=8", "--set", "dataset.stride=8"])
+            args = [command, str(paths["ms"]), str(paths["pan"]), *options]
+        rc = main([*args, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{named}: {message}" in err and rc == 3, (rc, err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("existing", [False, True],
                              ids=["new-out", "existing-out"])
     def test_failed_fuse_removes_its_output(self, existing, dataset_dir,
@@ -904,6 +968,41 @@ class TestExitCodes:
             assert os.listdir(out) == ["notes.txt"]
         else:
             assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new-out", "existing-out"])
+    def test_diverged_train_removes_its_output(self, existing, dataset_dir,
+                                               tmp_path, capsys):
+        """A run that diverges in its second epoch has written best.ckpt
+        and epoch_0001.ckpt by then, which used to stay.  An --out this run
+        made goes whole; in one that was there, only this run's files go."""
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("not this run's\n")
+        rc = main(["train", str(dataset_dir), "--out", str(out),
+                   "--set", "train.checkpoint_every=1",
+                   "--set", "train.lr_schedule=0:0.001,1:1e30",
+                   "--set", "train.epochs=2", "--set", "train.batch_size=8",
+                   *SMALL_MODEL])
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss nan at epoch 1"), err
+        assert err.count("\n") == 1 and rc == 4
+        if existing:
+            assert os.listdir(out) == ["notes.txt"]
+        else:
+            assert not out.exists()
+
+    def test_failed_simulate_removes_its_output(self, tmp_path):
+        """In an --out whose manifest.json is a directory, simulate writes
+        every raster before the manifest's open fails; the rasters used to
+        stay.  Only what was there before remains."""
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            main(["simulate", "--out", str(out), "--seed", "5", *SIM_ARGS])
+        assert os.listdir(out) == ["manifest.json"]
 
     @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
     def test_corrupt_manifest(self, command, tmp_path, capsys):

@@ -77,13 +77,6 @@ class TestPsr1:
         np.testing.assert_array_equal(ms2.data, ms.data.astype(np.float32))
         np.testing.assert_array_equal(pan2.data, pan.data.astype(np.float32))
 
-    def test_unknown_sensor_gets_generic_spec(self, tmp_path):
-        path = tmp_path / "ms.psr1"
-        write_psr1(path, np.zeros((4, 4, 8), np.float32), "mystery", 12)
-        img = load_ms(path)
-        assert img.sensor.name == "mystery"
-        assert img.sensor.bands == 8 and img.sensor.bit_depth == 12
-
 
 class TestPreviews:
     def test_percentile_stretch_clips_tails(self):

@@ -82,9 +82,11 @@ class TestSensorSpec:
         MsImage(np.zeros((8, 8, 8)), wv3)
         with pytest.raises(DataError, match="bands"):
             MsImage(np.zeros((8, 8, 4)), wv3)
-        with pytest.raises(DataError, match="outside"):
+        with pytest.raises(DataError, match=r"must be finite and in \[0, 1\] "
+                                             r"\(min 1\.5, max 1\.5\)"):
             PanImage(np.full((4, 4), 1.5), wv3)
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match=r"must be finite and in \[0, 1\] "
+                                             r"\(min nan, max nan\)"):
             PanImage(np.full((4, 4), np.nan), wv3)
 
 
