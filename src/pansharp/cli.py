@@ -667,6 +667,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an output the command cannot write; it names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from .optim import AdamState, adam_step
 from .rng import SplitMix64, derive_seed, kaiming_uniform
 from .tensor import (
     DTYPE,
+    Rows,
     Tape,
     Tensor,
     add,
@@ -21,6 +22,7 @@ from .tensor import (
     l1_loss,
     mul,
     relu,
+    row_pieces,
     scale,
     sigmoid,
     tensor_sum,
@@ -28,8 +30,8 @@ from .tensor import (
 )
 
 __all__ = [
-    "DTYPE", "Tape", "Tensor", "add", "mul", "scale", "divide_by_constant",
-    "tensor_sum", "relu", "sigmoid", "concat", "l1_loss", "backward",
+    "DTYPE", "Rows", "Tape", "Tensor", "add", "mul", "scale", "divide_by_constant",
+    "tensor_sum", "relu", "row_pieces", "sigmoid", "concat", "l1_loss", "backward",
     "zero_grads", "conv2d", "conv2d_transpose", "maxpool2d", "avgpool2d",
     "pixel_shuffle", "bilinear_upsample",
     "AdamState", "adam_step", "SplitMix64", "derive_seed", "kaiming_uniform",

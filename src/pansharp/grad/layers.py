@@ -10,18 +10,24 @@ than a Ci*k*k im2col buffer for the same FLOPs.  The buffer is rebuilt
 per chunk of whole images or, for large images, per band of padded input
 rows, so its size is bounded by ``_COL_BUDGET`` (plus at most 15 spare
 columns) whatever the image size, and every padded row is lowered once.
-The input comes as channel groups, each copied into its own slab of the
-buffer, so ``conv2d`` over a channel ``concat`` lowers the concat's
-parts in place and no concatenated feature map is built, forward or
-backward.  Every lowered correlation has stride 1.  The zero padding of
-the rows is set per edge (top, bottom), so a band of rows cut from a
-taller map can leave it out where the map goes on and compute only the
-output rows its own rows hold; the input gradient pads each edge by
-k - 1 - p for a forward padding p.  The forward multiplies all k kernel
-rows stacked, (k*Co, Ci*k), by the whole chunk in one GEMM and adds the
-k row blocks of the product into the output, each shifted by its kernel
-row; the weight gradient multiplies each kernel row's view against the
-matching rows of the output gradient.  Each forward GEMM runs on whole
+It is the calling thread's column workspace, kept from call to call and
+grown to the largest chunk asked for, so a conv allocates no columns of
+its own: a fresh multi-MiB buffer per call cost a banded forward ~20k
+minor page faults.  The input comes as channel groups, each copied into
+its own slab of the buffer, and each group as row pieces, each copied
+into its own rows of the slab.  So ``conv2d`` over a channel ``concat``
+lowers the concat's parts in place and no concatenated feature map is
+built, forward or backward, and over a ``Rows`` (the rows a band of the
+network held from the previous band, then its own) it lowers the pieces
+in place and no joined map is built.  Every lowered correlation has
+stride 1.  The zero padding of the rows is set per edge (top, bottom),
+so a band of rows cut from a taller map can leave it out where the map
+goes on and compute only the output rows its own rows hold; the input
+gradient pads each edge by k - 1 - p for a forward padding p.  The
+forward multiplies all k kernel rows stacked, (k*Co, Ci*k), by the whole
+chunk in one GEMM and adds the k row blocks of the product into the
+output, each shifted by its kernel row; the weight gradient multiplies
+each kernel row's view against the matching rows of the output gradient.  Each forward GEMM runs on whole
 16-column blocks, a chunk's columns then at most 15 zero ones (the
 weight gradient's products read only the real columns): OpenBLAS gives
 a product column the same bits wherever it falls only then
@@ -34,9 +40,12 @@ everything heavy runs through BLAS.
 
 from __future__ import annotations
 
+import itertools
+import threading
+
 import numpy as np
 
-from .tensor import DTYPE, Concat, Tensor, _grad_slot, _record
+from .tensor import DTYPE, Tensor, _grad_slot, _record, row_pieces
 
 # Ceiling per chunk on its lowered rows plus the caller's block kept
 # alongside them (the forward's product), in float32 elements (8 MiB).  A
@@ -59,12 +68,17 @@ _COL_BUDGET = 2 << 20
 # band of rows, cuts the image.
 _GEMM_COLUMNS = 16
 
+# Each thread's column workspace, ``buffer``: the one array ``_columns``
+# lowers into, kept from call to call.  A thread runs one lowering at a
+# time, so one buffer serves all its convs; threads each get their own.
+_workspace = threading.local()
 
-def _out_size(shape: tuple, k: int, padding: int, pad_rows: tuple) -> tuple:
-    """(Ho, Wo) of a k x k correlation over a (B,C,H,W) input, its rows
-    zero-padded by ``pad_rows`` = (top, bottom) and its columns by
-    ``padding`` each side."""
-    h, wid = shape[2:]
+
+def _out_size(xs, k: int, padding: int, pad_rows: tuple) -> tuple:
+    """(Ho, Wo) of a k x k correlation over the input x given as
+    ``_columns`` takes it, its rows zero-padded by ``pad_rows`` = (top,
+    bottom) and its columns by ``padding`` each side."""
+    h, wid = sum(piece.shape[2] for piece in xs[0]), xs[0][0].shape[3]
     ho = h + sum(pad_rows) - k + 1
     wo = wid + 2 * padding - k + 1
     if ho <= 0 or wo <= 0:
@@ -82,13 +96,26 @@ def _span(lo: int, n: int, size: int) -> tuple:
     return i0, i1
 
 
+def _scratch(size: int) -> np.ndarray:
+    """``size`` float32 values of the calling thread's column workspace,
+    grown, the old buffer freed first, when a chunk asks for more than it
+    holds.  A lowering overwrites what the previous one left there."""
+    buf = getattr(_workspace, "buffer", None)
+    if buf is None or buf.size < size:
+        _workspace.buffer = None
+        _workspace.buffer = buf = np.empty(size, DTYPE)
+    return buf[:size]
+
+
 def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0):
     """Yield ``(b0, b1, q0, q1, cols, spare)``: the row lowering of padded
     rows [q0, q1) of images [b0, b1) of the input x (B,Ci,H,W).
 
-    x comes as ``xs``, a sequence of channel groups (B,Ci_g,H,W) that
-    concatenated along the channel axis make it; each group is copied
-    into its own slab of channel rows, so a concatenated x is never built.
+    x comes as ``xs``, a sequence of channel groups that concatenated along
+    the channel axis make it, each a sequence of row pieces (B,Ci_g,H_i,W)
+    that concatenated along the rows make the group.  Each piece is copied
+    into its own rows of its group's slab of channel rows, so neither a
+    concatenated x nor a joined group is ever built.
     x is zero-padded by ``pad_rows`` = (top, bottom) rows and ``padding``
     columns each side: padded row q is input row ``q - top``; output row r
     reads kernel row dy from padded row r + dy, so an image has ``Ho + k -
@@ -103,23 +130,29 @@ def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0):
     of padded rows of one image; every padded row is lowered once.  The
     budget also holds ``spare``: ``reserve`` values per column of the
     largest ``cols``, for a block the caller keeps beside each chunk (the
-    forward's product).  The chunks and ``spare`` share one buffer
-    allocated per call (a fresh multi-MiB array per chunk costs as much
+    forward's product).  The chunks and ``spare`` share one buffer, the
+    thread's workspace (a fresh multi-MiB array per call cost as much
     again in page faults), so ``cols`` is overwritten by the next chunk:
-    use it before advancing.
+    use it before advancing, and run one lowering at a time per thread.
+    A padded row wider than the budget gets a buffer of its own, so the
+    workspace stays within the budget and 15 columns.
     """
-    batch, _, h, wid = xs[0].shape
-    ho, wo = _out_size(xs[0].shape, k, padding, pad_rows)
+    batch, _, _, wid = xs[0][0].shape
+    ho, wo = _out_size(xs, k, padding, pad_rows)
     top = pad_rows[0]
-    slabs = np.cumsum([0] + [x.shape[1] for x in xs])  # each group's channel rows
-    cin = int(slabs[-1])
+    # Each group's slab of channel rows, and each piece's first input row.
+    slabs = list(itertools.accumulate((pieces[0].shape[1] for pieces in xs), initial=0))
+    starts = [list(itertools.accumulate((piece.shape[2] for piece in pieces), initial=0))
+              for pieces in xs]
+    cin, h = slabs[-1], starts[0][-1]
     total = ho + k - 1  # padded rows per image
     per_row = cin * k * wo
     fit = _COL_BUDGET // (per_row + reserve * wo)  # padded rows per chunk
     rows = max(1, min(total, fit))
     images = max(1, min(batch, fit // total))
     most = -(-rows * images * wo // _GEMM_COLUMNS) * _GEMM_COLUMNS
-    buf = np.empty((cin * k + reserve) * most, dtype=xs[0].dtype)
+    size = (cin * k + reserve) * most
+    buf = _scratch(size) if fit else np.empty(size, DTYPE)
     spare = buf[cin * k * most:]
     for b0 in range(0, batch, images):
         b1 = min(b0 + images, batch)
@@ -132,6 +165,14 @@ def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0):
             cols[:, used:] = 0
             view = cols[:, :used].reshape(cin, k, q1 - q0, n, wo)
             s0, s1 = _span(q0 - top, q1 - q0, h)
+            y0 = q0 + s0 - top  # the input row of chunk row s0
+            runs = []  # (slab, a piece's rows in the chunk, those rows' chunk rows)
+            for pieces, at, g0, g1 in zip(xs, starts, slabs, slabs[1:]):
+                for piece, p0 in zip(pieces, at):
+                    a, z = max(y0, p0), min(y0 + s1 - s0, p0 + piece.shape[2])
+                    if a < z:
+                        runs.append((g0, g1, piece[b0:b1, :, a - p0:z - p0],
+                                     s0 + a - y0, s0 + z - y0))
             for dx in range(k):
                 c0, c1 = _span(dx - padding, wo, wid)
                 dst = view[:, dx]  # (Ci, rows, n, Wo)
@@ -139,19 +180,19 @@ def _columns(xs, k: int, padding: int, pad_rows: tuple, reserve: int = 0):
                 dst[:, s1:] = 0
                 dst[:, s0:s1, :, :c0] = 0
                 dst[:, s0:s1, :, c1:] = 0
-                if s0 < s1 and c0 < c1:
-                    y0, x0 = q0 + s0 - top, c0 + dx - padding
-                    for x, g0, g1 in zip(xs, slabs[:-1], slabs[1:]):
-                        src = x[b0:b1, :, y0:y0 + s1 - s0, x0:x0 + c1 - c0]
-                        np.copyto(dst[g0:g1, s0:s1, :, c0:c1], src.transpose(1, 2, 0, 3))
+                if c0 < c1:
+                    x0 = c0 + dx - padding
+                    for g0, g1, src, d0, d1 in runs:
+                        np.copyto(dst[g0:g1, d0:d1, :, c0:c1],
+                                  src[:, :, :, x0:x0 + c1 - c0].transpose(1, 2, 0, 3))
             yield b0, b1, q0, q1, cols, spare
 
 
 def _corr2d(xs, w: np.ndarray, padding: int, pad_rows: tuple) -> np.ndarray:
     """Raw stride-1 cross-correlation of x (B,Ci,H,W) with w (Co,Ci,k,k),
-    x given as ``_columns`` takes it: a sequence of channel groups, zero-
-    padded by ``pad_rows`` = (top, bottom) rows and ``padding`` columns
-    each side.
+    x given as ``_columns`` takes it: a sequence of channel groups, each a
+    sequence of row pieces, zero-padded by ``pad_rows`` = (top, bottom)
+    rows and ``padding`` columns each side.
 
     Each chunk of padded rows runs one GEMM: the kernel rows stacked, Co
     matrix rows each, times the chunk's lowered rows, so the product holds
@@ -166,9 +207,9 @@ def _corr2d(xs, w: np.ndarray, padding: int, pad_rows: tuple) -> np.ndarray:
     come out for any ``_COL_BUDGET``, and for any cut of the input's rows.
     """
     cout, cin, k, _ = w.shape
-    ho, wo = _out_size(xs[0].shape, k, padding, pad_rows)
+    ho, wo = _out_size(xs, k, padding, pad_rows)
     stack = np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(k * cout, cin * k)
-    out = np.empty((xs[0].shape[0], cout, ho, wo), dtype=DTYPE)
+    out = np.empty((xs[0][0].shape[0], cout, ho, wo), dtype=DTYPE)
     for b0, b1, q0, q1, cols, spare in _columns(xs, k, padding, pad_rows, k * cout):
         n, m = b1 - b0, q1 - q0
         prod = spare[:k * cout * cols.shape[1]].reshape(k * cout, -1)
@@ -195,7 +236,8 @@ def _corr2d(xs, w: np.ndarray, padding: int, pad_rows: tuple) -> np.ndarray:
 def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int,
                         pad_rows: tuple) -> np.ndarray:
     """Gradient wrt conv weights: correlate the input, given as channel
-    groups ``xs`` and padded as for ``_corr2d``, with the output gradient.
+    groups of row pieces ``xs`` and padded as for ``_corr2d``, with the
+    output gradient.
 
     Returns (g channels, x channels, k, k), one stride-1 window of the
     padded ``x`` per position of ``g``.  Each chunk adds, per kernel row
@@ -205,7 +247,7 @@ def _corr2d_weight_grad(xs, g: np.ndarray, k: int, padding: int,
     row, zero-padded to the chunk's rows; it gave no steady gain and moved
     the gradient's bits (``BENCH_12.json``).
     """
-    cin = sum(x.shape[1] for x in xs)
+    cin = sum(pieces[0].shape[1] for pieces in xs)
     cout, ho = g.shape[1:3]
     acc = np.zeros((k, cin * k, cout), dtype=DTYPE)
     for b0, b1, q0, q1, cols, _ in _columns(xs, k, padding, pad_rows):
@@ -231,8 +273,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int, *,
     the rows by those counts instead, so a band of rows cut from a taller
     input can leave out the padding at an edge where the input goes on
     and compute only the output rows its own rows hold.  A ``concat`` is
-    lowered straight from its parts, in the forward and in the weight
-    gradient, so its concatenated array is never built.
+    lowered straight from its parts, and a ``Rows`` (alone or as a part)
+    from its row pieces, in the forward and in the weight gradient, so
+    neither joined array is ever built.
     """
     if len(x.shape) != 4:
         raise ValueError(f"conv2d: input must be 4-D (B,C,H,W), got shape {x.shape}")
@@ -253,7 +296,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int, *,
         raise ValueError(
             f"conv2d: padding must be >= 0, got {padding} (rows {top}, {bottom})")
 
-    xs = [t.data for t in x.parts] if isinstance(x, Concat) else [x.data]
+    xs = row_pieces(x)
     out_data = _corr2d(xs, w.data, padding, (top, bottom))
     out_data += b.data[None, :, None, None]
     out = Tensor(out_data)
@@ -268,7 +311,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int, *,
         if sx is not None:
             # Full correlation with channel-swapped, spatially flipped weights.
             w_swap = np.ascontiguousarray(w_data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            sx.accumulate_grad(_corr2d([g], w_swap, k - 1 - padding,
+            sx.accumulate_grad(_corr2d([[g]], w_swap, k - 1 - padding,
                                        (k - 1 - top, k - 1 - bottom)))
 
     return _record(out, (x, w, b), backward_fn)

@@ -267,16 +267,13 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), backward_fn)
 
 
-class Concat(Tensor):
-    """The result of ``concat``: it keeps its parts and reports the
-    concatenated shape.  Its array is built, once, only when ``.data`` is
-    read; ``conv2d`` reads the parts in place instead, so the network
-    never builds one."""
+class _Joined(Tensor):
+    """Arrays that joined along one axis make a tensor, which reports the
+    joined shape.  Its array is built, once, only when ``.data`` is read."""
 
-    __slots__ = ("parts", "_shape", "_array")
+    __slots__ = ("_shape", "_array")
 
-    def __init__(self, parts: tuple[Tensor, ...], shape: tuple[int, ...]):
-        self.parts = parts
+    def __init__(self, shape: tuple[int, ...]):
         self._shape = shape
         self._array: np.ndarray | None = None
         self.grad = None
@@ -287,7 +284,7 @@ class Concat(Tensor):
     @property
     def data(self) -> np.ndarray:
         if self._array is None:
-            self._array = np.concatenate([t.data for t in self.parts], axis=1)
+            self._array = self._join()
         return self._array
 
     @property
@@ -297,6 +294,41 @@ class Concat(Tensor):
     @property
     def size(self) -> int:
         return math.prod(self._shape)
+
+
+class Concat(_Joined):
+    """The result of ``concat``: it keeps its parts and reports the
+    concatenated shape.  ``conv2d`` reads the parts in place, so the
+    network never builds its array."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Tensor, ...], shape: tuple[int, ...]):
+        super().__init__(shape)
+        self.parts = parts
+
+    def _join(self) -> np.ndarray:
+        return np.concatenate([t.data for t in self.parts], axis=1)
+
+
+class Rows(_Joined):
+    """A map given as row pieces: arrays that joined along the row axis,
+    2, make it.  ``conv2d`` lowers the pieces in place, so no joined map
+    is built for it.  A constant, as a Tensor made from an array is: no
+    gradient flows to the pieces."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: Sequence[np.ndarray]):
+        first = pieces[0]
+        super().__init__(first.shape[:2] + (sum(p.shape[2] for p in pieces),)
+                         + first.shape[3:])
+        self.pieces = list(pieces)
+
+    def _join(self) -> np.ndarray:
+        if len(self.pieces) == 1:
+            return self.pieces[0]
+        return np.concatenate(self.pieces, axis=2)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
@@ -330,6 +362,13 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
                 slot.accumulate_grad(g[:, lo:hi])
 
     return _record(out, tuple(tensors), backward_fn)
+
+
+def row_pieces(x: Tensor) -> list[list[np.ndarray]]:
+    """x's values as ``conv2d`` lowers them: its channel groups (a
+    concat's parts, or x alone), each as its row pieces."""
+    return [t.pieces if isinstance(t, Rows) else [t.data]
+            for t in (x.parts if isinstance(x, Concat) else (x,))]
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:

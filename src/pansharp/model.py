@@ -12,14 +12,15 @@ Everything is expressed over :class:`~pansharp.grad.Tensor`, so a forward
 pass run under an active :class:`~pansharp.grad.Tape` is differentiable in
 every parameter. Without a tape, the blocks whose maps are 64 channels
 wide at full resolution (the PAN branch, the gates and the MSCBs) run in
-row bands, with the same bits as one pass. Parameters live in a flat
-``{name: Tensor}`` dict whose canonical order is fixed by
-:func:`parameter_plan`.
+sliding row bands, each layer computing each of its rows once, with the
+same bits as one pass. Parameters live in a flat ``{name: Tensor}`` dict
+whose canonical order is fixed by :func:`parameter_plan`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from .errors import DataError
 from .fusion import HPM_EPSILON
 from .grad import (
     DTYPE,
+    Rows,
     SplitMix64,
     Tape,
     Tensor,
@@ -47,6 +49,7 @@ from .grad import (
     maxpool2d,
     pixel_shuffle,
     relu,
+    row_pieces,
     scale,
     sigmoid,
 )
@@ -63,15 +66,17 @@ _U32 = struct.Struct("<I")
 #: PAN-branch projection producing the detail map of a stage, by its pooling.
 _DETAIL_LAYERS = {1: "pan.detail_full", 2: "pan.detail_half"}
 
-# Output rows per band of a block whose intermediates are wide maps, when
-# no tape records; a multiple of every stage pool.  Each layer of a band
-# computes only the rows that reach the band's output, so the overlap
-# between bands shrinks layer by layer.  On a 256^2 PAN a default-width
-# forward in 64-row bands does 3.0% more conv work than one pass (128-row
-# bands with the whole halo recomputed at every layer did 3.4%) and peaks
-# at 27.6 MiB traced, against 57.7 MiB in one pass (512^2: 60.2 against
-# 205.5 MiB).  32 rows peak at 21.8 MiB for 7.2% more conv work.
-_BAND_ROWS = 64
+# Input rows per band of a block whose intermediates are wide maps, when
+# no tape records; a multiple of every stage pool.  The bands slide, so
+# each layer computes each of its rows once and a banded forward does the
+# conv work of one pass, exactly (recomputing each band's halo at every
+# layer cost 3.0% more at 64 rows, 7.2% at 32).  On a 256^2 PAN a
+# default-width forward in 32-row bands peaks at 23.5 MiB traced, the
+# column workspace included, against 29.3 MiB in 64-row bands and 58.0 MiB
+# in one pass (512^2: 52.4 MiB; 1024^2: 152.3 MiB).  16-row bands peak no
+# lower, 23.5 MiB, as the full-resolution 8-channel maps and the workspace
+# set the peak, and took longer per forward (0.75 s against 0.58 s).
+_BAND_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -249,32 +254,43 @@ def _reach(params: dict[str, Tensor], *names: str) -> int:
     return sum(params[f"{name}.w"].shape[2] // 2 for name in names)
 
 
-def _in_row_bands(block, inputs: tuple[Tensor, ...], halo: int):
-    """``block(conv, crop, *inputs)``, computed over row bands when no
+def _row_range(pieces: list[np.ndarray], r0: int, r1: int) -> list[np.ndarray]:
+    """Views of rows [r0, r1) of the map that ``pieces`` make."""
+    out, start = [], 0
+    for piece in pieces:
+        out.append(piece[:, :, max(0, r0 - start):max(0, r1 - start)])
+        start += piece.shape[2]
+    return out
+
+
+def _in_row_bands(block, inputs: tuple[Tensor, ...]):
+    """``block(conv, delay, *inputs)``, computed over row bands when no
     tape records.
 
-    The inputs share one grid of H rows; ``block`` returns a Tensor or a
-    list of them, each on that grid pooled by a factor dividing
-    :data:`_BAND_ROWS`.  Bands start on multiples of ``_BAND_ROWS`` and
-    read ``halo`` more rows each side, clipped at the image edge; ``halo``
-    is the block's reach, exactly.  The block builds its layers with two
-    helpers.  ``conv(params, name, x)`` is ``_conv_layer`` with the rows
-    zero-padded only at an image edge: at an interior edge a layer
-    computes only the rows its input holds, so each layer's overlap with
-    the next band shrinks by its own reach, and only rows that reach the
-    band's output are computed.  ``crop(x, n)`` drops n rows at each
-    interior edge, to put a map that skips layers (a residual term, a
-    narrower branch, a finer pool) on the rows of the maps it meets.  The
-    band's outputs then hold its own rows, or run on to the image edge
-    where it meets one, and are written into one output per result.  Every
-    output row is summed from the windows of one whole pass, and the conv
-    engine sums a value alike wherever its rows are cut, so the bits are
-    the same.  Under a tape, or when one band holds every row, the helpers
-    are ``_conv_layer`` and the identity and the block runs whole: under a
-    tape the closures would keep every band's activations, and the weight
-    gradients would be summed band by band.
+    The inputs share one grid of H rows and W columns; ``block`` returns a
+    Tensor or a list of them, each on that grid pooled by a factor
+    dividing :data:`_BAND_ROWS`.  The bands cut the inputs at multiples of
+    ``_BAND_ROWS``, and each band computes only the new rows of every
+    layer, a sliding window (Ragan-Kelley et al. 2013): every call site of
+    the two helpers the block builds its layers with holds rows from one
+    band for the next.  ``conv(params, name, x)`` is ``_conv_layer`` over
+    the last 2*(k//2) rows of x it held, then x's rows, zero-padded only
+    at the image's top and bottom; so its output trails x by k//2 rows.
+    ``delay(x, n)`` is the n rows of x it held, then x's rows but its last
+    n; it puts a map that skips layers (a residual term, a narrower
+    branch) on the rows of the maps it meets.  At the last band both give
+    every row they hold.  Held rows are small copies, and ``conv2d``
+    lowers them and x's rows as ``Rows`` pieces, so no map is rebuilt to
+    add them.  Each band's outputs follow the previous band's rows in one
+    output per result: every output row is computed once, from the
+    windows of one whole pass, and the conv engine sums a value alike
+    wherever its rows are cut, so the bits are the same.  Under a tape, or
+    when one band holds every row, the helpers are ``_conv_layer`` and the
+    identity and the block runs whole: under a tape the closures would
+    keep every band's activations, and the weight gradients would be
+    summed band by band.
     """
-    height = inputs[0].shape[2]
+    height, width = inputs[0].shape[2:]
     if Tape.active() is not None or height <= _BAND_ROWS:
         return block(_conv_layer, lambda x, rows: x, *inputs)
     # Bands cut every input to the first one's rows, so rows a taller
@@ -282,29 +298,51 @@ def _in_row_bands(block, inputs: tuple[Tensor, ...], halo: int):
     if any(x.shape[2] != height for x in inputs):
         raise ValueError(
             f"row bands: inputs differ in height: {[x.shape for x in inputs]}")
-    outs = None
+    held = {}  # call site, in call order: its rows, one array per channel group
+    outs = filled = None
     for r0 in range(0, height, _BAND_ROWS):
-        r1 = min(r0 + _BAND_ROWS, height)
-        lo, hi = max(0, r0 - halo), min(height, r1 + halo)
-        top, bottom = lo == 0, hi == height  # the band meets the image edge
+        last = r0 + _BAND_ROWS >= height
+        sites = itertools.count()
+
+        def carry(x, keep):
+            """x's channel groups as row pieces after the rows this call
+            site held, their row count, and how many it held; it holds the
+            last ``keep`` rows of each group for the next band."""
+            site = next(sites)
+            groups, before = row_pieces(x), held.get(site)
+            if before is not None:
+                groups = [[rows] + pieces for rows, pieces in zip(before, groups)]
+            total = sum(piece.shape[2] for piece in groups[0])
+            held[site] = [np.concatenate(_row_range(pieces, total - keep, total), axis=2)
+                          for pieces in groups]
+            return groups, total, 0 if before is None else before[0].shape[2]
 
         def conv(params, name, x):
-            pad = params[f"{name}.w"].shape[2] // 2
-            return _conv_layer(params, name, x, (pad * top, pad * bottom))
+            w = params[f"{name}.w"]
+            pad = w.shape[2] // 2
+            groups, total, before = carry(x, 2 * pad)
+            # A site holds rows from the image's top until it holds 2*pad,
+            # and so long the first window due reaches above them.
+            top, bottom = min(pad, 2 * pad - before), pad * last
+            if total + top + bottom <= 2 * pad:  # no whole window yet
+                return Tensor(np.empty((x.shape[0], w.shape[0], 0, x.shape[3]), DTYPE))
+            return _conv_layer(params, name, concat([Rows(pieces) for pieces in groups]),
+                               (top, bottom))
 
-        def crop(x, rows):
-            return Tensor(x.data[:, :, rows * (not top):x.shape[2] - rows * (not bottom)])
+        def delay(x, rows):
+            (pieces,), total, _ = carry(x, rows)
+            return Rows(pieces if last else _row_range(pieces, 0, total - rows))
 
-        result = block(conv, crop, *(Tensor(x.data[:, :, lo:hi]) for x in inputs))
+        result = block(conv, delay, *(Tensor(x.data[:, :, r0:r0 + _BAND_ROWS])
+                                      for x in inputs))
         parts = [result] if isinstance(result, Tensor) else result
-        first, last = (lo if top else r0), (hi if bottom else r1)  # rows held
         if outs is None:
-            pools = [(last - first) // part.shape[2] for part in parts]
-            outs = [np.empty(part.shape[:2] + (height // pool,) + part.shape[3:],
-                             DTYPE) for part, pool in zip(parts, pools)]
-        for out, part, pool in zip(outs, parts, pools):
-            out[:, :, r0 // pool:r1 // pool] = \
-                part.data[:, :, (r0 - first) // pool:(r1 - first) // pool]
+            outs = [np.empty(part.shape[:2] + (height // (width // part.shape[3]),
+                                               part.shape[3]), DTYPE) for part in parts]
+            filled = [0] * len(parts)
+        for i, (out, part) in enumerate(zip(outs, parts)):
+            out[:, :, filled[i]:filled[i] + part.shape[2]] = part.data
+            filled[i] += part.shape[2]
     tensors = [Tensor(out) for out in outs]
     return tensors[0] if isinstance(result, Tensor) else tensors
 
@@ -322,31 +360,29 @@ def pan_details(pan: Tensor, params: dict[str, Tensor],
         return [Tensor(np.repeat(avgpool2d(pan, pool).data, config.bands, axis=1))
                 for _, pool in config.stages]
 
-    # PAN rows of shared the projections read beyond a detail row.
-    read = max(pool * _reach(params, _DETAIL_LAYERS[pool]) for _, pool in config.stages)
+    # Rows a band of shared trails the band of the PAN by.
+    lag = _reach(params, "pan.entry", "pan.res1", "pan.res2")
 
-    def trunk(conv, crop, pan: Tensor) -> Tensor:
+    def trunk(conv, delay, pan: Tensor) -> Tensor:
         feats = relu(conv(params, "pan.entry", pan))
-        return crop(feats, _reach(params, "pan.res1", "pan.res2")) + conv(
+        return delay(feats, _reach(params, "pan.res1", "pan.res2")) + conv(
             params, "pan.res2", relu(conv(params, "pan.res1", feats)))
 
-    def branch(conv, crop, pan: Tensor) -> list[Tensor]:
+    def branch(conv, delay, pan: Tensor) -> list[Tensor]:
         # The residual sum outlives its terms, so the relu holds two wide
         # maps, not four, and the projections only shared.
-        shared = relu(trunk(conv, crop, pan))
+        shared = relu(trunk(conv, delay, pan))
         # Finest first, as parameter_plan orders them; on a 256^2 PAN the
         # other order gives the same traced peak, in bands or in one.  A
-        # projection at pool p reads p rows of shared per row of its reach
-        # beyond the band, so the pooling windows start on the band's.
+        # pooled band of shared must start on a multiple of the pool, as
+        # the PAN's band does.
         finest_first = []
         for _, pool in reversed(config.stages):
-            name = _DETAIL_LAYERS[pool]
-            x = crop(shared, read - pool * _reach(params, name))
-            finest_first.append(conv(params, name, maxpool2d(x, pool) if pool > 1 else x))
+            x = maxpool2d(delay(shared, -lag % pool), pool) if pool > 1 else shared
+            finest_first.append(conv(params, _DETAIL_LAYERS[pool], x))
         return finest_first[::-1]
 
-    return _in_row_bands(
-        branch, (pan,), _reach(params, "pan.entry", "pan.res1", "pan.res2") + read)
+    return _in_row_bands(branch, (pan,))
 
 
 def _upsample(x: Tensor, params: dict[str, Tensor], level: str, s: int,
@@ -396,14 +432,14 @@ def mrab(ms_low: Tensor, d: Tensor, params: dict[str, Tensor],
             raise ValueError("mrab: tmra_hpm mode needs the smoothed PAN raster")
         return tmra_injection(ms_up, pan_low, d)
 
-    reach = _reach(params, f"{level}.gate1", f"{level}.gate2")
+    lag = _reach(params, f"{level}.gate1", f"{level}.gate2")
 
-    def gated(conv, crop, ms_up: Tensor, d: Tensor) -> Tensor:
+    def gated(conv, delay, ms_up: Tensor, d: Tensor) -> Tensor:
         hidden = relu(conv(params, f"{level}.gate1", concat([ms_up, d])))
         gain = sigmoid(conv(params, f"{level}.gate2", hidden))
-        return crop(ms_up, reach) + gain * crop(d, reach)
+        return delay(ms_up, lag) + gain * delay(d, lag)
 
-    return _in_row_bands(gated, (ms_up, d), reach)
+    return _in_row_bands(gated, (ms_up, d))
 
 
 def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
@@ -414,17 +450,17 @@ def mscb(x: Tensor, d: Tensor, params: dict[str, Tensor],
     concat -> blend conv back to the band count -> + x (residual).
     """
     widest = max(config.mscb_kernels)
-    halo = _reach(params, f"{level}.mix.entry", f"{level}.mix.blend") + widest // 2
+    lag = _reach(params, f"{level}.mix.entry", f"{level}.mix.blend") + widest // 2
 
-    def refined(conv, crop, x: Tensor, d: Tensor) -> Tensor:
+    def refined(conv, delay, x: Tensor, d: Tensor) -> Tensor:
         h = relu(conv(params, f"{level}.mix.entry", concat([x, d])))
-        # A narrower kernel reads h on the rows the widest one leaves.
-        branches = [conv(params, f"{level}.mix.k{k}", crop(h, (widest - k) // 2))
+        # A narrower kernel reads h on the rows of the widest one's output.
+        branches = [conv(params, f"{level}.mix.k{k}", delay(h, (widest - k) // 2))
                     for k in config.mscb_kernels]
         del h  # the blend reads only the branches
-        return conv(params, f"{level}.mix.blend", concat(branches)) + crop(x, halo)
+        return conv(params, f"{level}.mix.blend", concat(branches)) + delay(x, lag)
 
-    return _in_row_bands(refined, (x, d), halo)
+    return _in_row_bands(refined, (x, d))
 
 
 def tdnet_forward(lrms: Tensor, pan: Tensor, params: dict[str, Tensor],

@@ -994,15 +994,31 @@ class TestExitCodes:
         else:
             assert not out.exists()
 
-    def test_failed_simulate_removes_its_output(self, tmp_path):
+    def test_failed_simulate_removes_its_output(self, tmp_path, capsys):
         """In an --out whose manifest.json is a directory, simulate writes
         every raster before the manifest's open fails; the rasters used to
-        stay.  Only what was there before remains."""
+        stay.  Only what was there before remains, and the OSError exits 2
+        with one line naming the path, not a traceback and exit 1."""
         out = tmp_path / "out"
         (out / "manifest.json").mkdir(parents=True)
-        with pytest.raises(IsADirectoryError):
-            main(["simulate", "--out", str(out), "--seed", "5", *SIM_ARGS])
+        rc = main(["simulate", "--out", str(out), "--seed", "5", *SIM_ARGS])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(out / "manifest.json") in err and rc == 2
         assert os.listdir(out) == ["manifest.json"]
+
+    def test_fuse_out_names_a_file(self, pair_paths, tmp_path, capsys):
+        """An --out that is an existing regular file exits 2 with one line
+        naming it, and the file is left as it was."""
+        ms_path, pan_path = pair_paths
+        out = tmp_path / "taken"
+        out.write_text("not this run's\n")
+        rc = main(["fuse", str(ms_path), str(pan_path), "--method", "exp",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(out) in err and rc == 2
+        assert out.read_text() == "not this run's\n"
 
     @pytest.mark.parametrize("command", ["fuse", "train", "eval"])
     def test_corrupt_manifest(self, command, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Spatial layers vs. loop-based oracles and finite differences."""
 
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import pansharp.grad.layers as layers
 from pansharp.grad.tensor import Concat
 from pansharp.grad import (
+    Rows,
     Tape,
     Tensor,
     avgpool2d,
@@ -152,8 +155,8 @@ def _record_chunks(monkeypatch):
     real = layers._columns
 
     def recording(xs, k, padding, pad_rows, reserve=0):
-        wo = xs[0].shape[3] + 2 * padding - k + 1
-        cin = sum(x.shape[1] for x in xs)
+        wo = xs[0][0].shape[3] + 2 * padding - k + 1
+        cin = sum(pieces[0].shape[1] for pieces in xs)
         for b0, b1, q0, q1, cols, spare in real(xs, k, padding, pad_rows, reserve):
             used = (b1 - b0) * (q1 - q0) * wo
             assert cols.shape == (cin * k, -(-used // 16) * 16)
@@ -192,7 +195,8 @@ class TestCorr2dTiling:
         rows, budget = _chunk_budget(mode, cin, k, ho, wo, k * cout)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d(np.split(x, groups, axis=1), w, padding, (padding,) * 2)
+        got = layers._corr2d([[g] for g in np.split(x, groups, axis=1)], w, padding,
+                             (padding,) * 2)
 
         np.testing.assert_allclose(got, _corr2d_reference(x, w, padding),
                                    rtol=1e-5, atol=1e-5)
@@ -214,7 +218,7 @@ class TestCorr2dTiling:
         rows, budget = _chunk_budget(mode, cin, k, ho, wo, k * cout)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d([x], w, padding, pad_rows)
+        got = layers._corr2d([[x]], w, padding, pad_rows)
 
         np.testing.assert_allclose(got, _corr2d_reference(x, w, padding, pad_rows),
                                    rtol=1e-5, atol=1e-5)
@@ -246,7 +250,7 @@ class TestCorr2dTiling:
         outs = []
         for budget in (1 << 16, 1 << 18, 1 << 21, 1 << 28):
             monkeypatch.setattr(layers, "_COL_BUDGET", budget)
-            outs.append(layers._corr2d([x], w, padding, (padding,) * 2))
+            outs.append(layers._corr2d([[x]], w, padding, (padding,) * 2))
         for out in outs[1:]:
             np.testing.assert_array_equal(out, outs[0])
 
@@ -258,9 +262,10 @@ class TestCorr2dTiling:
         rng = np.random.default_rng(32)
         x = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
         w = rng.normal(size=(16, 16, 7, 7)).astype(np.float32)
+        layers._workspace.buffer = None  # so the trace counts the columns
         tracemalloc.start()
         try:
-            out = layers._corr2d([x], w, 3, (3, 3))
+            out = layers._corr2d([[x]], w, 3, (3, 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,6 +321,124 @@ class TestConv2dOverConcat:
             np.testing.assert_array_equal(g, wnt)
 
 
+def _conv_rows_and_grads(x, w, b, r, pad_rows):
+    """conv2d of x, made on the tape, padded by ``pad_rows``, then the
+    backward of sum(out * r): the output and the weight and bias
+    gradients.  x is a Tensor or any input conv2d takes."""
+    wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape():
+        out = conv2d(x, wt, bt, padding=w.shape[2] // 2, pad_rows=pad_rows)
+        loss = tensor_sum(mul(out, Tensor(r)))
+    loss.backward()
+    return [out.data, wt.grad, bt.grad]
+
+
+class TestConv2dOverRowPieces:
+    """conv2d lowers a ``Rows`` input straight from its row pieces, as it
+    lowers a concat's channel parts; that must give the bits of conv2d
+    over the joined array, forward and weight gradient, wherever the rows
+    are cut and however ``_columns`` chunks the padded rows."""
+
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("edges", ["inner", "top", "bottom"])
+    def test_bit_identical_to_the_joined_input(self, monkeypatch, k, edges):
+        """Cuts at every row, alone or around a one-row piece shorter than
+        the kernel, under a budget of one padded row per chunk (so every
+        cut falls on a chunk edge), of two chunks per image (cuts within
+        and across the chunk edge) and of whole images; and the row pieces
+        of one channel part of a concat, beside a part cut elsewhere."""
+        rng = np.random.default_rng(38)
+        batch, cin, cout, height, width = 2, 3, 4, 13, 9
+        p = k // 2
+        pad_rows = {"inner": (0, 0), "top": (p, 0), "bottom": (0, p)}[edges]
+        x = rng.normal(size=(batch, cin, height, width)).astype(np.float32)
+        w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+        b = rng.normal(size=cout).astype(np.float32)
+        ho = height + sum(pad_rows) - k + 1
+        r = rng.normal(size=(batch, cout, ho, width)).astype(np.float32)
+        cuts = ([[c] for c in range(1, height)]
+                + [[c, c + 1] for c in range(1, height - 1)])
+        for mode in ("sub_row", "bands", "images"):
+            _, budget = _chunk_budget(mode, cin, k, ho, width, k * cout)
+            monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+            want = _conv_rows_and_grads(Tensor(x), w, b, r, pad_rows)
+            for cut in cuts:
+                got = _conv_rows_and_grads(Rows(np.split(x, cut, axis=2)), w, b, r,
+                                           pad_rows)
+                mixed = concat([Rows(np.split(x[:, :2], cut, axis=2)),
+                                Rows(np.split(x[:, 2:], [height - cut[0]], axis=2))])
+                got_mixed = _conv_rows_and_grads(mixed, w, b, r, pad_rows)
+                for g, m, wnt in zip(got, got_mixed, want):
+                    np.testing.assert_array_equal(g, wnt, err_msg=f"{mode} {cut}")
+                    np.testing.assert_array_equal(m, wnt, err_msg=f"{mode} {cut}")
+
+
+class TestColumnWorkspace:
+    """``_columns`` lowers into one workspace per thread, kept from call
+    to call."""
+
+    def test_threads_give_the_bits_of_a_lone_run(self, monkeypatch):
+        """Three threads, one more than the cores, each run a conv of its
+        own shape at once, again and again, under a short switch interval;
+        each must get the bits of its conv run alone.  A workspace that the
+        threads shared would mix their columns."""
+        monkeypatch.setattr(layers, "_COL_BUDGET", 1 << 14)
+        rng = np.random.default_rng(39)
+        jobs = []
+        for batch, cin, height, width, cout, k in [(1, 16, 40, 40, 8, 7),
+                                                    (2, 8, 24, 30, 16, 3),
+                                                    (1, 32, 20, 64, 4, 5)]:
+            x = rng.normal(size=(batch, cin, height, width)).astype(np.float32)
+            w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+            jobs.append((x, w, k // 2))
+        alone = [layers._corr2d([[x]], w, p, (p, p)) for x, w, p in jobs]
+        results = [[] for _ in jobs]
+
+        def run(i):
+            x, w, p = jobs[i]
+            for _ in range(20):
+                results[i].append(layers._corr2d([[x]], w, p, (p, p)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for outs, want in zip(results, alone):
+            assert len(outs) == 20
+            for out in outs:
+                np.testing.assert_array_equal(out, want)
+
+    def test_workspace_stays_within_the_budget(self, monkeypatch):
+        """The workspace grows to the largest chunk asked for, at most the
+        budget and 15 spare columns, and a smaller chunk reuses it; a
+        padded row wider than the budget gets a buffer of its own, so the
+        workspace keeps its size."""
+        monkeypatch.setattr(layers, "_COL_BUDGET", 1 << 16)
+        layers._workspace.buffer = None
+        rng = np.random.default_rng(40)
+
+        def run(batch, cin, size, cout, k):
+            x = rng.normal(size=(batch, cin, size, size)).astype(np.float32)
+            w = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
+            layers._corr2d([[x]], w, k // 2, (k // 2, k // 2))
+            return layers._workspace.buffer
+
+        small = run(1, 4, 30, 4, 3)
+        largest = run(2, 16, 40, 8, 7)
+        assert largest.size > small.size
+        assert largest.size <= layers._COL_BUDGET + 15 * (16 * 7 + 7 * 8)
+        assert run(1, 4, 30, 4, 3) is largest
+        assert 64 * 7 * 200 > layers._COL_BUDGET  # one padded row of the next
+        assert run(1, 64, 200, 4, 7) is largest
+
+
 def _weight_grad_reference(x, g, k, padding):
     """float64 einsum of every window of the padded input with g."""
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
@@ -343,7 +466,7 @@ class TestCorr2dWeightGrad:
         rows, budget = _chunk_budget(mode, cin, k, ho, wo, 0)
         monkeypatch.setattr(layers, "_COL_BUDGET", budget)
         chunks = _record_chunks(monkeypatch)
-        got = layers._corr2d_weight_grad(np.split(x, groups, axis=1), g, k,
+        got = layers._corr2d_weight_grad([[p] for p in np.split(x, groups, axis=1)], g, k,
                                          padding, (padding,) * 2)
 
         assert got.shape == (cout, cin, k, k) and got.dtype == np.float32
@@ -363,9 +486,10 @@ class TestCorr2dWeightGrad:
         rng = np.random.default_rng(34)
         x = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
         g = rng.normal(size=(1, 16, 192, 192)).astype(np.float32)
+        layers._workspace.buffer = None  # so the trace counts the columns
         tracemalloc.start()
         try:
-            gw = layers._corr2d_weight_grad([x], g, 7, 3, (3, 3))
+            gw = layers._corr2d_weight_grad([[x]], g, 7, 3, (3, 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
